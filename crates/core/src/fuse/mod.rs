@@ -70,7 +70,7 @@ pub struct FuseTrace {
 const FUSE_TRACE_CAP: usize = 512;
 
 impl FuseTrace {
-    fn record(&self, event: FuseEvent) {
+    pub(crate) fn record(&self, event: FuseEvent) {
         let mut events = self
             .events
             .lock()
@@ -92,7 +92,7 @@ impl FuseTrace {
 }
 
 /// Short root-operator name used in fuse trace events.
-fn root_name(p: &LogicalPlan) -> &'static str {
+pub(crate) fn root_name(p: &LogicalPlan) -> &'static str {
     match p {
         LogicalPlan::Scan(_) => "Scan",
         LogicalPlan::Filter(_) => "Filter",
@@ -162,12 +162,6 @@ pub fn fuse(p1: &LogicalPlan, p2: &LogicalPlan, ctx: &FuseContext) -> Option<Fus
     if let Some(f) = &result {
         let violations = crate::analysis::check_fuse_contract(p1, p2, f);
         if !violations.is_empty() {
-            if std::env::var("FUSION_ANALYZE_DEBUG").is_ok() {
-                eprintln!(
-                    "contract rejection {left}/{right}: {}",
-                    crate::analysis::render_violations(&violations)
-                );
-            }
             ctx.trace.record(FuseEvent {
                 left: left.into(),
                 right: right.into(),

@@ -321,9 +321,6 @@ impl Optimizer {
                             }
                         };
                         if let Some(error) = error {
-                            if std::env::var("FUSION_ANALYZE_DEBUG").is_ok() {
-                                eprintln!("rule {} rejected: {error}", rule.name());
-                            }
                             // Discard the rule's output: the pre-rule plan
                             // is still valid, so the query survives a
                             // buggy rewrite at the cost of a missed

@@ -21,7 +21,7 @@ use fusion_expr::{conjoin, split_conjuncts, BinaryOp, Expr};
 use fusion_plan::{Filter, Join, JoinType, LogicalPlan, Project, ProjExpr, UnionAll};
 
 use super::Rule;
-use crate::fuse::{fuse, simp, FuseContext};
+use crate::fuse::{fuse, root_name, simp, FuseContext, FuseEvent};
 
 pub struct UnionAllOnJoin;
 
@@ -324,24 +324,29 @@ fn try_pair(
         input: Box::new(joined),
         exprs,
     });
+    // A rejected rewrite lands in the fuse trace (and therefore EXPLAIN),
+    // next to the event of the shared-side fusion it was built from.
+    let reject = |detail: String| {
+        ctx.trace.record(FuseEvent {
+            left: root_name(&union.inputs[i]).into(),
+            right: root_name(&union.inputs[j]).into(),
+            fused: false,
+            detail,
+        });
+        None
+    };
     if let Err(e) = result.validate() {
-        if std::env::var("FUSION_ANALYZE_DEBUG").is_ok() {
-            eprintln!("union_on_join validate rejection: {e}");
-        }
-        return None;
+        return reject(format!("UnionAllOnJoin rewrite fails validation: {e}"));
     }
     // Semantic discharge: the tag dispatch built above must cover every
     // branch of the inner union exactly once (the analyzer derives the
     // tag domain from the union's `$tag` projections).
     let violations = crate::analysis::analyze_plan(&result);
     if !violations.is_empty() {
-        if std::env::var("FUSION_ANALYZE_DEBUG").is_ok() {
-            eprintln!(
-                "union_on_join analyzer rejection: {}",
-                crate::analysis::render_violations(&violations)
-            );
-        }
-        return None;
+        return reject(format!(
+            "UnionAllOnJoin rewrite fails analysis: {}",
+            crate::analysis::render_violations(&violations)
+        ));
     }
     Some(result)
 }

@@ -333,11 +333,6 @@ impl Session {
         b.build()
     }
 
-    pub fn with_config(mut self, config: OptimizerConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     pub fn set_config(&mut self, config: OptimizerConfig) {
         self.config = config;
     }
@@ -643,17 +638,7 @@ impl Session {
                 report: WorkloadReport::default(),
             }
         };
-        // Uncertified reuse rewrites already reverted to cold execution
-        // (the batch stays correct); under FUSION_ANALYZE=strict a
-        // certificate rejection is a hard error on the whole batch, the
-        // same contract strict mode applies to analyzer violations.
-        if fusion_core::analysis::strict_from_env() && !outcome.rejections.is_empty() {
-            return Err(FusionError::Internal(format!(
-                "FUSION_ANALYZE=strict: {} reuse rewrite(s) failed certification: {}",
-                outcome.rejections.len(),
-                outcome.rejections.join("; "),
-            )));
-        }
+        self.check_certified(&outcome.rejections)?;
         let mut rewritten = outcome.plans.into_iter().zip(outcome.notes);
         let mut results = Vec::with_capacity(slots.len());
         for (i, slot) in slots.into_iter().enumerate() {
@@ -704,6 +689,23 @@ impl Session {
             metrics: metrics.snapshot(),
             report: outcome.report,
         })
+    }
+
+    /// Uncertified reuse rewrites already reverted to cold execution (the
+    /// batch stays correct); under strict analysis — this session's
+    /// `OptimizerConfig::strict_analysis`, which `FUSION_ANALYZE=strict`
+    /// only defaults — a certificate rejection is a hard error on the
+    /// whole batch, the same contract strict mode applies to analyzer
+    /// violations.
+    fn check_certified(&self, rejections: &[String]) -> Result<()> {
+        if self.config.strict_analysis && !rejections.is_empty() {
+            return Err(FusionError::Internal(format!(
+                "strict analysis: {} reuse rewrite(s) failed certification: {}",
+                rejections.len(),
+                rejections.join("; "),
+            )));
+        }
+        Ok(())
     }
 
     /// Restore the pre-isolation all-or-nothing batch contract: the first
@@ -1212,5 +1214,24 @@ mod tests {
         let rb = base.sql(sql).unwrap();
         assert_eq!(r.sorted_rows(), rb.sorted_rows());
         assert!(!r.rows.is_empty());
+    }
+
+    /// Strictness is the session's own configuration, whatever
+    /// `FUSION_ANALYZE` says: a session made strict through `set_config`
+    /// fails a batch with uncertified reuse rewrites, and a session made
+    /// lenient keeps it (the rewrites already reverted to cold execution)
+    /// even when the process runs under `FUSION_ANALYZE=strict`.
+    #[test]
+    fn certificate_rejections_follow_the_session_config() {
+        let rejections = vec!["reuse group 0x1: splice rejected by reuse prover".to_string()];
+        let mut s = session();
+        for strict in [true, false] {
+            s.set_config(OptimizerConfig {
+                strict_analysis: strict,
+                ..OptimizerConfig::default()
+            });
+            assert_eq!(s.check_certified(&rejections).is_err(), strict);
+            assert!(s.check_certified(&[]).is_ok());
+        }
     }
 }

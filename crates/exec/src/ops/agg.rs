@@ -6,18 +6,20 @@
 //! subsets of its input — the property query fusion relies on to merge
 //! two GroupBys into one.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-use fusion_common::{FusionError, Result, Schema, Value};
-use fusion_expr::{AggFunc, AggregateExpr, HashedKey, WindowExpr};
+use fusion_common::{ColumnId, FusionError, Result, Schema, Value};
+use fusion_expr::{AggFunc, AggregateExpr, ColumnBatch, Expr, HashedKey, WindowExpr};
 
 use crate::context::{BudgetedReservation, ExecContext, IntoContext};
-use crate::ops::scan::ScanFragment;
-use crate::ops::{drain, row_bytes, BoxedOp, Operator, RowIndex};
+use crate::ops::exchange::collect_morsels;
+use crate::ops::scan::{ColumnarMorsel, ScanFragment};
+use crate::ops::{drain, row_bytes, BoxedOp, Operator, RowDrain, RowIndex};
 use crate::profile::OpSpan;
-use crate::{Chunk, Row, CHUNK_SIZE};
+use crate::{Chunk, Row};
 
 /// Accumulator for one aggregate function instance.
 #[derive(Debug, Clone)]
@@ -181,34 +183,149 @@ impl Acc {
     }
 }
 
+/// What one hash aggregate computes, resolved once against its input
+/// schema and shared by every [`GroupTable`] built for it.
+pub(crate) struct AggSpec {
+    group_positions: Vec<usize>,
+    aggregates: Vec<AggregateExpr>,
+    /// Per aggregate: `SUM` over an Int64 argument accumulates in integers.
+    int_sums: Vec<bool>,
+    /// The distinct mask expressions. Aggregates frequently share masks
+    /// after fusion (e.g. the three Q09 aggregates of one quantity
+    /// bucket), so each is evaluated once per row, not once per aggregate.
+    masks: Vec<Expr>,
+    /// Per aggregate: its slot in `masks`, `None` when unmasked.
+    mask_slot: Vec<Option<usize>>,
+    /// Scalar (row-at-a-time) evaluation over the input schema.
+    input_index: RowIndex,
+    /// Field ids of the input schema, parallel to a morsel's columns.
+    input_ids: Vec<ColumnId>,
+}
+
+impl AggSpec {
+    pub(crate) fn new(
+        group_positions: Vec<usize>,
+        aggregates: Vec<AggregateExpr>,
+        input_schema: &Schema,
+    ) -> Self {
+        let int_sums = aggregates
+            .iter()
+            .map(|a| {
+                a.func == AggFunc::Sum
+                    && a.arg.as_ref().is_some_and(|e| {
+                        e.data_type(input_schema)
+                            .is_ok_and(|t| t == fusion_common::DataType::Int64)
+                    })
+            })
+            .collect();
+        let mut masks: Vec<Expr> = Vec::new();
+        let mask_slot = aggregates
+            .iter()
+            .map(|a| {
+                (!a.unmasked()).then(|| {
+                    masks.iter().position(|m| *m == a.mask).unwrap_or_else(|| {
+                        masks.push(a.mask.clone());
+                        masks.len() - 1
+                    })
+                })
+            })
+            .collect();
+        AggSpec {
+            group_positions,
+            aggregates,
+            int_sums,
+            masks,
+            mask_slot,
+            input_index: RowIndex::new(input_schema),
+            input_ids: input_schema.fields().iter().map(|f| f.id).collect(),
+        }
+    }
+
+    /// Resolve a logical aggregate against its (compiled) input schema.
+    pub(crate) fn for_plan(
+        a: &fusion_plan::plan::Aggregate,
+        input_schema: &Schema,
+    ) -> Result<Self> {
+        let group_positions = a
+            .group_by
+            .iter()
+            .map(|id| {
+                input_schema.index_of(*id).ok_or_else(|| {
+                    FusionError::Plan(format!("group-by column {id} missing from input"))
+                })
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let aggregates = a.aggregates.iter().map(|x| x.agg.clone()).collect();
+        Ok(AggSpec::new(group_positions, aggregates, input_schema))
+    }
+}
+
 /// Per-group state: one accumulator per aggregate, plus distinct sets for
-/// `AGG(DISTINCT x)`. Shared with the fused-pipeline aggregate, which
-/// mirrors both accumulation modes exactly.
-pub(crate) struct GroupState {
-    pub(crate) accs: Vec<Acc>,
-    pub(crate) distinct_seen: Vec<Option<HashSet<Value>>>,
+/// `AGG(DISTINCT x)`. Only [`GroupTable`] touches it.
+struct GroupState {
+    accs: Vec<Acc>,
+    distinct_seen: Vec<Option<HashSet<Value>>>,
 }
 
 impl GroupState {
-    pub(crate) fn new(aggregates: &[AggregateExpr], int_sums: &[bool]) -> Self {
+    fn new(spec: &AggSpec) -> Self {
         GroupState {
-            accs: aggregates
+            accs: spec
+                .aggregates
                 .iter()
-                .zip(int_sums)
+                .zip(&spec.int_sums)
                 .map(|(a, int_sum)| Acc::new(a.func, *int_sum))
                 .collect(),
-            distinct_seen: aggregates
+            distinct_seen: spec
+                .aggregates
                 .iter()
-                .map(|a| if a.distinct { Some(HashSet::new()) } else { None })
+                .map(|a| a.distinct.then(HashSet::new))
                 .collect(),
         }
+    }
+
+    /// Fold one input row into the group — the only place an aggregate's
+    /// mask check (§III.E), DISTINCT handling and accumulator update are
+    /// written. `accepted(slot)` reads the row's value of a distinct mask;
+    /// `arg(i)` yields aggregate `i`'s argument for the row and is called
+    /// only when the mask accepts it, so data-dependent argument errors
+    /// surface for mask-accepted rows alone.
+    fn update(
+        &mut self,
+        spec: &AggSpec,
+        inline_distinct: bool,
+        accepted: impl Fn(usize) -> bool,
+        mut arg: impl FnMut(usize) -> Result<Option<Value>>,
+    ) -> Result<()> {
+        for i in 0..spec.aggregates.len() {
+            if spec.mask_slot[i].is_some_and(|slot| !accepted(slot)) {
+                continue;
+            }
+            let arg_value = arg(i)?;
+            if let Some(seen) = &mut self.distinct_seen[i] {
+                match &arg_value {
+                    // Deferred DISTINCT records the value only: the
+                    // accumulator is rebuilt from the merged seen-set at
+                    // finish time — updating it here would double-count
+                    // values that also appear in other partitions.
+                    Some(v) if !v.is_null() => {
+                        if !seen.insert(v.clone()) || !inline_distinct {
+                            continue;
+                        }
+                    }
+                    _ => continue,
+                }
+            }
+            self.accs[i].update(arg_value.as_ref());
+        }
+        Ok(())
     }
 
     /// Merge a partial from another partition into this one. Distinct
     /// aggregates union their seen-sets only — their accumulators are
     /// rebuilt from the union at finish time, so a value appearing in
     /// several partitions is never double-counted.
-    pub(crate) fn merge(&mut self, other: GroupState) {
+    fn merge(&mut self, other: GroupState) {
         for (a, b) in self.accs.iter_mut().zip(&other.accs) {
             a.merge(b);
         }
@@ -220,18 +337,292 @@ impl GroupState {
     }
 }
 
+/// The hash-aggregate core: group key → [`GroupState`], with the budget
+/// reservation covering the table's bytes. Every aggregate in the
+/// executor — pulled row chunks, per-partition scans, pushed columnar
+/// morsels — folds into one of these; the drivers differ only in who
+/// feeds it and in the fold shape:
+///
+/// * **inline DISTINCT** — one table accumulated in input order, duplicate
+///   DISTINCT values dropped as they arrive;
+/// * **deferred DISTINCT** — one table per partition, each recording
+///   DISTINCT values only, [`merge`](GroupTable::merge)d in
+///   partition-index order and rebuilt from the merged sets in
+///   [`finish`](GroupTable::finish).
+pub(crate) struct GroupTable<'a> {
+    spec: &'a AggSpec,
+    groups: HashMap<HashedKey, GroupState>,
+    inline_distinct: bool,
+    /// Grown once per `accumulate_*` call, so an enforced budget aborts as
+    /// soon as it is crossed — per chunk or morsel on a driver's table,
+    /// per partition on a partial.
+    reservation: BudgetedReservation,
+    /// Reservations of merged-in partials, held until the table finishes.
+    merged: Vec<BudgetedReservation>,
+    ctx: Arc<ExecContext>,
+    /// The aggregate's profiling span: accumulate time is attributed to
+    /// it as CPU time, table bytes as operator state.
+    span: Option<Arc<OpSpan>>,
+}
+
+impl<'a> GroupTable<'a> {
+    pub(crate) fn new(
+        spec: &'a AggSpec,
+        ctx: &Arc<ExecContext>,
+        span: &Option<Arc<OpSpan>>,
+        inline_distinct: bool,
+    ) -> Result<Self> {
+        let mut reservation = BudgetedReservation::try_new(ctx.clone(), 0)?;
+        if let Some(span) = span {
+            reservation.set_span(span.clone());
+        }
+        Ok(GroupTable {
+            spec,
+            groups: HashMap::new(),
+            inline_distinct,
+            reservation,
+            merged: Vec::new(),
+            ctx: ctx.clone(),
+            span: span.clone(),
+        })
+    }
+
+    /// The key's group, created (and its bytes counted) on first sight.
+    fn state<'g>(
+        groups: &'g mut HashMap<HashedKey, GroupState>,
+        spec: &AggSpec,
+        key: HashedKey,
+        new_bytes: &mut i64,
+    ) -> &'g mut GroupState {
+        match groups.entry(key) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                *new_bytes += row_bytes(&e.key().key) + 64 * spec.aggregates.len() as i64;
+                e.insert(GroupState::new(spec))
+            }
+        }
+    }
+
+    /// Grow the reservation by the bytes an accumulate call added and
+    /// attribute its time to the aggregate.
+    fn account(&mut self, new_bytes: i64, start: Instant) -> Result<()> {
+        if let Some(span) = &self.span {
+            span.add_cpu_nanos(start.elapsed().as_nanos() as u64);
+        }
+        self.reservation.try_grow(new_bytes)
+    }
+
+    /// Fold a batch of rows, evaluating masks and arguments with the
+    /// scalar evaluator.
+    pub(crate) fn accumulate_rows(&mut self, rows: &[Row]) -> Result<()> {
+        let start = Instant::now();
+        let spec = self.spec;
+        let mut mask_values = vec![false; spec.masks.len()];
+        let mut new_bytes = 0i64;
+        for row in rows {
+            for (value, mask) in mask_values.iter_mut().zip(&spec.masks) {
+                *value = spec.input_index.eval_pred(mask, row)?;
+            }
+            let key = HashedKey::new(spec.group_positions.iter().map(|&p| row[p].clone()).collect());
+            Self::state(&mut self.groups, spec, key, &mut new_bytes).update(
+                spec,
+                self.inline_distinct,
+                |slot| mask_values[slot],
+                |i| match &spec.aggregates[i].arg {
+                    Some(e) => spec.input_index.eval(e, row).map(Some),
+                    None => Ok(None),
+                },
+            )?;
+        }
+        self.account(new_bytes, start)
+    }
+
+    /// Fold one morsel's surviving rows, row-major in selection order.
+    /// Masks and arguments are evaluated vectorized — arguments only over
+    /// the rows their mask accepts, so data-dependent errors surface
+    /// exactly where [`Self::accumulate_rows`] evaluates.
+    pub(crate) fn accumulate_morsel(&mut self, morsel: &ColumnarMorsel) -> Result<()> {
+        let start = Instant::now();
+        let spec = self.spec;
+        let metrics = self.ctx.metrics();
+        let sel = &morsel.selection;
+        let mut batch = ColumnBatch::new();
+        for (id, col) in spec.input_ids.iter().zip(&morsel.columns) {
+            batch.push(*id, col.as_slice());
+        }
+
+        let mut mask_vals: Vec<Vec<bool>> = Vec::with_capacity(spec.masks.len());
+        for m in &spec.masks {
+            metrics.add_rows_evaluated_vectorized(sel.len() as u64);
+            let vs = batch.eval(m, sel)?;
+            mask_vals.push(vs.iter().map(|v| v.as_bool() == Some(true)).collect());
+        }
+
+        // One value per mask-accepted row, consumed in row order below.
+        let mut arg_vals: Vec<Option<std::vec::IntoIter<Value>>> =
+            Vec::with_capacity(spec.aggregates.len());
+        for (a, slot) in spec.aggregates.iter().zip(&spec.mask_slot) {
+            let Some(e) = &a.arg else {
+                arg_vals.push(None);
+                continue;
+            };
+            let masked_rows: Vec<usize>;
+            let rows: &[usize] = match slot {
+                None => sel,
+                Some(slot) => {
+                    masked_rows = sel
+                        .iter()
+                        .zip(&mask_vals[*slot])
+                        .filter(|(_, accepted)| **accepted)
+                        .map(|(&r, _)| r)
+                        .collect();
+                    &masked_rows
+                }
+            };
+            metrics.add_rows_evaluated_vectorized(rows.len() as u64);
+            arg_vals.push(Some(batch.eval(e, rows)?.into_iter()));
+        }
+
+        let inline_distinct = self.inline_distinct;
+        let mut fold = |state: &mut GroupState, j: usize| {
+            state.update(
+                spec,
+                inline_distinct,
+                |slot| mask_vals[slot][j],
+                |i| Ok(arg_vals[i].as_mut().and_then(Iterator::next)),
+            )
+        };
+        let mut new_bytes = 0i64;
+        if spec.group_positions.is_empty() {
+            // Scalar aggregates share one group: hoist the table lookup
+            // out of the row loop entirely.
+            let key = HashedKey::new(Vec::new());
+            let state = Self::state(&mut self.groups, spec, key, &mut new_bytes);
+            for j in 0..sel.len() {
+                fold(state, j)?;
+            }
+        } else {
+            for (j, &r) in sel.iter().enumerate() {
+                let key = HashedKey::new(
+                    spec.group_positions
+                        .iter()
+                        .map(|&p| morsel.columns[p][r].clone())
+                        .collect(),
+                );
+                fold(Self::state(&mut self.groups, spec, key, &mut new_bytes), j)?;
+            }
+        }
+        self.account(new_bytes, start)
+    }
+
+    /// Merge a partition's partial table into this one. Callers merge in
+    /// partition-index order, which keeps float sums bit-identical across
+    /// runs at a given thread count.
+    pub(crate) fn merge(&mut self, other: GroupTable<'a>) {
+        self.merged.push(other.reservation);
+        self.merged.extend(other.merged);
+        for (key, state) in other.groups {
+            match self.groups.entry(key) {
+                Entry::Occupied(mut e) => e.get_mut().merge(state),
+                Entry::Vacant(e) => {
+                    e.insert(state);
+                }
+            }
+        }
+    }
+
+    /// Produce the output rows, sorted by key for a deterministic order. A
+    /// GroupBy with no grouping columns emits exactly one row even over
+    /// empty input; deferred-DISTINCT accumulators are rebuilt from their
+    /// merged seen-sets in sorted order.
+    pub(crate) fn finish(self) -> Vec<Row> {
+        let spec = self.spec;
+        if spec.group_positions.is_empty() && self.groups.is_empty() {
+            return vec![GroupState::new(spec).accs.iter().map(Acc::finish).collect()];
+        }
+        let mut groups: Vec<(HashedKey, GroupState)> = self.groups.into_iter().collect();
+        groups.sort_by(|(a, _), (b, _)| a.key.cmp(&b.key));
+        groups
+            .into_iter()
+            .map(|(key, state)| {
+                let mut row = key.key;
+                for (i, acc) in state.accs.iter().enumerate() {
+                    row.push(match &state.distinct_seen[i] {
+                        Some(seen) if !self.inline_distinct => {
+                            let mut acc = Acc::new(spec.aggregates[i].func, spec.int_sums[i]);
+                            let mut vals: Vec<&Value> = seen.iter().collect();
+                            vals.sort();
+                            for v in vals {
+                                acc.update(Some(v));
+                            }
+                            acc.finish()
+                        }
+                        _ => acc.finish(),
+                    });
+                }
+                row
+            })
+            .collect()
+    }
+}
+
+/// The per-partition fold shape: each worker scans whole partitions and
+/// folds each into its own deferred-DISTINCT [`GroupTable`]; the partials
+/// are merged in partition-index order, so the result is deterministic
+/// regardless of worker scheduling. `scan` returns `None` for a partition
+/// that contributes nothing (pruned, or no surviving rows).
+pub(crate) fn fold_partitions<M>(
+    spec: &AggSpec,
+    ctx: &Arc<ExecContext>,
+    span: &Option<Arc<OpSpan>>,
+    partitions: usize,
+    workers: usize,
+    scan: impl Fn(usize) -> Result<Option<M>> + Sync,
+    accumulate: impl Fn(&mut GroupTable, &M) -> Result<()> + Sync,
+) -> Result<Vec<Row>> {
+    let partials = collect_morsels(ctx, partitions, workers, |p| {
+        let Some(morsel) = scan(p)? else {
+            return Ok(None);
+        };
+        let mut table = GroupTable::new(spec, ctx, span, false)?;
+        accumulate(&mut table, &morsel)?;
+        Ok(Some(table))
+    })?;
+    let mut table = GroupTable::new(spec, ctx, span, false)?;
+    for (_, partial) in partials {
+        table.merge(partial);
+    }
+    Ok(table.finish())
+}
+
+/// What feeds a [`HashAggregateExec`].
+pub(crate) enum AggInput {
+    /// A child operator: one table accumulated in arrival order with
+    /// inline DISTINCT.
+    Rows(BoxedOp),
+    /// A table scan with more than one worker: the per-partition fold of
+    /// [`fold_partitions`] over `(fragment, workers)`.
+    Partitions(Arc<ScanFragment>, usize),
+}
+
+impl AggInput {
+    pub(crate) fn schema(&self) -> &Schema {
+        match self {
+            AggInput::Rows(op) => op.schema(),
+            AggInput::Partitions(fragment, _) => fragment.schema(),
+        }
+    }
+}
+
 /// Hash aggregation. A GroupBy with no grouping columns (scalar
 /// aggregate) emits exactly one row even over empty input; a GroupBy with
 /// no aggregate functions is a DISTINCT.
 pub struct HashAggregateExec {
-    input: Option<BoxedOp>,
-    group_positions: Vec<usize>,
-    aggregates: Vec<AggregateExpr>,
-    int_sums: Vec<bool>,
-    input_index: RowIndex,
+    input: Option<AggInput>,
+    spec: AggSpec,
     schema: Schema,
     ctx: Arc<ExecContext>,
-    output: Option<std::vec::IntoIter<Row>>,
+    output: Option<RowDrain>,
     span: Option<Arc<OpSpan>>,
 }
 
@@ -243,143 +634,55 @@ impl HashAggregateExec {
         schema: Schema,
         ctx: impl IntoContext,
     ) -> Result<Self> {
-        let input_schema = input.schema().clone();
-        let input_index = RowIndex::new(&input_schema);
-        let int_sums = aggregates
-            .iter()
-            .map(|a| {
-                a.func == AggFunc::Sum
-                    && a.arg
-                        .as_ref()
-                        .map(|e| {
-                            e.data_type(&input_schema)
-                                .map(|t| t == fusion_common::DataType::Int64)
-                                .unwrap_or(false)
-                        })
-                        .unwrap_or(false)
-            })
-            .collect();
-        Ok(HashAggregateExec {
-            input: Some(input),
-            group_positions,
-            aggregates,
-            int_sums,
-            input_index,
+        let spec = AggSpec::new(group_positions, aggregates, input.schema());
+        Ok(Self::with_spec(
+            AggInput::Rows(input),
+            spec,
             schema,
-            ctx: ctx.into_ctx(),
+            ctx.into_ctx(),
+        ))
+    }
+
+    pub(crate) fn with_spec(
+        input: AggInput,
+        spec: AggSpec,
+        schema: Schema,
+        ctx: Arc<ExecContext>,
+    ) -> Self {
+        HashAggregateExec {
+            input: Some(input),
+            spec,
+            schema,
+            ctx,
             output: None,
             span: None,
-        })
+        }
     }
 
     fn compute(&mut self) -> Result<Vec<Row>> {
-        let mut input = self
+        let input = self
             .input
             .take()
             .expect("aggregate input consumed exactly once: compute runs behind output.is_none()");
-        let mut groups: HashMap<Vec<Value>, GroupState> = HashMap::new();
-        let scalar = self.group_positions.is_empty();
-
-        // Aggregates frequently share masks after fusion (e.g. the three
-        // Q09 aggregates of one quantity bucket): evaluate each distinct
-        // mask expression once per row.
-        let mut distinct_masks: Vec<&fusion_expr::Expr> = Vec::new();
-        let mask_slot: Vec<Option<usize>> = self
-            .aggregates
-            .iter()
-            .map(|a| {
-                if a.unmasked() {
-                    None
-                } else {
-                    Some(
-                        match distinct_masks.iter().position(|m| **m == a.mask) {
-                            Some(i) => i,
-                            None => {
-                                distinct_masks.push(&a.mask);
-                                distinct_masks.len() - 1
-                            }
-                        },
-                    )
+        match input {
+            AggInput::Rows(mut input) => {
+                let mut table = GroupTable::new(&self.spec, &self.ctx, &self.span, true)?;
+                while let Some(chunk) = input.next_chunk()? {
+                    self.ctx.check()?;
+                    table.accumulate_rows(&chunk)?;
                 }
-            })
-            .collect();
-        let mut mask_values = vec![false; distinct_masks.len()];
-
-        // Reserve hash-table state incrementally (chunk by chunk) so an
-        // enforced budget aborts as soon as it is crossed, not after the
-        // whole input is consumed.
-        let mut reservation = BudgetedReservation::try_new(self.ctx.clone(), 0)?;
-        if let Some(span) = &self.span {
-            reservation.set_span(span.clone());
-        }
-        while let Some(chunk) = input.next_chunk()? {
-            self.ctx.check()?;
-            let mut state_bytes = 0i64;
-            for row in chunk {
-                for (slot, mask) in distinct_masks.iter().enumerate() {
-                    mask_values[slot] = self.input_index.eval_pred(mask, &row)?;
-                }
-                let key: Vec<Value> = self
-                    .group_positions
-                    .iter()
-                    .map(|&p| row[p].clone())
-                    .collect();
-                let is_new = !groups.contains_key(&key);
-                if is_new {
-                    state_bytes += row_bytes(&key) + 64 * self.aggregates.len() as i64;
-                }
-                let state = groups
-                    .entry(key)
-                    .or_insert_with(|| GroupState::new(&self.aggregates, &self.int_sums));
-                for (i, agg) in self.aggregates.iter().enumerate() {
-                    // Mask check (§III.E): skip rows the mask rejects.
-                    if let Some(slot) = mask_slot[i] {
-                        if !mask_values[slot] {
-                            continue;
-                        }
-                    }
-                    let arg_value = match &agg.arg {
-                        Some(e) => Some(self.input_index.eval(e, &row)?),
-                        None => None,
-                    };
-                    if let Some(seen) = &mut state.distinct_seen[i] {
-                        match &arg_value {
-                            Some(v) if !v.is_null() => {
-                                if !seen.insert(v.clone()) {
-                                    continue; // already counted
-                                }
-                            }
-                            _ => continue,
-                        }
-                    }
-                    state.accs[i].update(arg_value.as_ref());
-                }
+                Ok(table.finish())
             }
-            reservation.try_grow(state_bytes)?;
+            AggInput::Partitions(fragment, workers) => fold_partitions(
+                &self.spec,
+                &self.ctx,
+                &self.span,
+                fragment.num_partitions(),
+                workers,
+                |p| Ok(fragment.scan_partition(p)?.filter(|rows| !rows.is_empty())),
+                |table, rows| table.accumulate_rows(rows),
+            ),
         }
-        let _reservation = reservation;
-
-        if scalar && groups.is_empty() {
-            // Scalar aggregates return one row over empty input.
-            let row: Row = self
-                .aggregates
-                .iter()
-                .zip(&self.int_sums)
-                .map(|(a, int_sum)| Acc::new(a.func, *int_sum).finish())
-                .collect();
-            return Ok(vec![row]);
-        }
-
-        let mut keys: Vec<Vec<Value>> = groups.keys().cloned().collect();
-        keys.sort(); // deterministic output order
-        let mut out = Vec::with_capacity(keys.len());
-        for key in keys {
-            let state = &groups[&key];
-            let mut row = key.clone();
-            row.extend(state.accs.iter().map(|a| a.finish()));
-            out.push(row);
-        }
-        Ok(out)
     }
 }
 
@@ -390,263 +693,9 @@ impl Operator for HashAggregateExec {
 
     fn next_chunk(&mut self) -> Result<Option<Chunk>> {
         if self.output.is_none() {
-            let rows = self.compute()?;
-            self.output = Some(rows.into_iter());
+            self.output = Some(RowDrain::new(self.compute()?));
         }
-        let it = self
-            .output
-            .as_mut()
-            .expect("aggregate output was initialized above");
-        let chunk: Vec<Row> = it.take(CHUNK_SIZE).collect();
-        if chunk.is_empty() {
-            Ok(None)
-        } else {
-            Ok(Some(chunk))
-        }
-    }
-
-    fn attach_span(&mut self, span: Arc<OpSpan>) {
-        self.span = Some(span);
-    }
-}
-
-/// One partition's contribution to a parallel aggregation: its local
-/// group table plus the budget reservation covering that table's bytes
-/// (held until the merge completes).
-struct AggPartial {
-    groups: HashMap<HashedKey, GroupState>,
-    _reservation: BudgetedReservation,
-}
-
-/// Morsel-parallel hash aggregation directly over a table scan: each
-/// worker scans whole partitions (via [`ScanFragment::scan_partition`])
-/// and builds a local group table; partials are merged in
-/// partition-index order, so the result is deterministic regardless of
-/// worker scheduling. Distinct aggregates accumulate *only* their
-/// seen-sets in partials and are finalized from the merged union.
-pub struct ParallelHashAggregateExec {
-    fragment: Arc<ScanFragment>,
-    group_positions: Vec<usize>,
-    aggregates: Vec<AggregateExpr>,
-    int_sums: Vec<bool>,
-    input_index: RowIndex,
-    schema: Schema,
-    ctx: Arc<ExecContext>,
-    workers: usize,
-    output: Option<std::vec::IntoIter<Row>>,
-    span: Option<Arc<OpSpan>>,
-}
-
-impl ParallelHashAggregateExec {
-    pub fn new(
-        fragment: Arc<ScanFragment>,
-        group_positions: Vec<usize>,
-        aggregates: Vec<AggregateExpr>,
-        schema: Schema,
-        workers: usize,
-    ) -> Result<Self> {
-        let input_schema = fragment.schema().clone();
-        let input_index = RowIndex::new(&input_schema);
-        let int_sums = aggregates
-            .iter()
-            .map(|a| {
-                a.func == AggFunc::Sum
-                    && a.arg
-                        .as_ref()
-                        .map(|e| {
-                            e.data_type(&input_schema)
-                                .map(|t| t == fusion_common::DataType::Int64)
-                                .unwrap_or(false)
-                        })
-                        .unwrap_or(false)
-            })
-            .collect();
-        let ctx = fragment.ctx().clone();
-        Ok(ParallelHashAggregateExec {
-            fragment,
-            group_positions,
-            aggregates,
-            int_sums,
-            input_index,
-            schema,
-            ctx,
-            workers: workers.max(1),
-            output: None,
-            span: None,
-        })
-    }
-
-    /// Scan one partition and aggregate it into a local group table.
-    fn build_partial(&self, part_idx: usize) -> Result<Option<AggPartial>> {
-        let rows = match self.fragment.scan_partition(part_idx)? {
-            None => return Ok(None),
-            Some(rows) => rows,
-        };
-        if rows.is_empty() {
-            return Ok(None);
-        }
-        // Worker busy time attributed to the aggregate itself (the scan
-        // above records its own time on the scan node's span).
-        let build_start = Instant::now();
-        let mut distinct_masks: Vec<&fusion_expr::Expr> = Vec::new();
-        let mask_slot: Vec<Option<usize>> = self
-            .aggregates
-            .iter()
-            .map(|a| {
-                if a.unmasked() {
-                    None
-                } else {
-                    Some(
-                        match distinct_masks.iter().position(|m| **m == a.mask) {
-                            Some(i) => i,
-                            None => {
-                                distinct_masks.push(&a.mask);
-                                distinct_masks.len() - 1
-                            }
-                        },
-                    )
-                }
-            })
-            .collect();
-        let mut mask_values = vec![false; distinct_masks.len()];
-
-        let mut groups: HashMap<HashedKey, GroupState> = HashMap::new();
-        let mut state_bytes = 0i64;
-        for row in &rows {
-            for (slot, mask) in distinct_masks.iter().enumerate() {
-                mask_values[slot] = self.input_index.eval_pred(mask, row)?;
-            }
-            let key = HashedKey::new(
-                self.group_positions
-                    .iter()
-                    .map(|&p| row[p].clone())
-                    .collect(),
-            );
-            if !groups.contains_key(&key) {
-                state_bytes += row_bytes(&key.key) + 64 * self.aggregates.len() as i64;
-            }
-            let state = groups
-                .entry(key)
-                .or_insert_with(|| GroupState::new(&self.aggregates, &self.int_sums));
-            for (i, agg) in self.aggregates.iter().enumerate() {
-                if let Some(slot) = mask_slot[i] {
-                    if !mask_values[slot] {
-                        continue;
-                    }
-                }
-                let arg_value = match &agg.arg {
-                    Some(e) => Some(self.input_index.eval(e, row)?),
-                    None => None,
-                };
-                if let Some(seen) = &mut state.distinct_seen[i] {
-                    // Distinct: record the value only. The accumulator is
-                    // rebuilt from the merged seen-set at finish time —
-                    // updating it here would double-count values that
-                    // also appear in other partitions.
-                    if let Some(v) = &arg_value {
-                        if !v.is_null() {
-                            seen.insert(v.clone());
-                        }
-                    }
-                    continue;
-                }
-                state.accs[i].update(arg_value.as_ref());
-            }
-        }
-        let mut reservation = BudgetedReservation::try_new(self.ctx.clone(), state_bytes)?;
-        if let Some(span) = &self.span {
-            span.add_cpu_nanos(build_start.elapsed().as_nanos() as u64);
-            reservation.set_span(span.clone());
-        }
-        Ok(Some(AggPartial {
-            groups,
-            _reservation: reservation,
-        }))
-    }
-
-    fn compute(&self) -> Result<Vec<Row>> {
-        let partials = crate::ops::exchange::collect_morsels(
-            &self.ctx,
-            self.fragment.num_partitions(),
-            self.workers,
-            |m| self.build_partial(m),
-        )?;
-
-        // Merge in partition-index order (collect_morsels sorts).
-        let mut groups: HashMap<HashedKey, GroupState> = HashMap::new();
-        let mut reservations = Vec::with_capacity(partials.len());
-        for (_, partial) in partials {
-            reservations.push(partial._reservation);
-            for (key, st) in partial.groups {
-                match groups.entry(key) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().merge(st),
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(st);
-                    }
-                }
-            }
-        }
-
-        let scalar = self.group_positions.is_empty();
-        if scalar && groups.is_empty() {
-            let row: Row = self
-                .aggregates
-                .iter()
-                .zip(&self.int_sums)
-                .map(|(a, int_sum)| Acc::new(a.func, *int_sum).finish())
-                .collect();
-            return Ok(vec![row]);
-        }
-
-        let mut keys: Vec<HashedKey> = groups.keys().cloned().collect();
-        keys.sort_by(|a, b| a.key.cmp(&b.key)); // deterministic output order
-        let mut out = Vec::with_capacity(keys.len());
-        for key in keys {
-            let state = &groups[&key];
-            let mut row = key.key.clone();
-            for (i, agg) in self.aggregates.iter().enumerate() {
-                let v = match &state.distinct_seen[i] {
-                    Some(seen) => {
-                        // Rebuild the distinct accumulator from the merged
-                        // set in sorted order for determinism.
-                        let mut acc = Acc::new(agg.func, self.int_sums[i]);
-                        let mut vals: Vec<&Value> = seen.iter().collect();
-                        vals.sort();
-                        for v in vals {
-                            acc.update(Some(v));
-                        }
-                        acc.finish()
-                    }
-                    None => state.accs[i].finish(),
-                };
-                row.push(v);
-            }
-            out.push(row);
-        }
-        Ok(out)
-    }
-}
-
-impl Operator for ParallelHashAggregateExec {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next_chunk(&mut self) -> Result<Option<Chunk>> {
-        if self.output.is_none() {
-            let rows = self.compute()?;
-            self.output = Some(rows.into_iter());
-        }
-        let it = self
-            .output
-            .as_mut()
-            .expect("aggregate output was initialized above");
-        let chunk: Vec<Row> = it.take(CHUNK_SIZE).collect();
-        if chunk.is_empty() {
-            Ok(None)
-        } else {
-            Ok(Some(chunk))
-        }
+        Ok(self.output.as_mut().and_then(RowDrain::next_chunk))
     }
 
     fn attach_span(&mut self, span: Arc<OpSpan>) {
@@ -662,7 +711,7 @@ pub struct WindowExec {
     input_index: RowIndex,
     schema: Schema,
     ctx: Arc<ExecContext>,
-    output: Option<std::vec::IntoIter<Row>>,
+    output: Option<RowDrain>,
     span: Option<Arc<OpSpan>>,
 }
 
@@ -755,19 +804,9 @@ impl Operator for WindowExec {
 
     fn next_chunk(&mut self) -> Result<Option<Chunk>> {
         if self.output.is_none() {
-            let rows = self.compute()?;
-            self.output = Some(rows.into_iter());
+            self.output = Some(RowDrain::new(self.compute()?));
         }
-        let it = self
-            .output
-            .as_mut()
-            .expect("window output was initialized above");
-        let chunk: Vec<Row> = it.take(CHUNK_SIZE).collect();
-        if chunk.is_empty() {
-            Ok(None)
-        } else {
-            Ok(Some(chunk))
-        }
+        Ok(self.output.as_mut().and_then(RowDrain::next_chunk))
     }
 
     fn attach_span(&mut self, span: Arc<OpSpan>) {
@@ -1186,5 +1225,212 @@ mod masked_window_tests {
         assert_eq!(out[0][2], Value::Int64(10));
         assert_eq!(out[1][2], Value::Int64(10));
         assert_eq!(out[2][2], Value::Null);
+    }
+}
+
+/// The three ways a [`GroupTable`] is driven must agree: row chunks,
+/// columnar morsels, and per-partition tables merged in index order.
+#[cfg(test)]
+#[allow(clippy::unwrap_used)]
+mod group_table_tests {
+    use super::*;
+    use crate::metrics::ExecMetrics;
+    use fusion_common::{DataType, Field};
+    use fusion_expr::{col, lit};
+
+    const G: ColumnId = ColumnId(1);
+    const I: ColumnId = ColumnId(2);
+    const F: ColumnId = ColumnId(3);
+
+    fn schema() -> Schema {
+        Schema::new(vec![
+            Field::new(G, "g", DataType::Int64, true),
+            Field::new(I, "i", DataType::Int64, true),
+            Field::new(F, "f", DataType::Float64, true),
+        ])
+    }
+
+    /// Seeded rows over four group keys (one of them NULL), with NULL
+    /// arguments sprinkled in and repeated values for DISTINCT to drop.
+    fn seeded_rows(n: usize) -> Vec<Row> {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move |m: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % m
+        };
+        (0..n)
+            .map(|_| {
+                let g = match next(4) {
+                    0 => Value::Null,
+                    k => Value::Int64(k as i64),
+                };
+                let i = match next(9) {
+                    0 => Value::Null,
+                    k => Value::Int64(k as i64),
+                };
+                let f = match next(7) {
+                    0 => Value::Null,
+                    k => Value::Float64(k as f64 / 7.0 + 0.1),
+                };
+                vec![g, i, f]
+            })
+            .collect()
+    }
+
+    fn aggregates() -> Vec<AggregateExpr> {
+        // Two aggregates share `low`; `high` is a second mask slot.
+        let low = col(I).lt(lit(5i64));
+        let high = col(I).gt_eq(lit(5i64));
+        vec![
+            AggregateExpr::count_star(),
+            AggregateExpr::count_star().with_mask(low.clone()),
+            AggregateExpr::sum(col(I)).with_mask(low),
+            AggregateExpr::sum(col(I)).with_mask(high),
+            AggregateExpr::count(col(I)).with_distinct(true),
+            AggregateExpr::sum(col(I)).with_distinct(true),
+            AggregateExpr::min(col(I)),
+            AggregateExpr::max(col(F)),
+            AggregateExpr::sum(col(F)),
+            AggregateExpr::avg(col(F)),
+        ]
+    }
+
+    fn morsel(rows: &[Row], selection: Vec<usize>) -> ColumnarMorsel {
+        ColumnarMorsel {
+            columns: (0..schema().len())
+                .map(|c| Arc::new(rows.iter().map(|r| r[c].clone()).collect()))
+                .collect(),
+            selection,
+            partition: 0,
+        }
+    }
+
+    fn table<'a>(spec: &'a AggSpec, inline_distinct: bool) -> GroupTable<'a> {
+        let ctx = ExecContext::new(ExecMetrics::new());
+        GroupTable::new(spec, &ctx, &None, inline_distinct).unwrap()
+    }
+
+    /// (a) row chunks, (b) one columnar morsel, (c) four per-partition
+    /// tables — fed alternately as rows and as morsels — merged in index
+    /// order.
+    fn three_ways(spec: &AggSpec, rows: &[Row]) -> [Result<Vec<Row>>; 3] {
+        let chunked = || {
+            let mut t = table(spec, true);
+            for chunk in rows.chunks(7) {
+                t.accumulate_rows(chunk)?;
+            }
+            Ok(t.finish())
+        };
+        let columnar = || {
+            let mut t = table(spec, true);
+            t.accumulate_morsel(&morsel(rows, (0..rows.len()).collect()))?;
+            Ok(t.finish())
+        };
+        let partitioned = || {
+            let mut merged = table(spec, false);
+            for (p, part) in rows.chunks(rows.len().div_ceil(4).max(1)).enumerate() {
+                let mut t = table(spec, false);
+                if p % 2 == 0 {
+                    t.accumulate_rows(part)?;
+                } else {
+                    t.accumulate_morsel(&morsel(part, (0..part.len()).collect()))?;
+                }
+                merged.merge(t);
+            }
+            Ok(merged.finish())
+        };
+        [chunked(), columnar(), partitioned()]
+    }
+
+    /// Partition-order merging regroups float additions, so float columns
+    /// compare within rounding; everything else must be identical.
+    fn assert_same_up_to_float_order(a: &[Row], c: &[Row]) {
+        assert_eq!(a.len(), c.len());
+        for (ra, rc) in a.iter().zip(c) {
+            assert_eq!(ra.len(), rc.len());
+            for (va, vc) in ra.iter().zip(rc) {
+                match (va, vc) {
+                    (Value::Float64(x), Value::Float64(y)) => {
+                        assert!((x - y).abs() <= 1e-9 * x.abs().max(1.0), "{x} vs {y}")
+                    }
+                    _ => assert_eq!(va, vc),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chunks_morsel_and_merged_partitions_agree() {
+        let rows = seeded_rows(300);
+        for group_positions in [vec![0], vec![]] {
+            let spec = AggSpec::new(group_positions, aggregates(), &schema());
+            assert_eq!(spec.masks.len(), 2, "shared masks take one slot");
+            assert!(spec.int_sums[2] && !spec.int_sums[8]);
+            let [a, b, c] = three_ways(&spec, &rows).map(Result::unwrap);
+            assert_eq!(a.len(), if spec.group_positions.is_empty() { 1 } else { 4 });
+            assert_eq!(a, b, "row and columnar evaluation fold identically");
+            assert_same_up_to_float_order(&a, &c);
+        }
+    }
+
+    #[test]
+    fn scalar_aggregate_with_no_surviving_rows_emits_one_row() {
+        let spec = AggSpec::new(vec![], aggregates(), &schema());
+        let rows = seeded_rows(20);
+        let expected = vec![vec![
+            Value::Int64(0),
+            Value::Int64(0),
+            Value::Null,
+            Value::Null,
+            Value::Int64(0),
+            Value::Null,
+            Value::Null,
+            Value::Null,
+            Value::Null,
+            Value::Null,
+        ]];
+        // No input at all, and a morsel whose selection filtered to empty.
+        for out in three_ways(&spec, &[]) {
+            assert_eq!(out.unwrap(), expected);
+        }
+        let mut t = table(&spec, true);
+        t.accumulate_morsel(&morsel(&rows, vec![])).unwrap();
+        assert_eq!(t.finish(), expected);
+        // A grouped aggregate over nothing emits nothing.
+        let grouped = AggSpec::new(vec![0], aggregates(), &schema());
+        for out in three_ways(&grouped, &[]) {
+            assert!(out.unwrap().is_empty());
+        }
+    }
+
+    /// An argument that fails on one row's data surfaces only if that
+    /// row's mask accepts it — on both accumulate paths.
+    #[test]
+    fn argument_errors_surface_only_for_mask_accepted_rows() {
+        // `i + 1` cannot be applied to the string smuggled into row 1.
+        let rows = vec![
+            vec![Value::Int64(1), Value::Int64(1), Value::Float64(1.0)],
+            vec![Value::Int64(1), Value::Utf8("bad".into()), Value::Float64(-1.0)],
+            vec![Value::Int64(2), Value::Int64(3), Value::Float64(2.0)],
+        ];
+        let arg = col(I).add(lit(1i64));
+        let rejecting = AggSpec::new(
+            vec![0],
+            vec![AggregateExpr::sum(arg.clone()).with_mask(col(F).gt(lit(0.0)))],
+            &schema(),
+        );
+        let [a, b, c] = three_ways(&rejecting, &rows).map(Result::unwrap);
+        let expected = vec![
+            vec![Value::Int64(1), Value::Int64(2)],
+            vec![Value::Int64(2), Value::Int64(4)],
+        ];
+        assert_eq!([&a, &b, &c], [&expected; 3]);
+
+        let accepting = AggSpec::new(vec![0], vec![AggregateExpr::sum(arg)], &schema());
+        for out in three_ways(&accepting, &rows) {
+            assert!(matches!(out, Err(FusionError::Type(_))), "{out:?}");
+        }
     }
 }

@@ -29,8 +29,8 @@ use fusion_common::{FusionError, Result, Schema};
 use crate::context::ExecContext;
 use crate::metrics::ExecMetrics;
 use crate::ops::scan::ScanFragment;
-use crate::ops::Operator;
-use crate::{Chunk, Row, CHUNK_SIZE};
+use crate::ops::{Operator, RowDrain};
+use crate::{Chunk, Row};
 
 /// Run one task per morsel on `workers` threads and return the non-empty
 /// results sorted by morsel index.
@@ -166,8 +166,7 @@ pub struct GatherExec {
     /// Next partition index to emit.
     next_emit: usize,
     /// Rows of the partition currently being emitted.
-    pending: Vec<Row>,
-    emitted: usize,
+    pending: RowDrain,
 }
 
 impl GatherExec {
@@ -178,8 +177,7 @@ impl GatherExec {
             state: GatherState::NotStarted,
             buffer: BTreeMap::new(),
             next_emit: 0,
-            pending: Vec::new(),
-            emitted: 0,
+            pending: RowDrain::default(),
         }
     }
 
@@ -241,14 +239,7 @@ impl Operator for GatherExec {
     fn next_chunk(&mut self) -> Result<Option<Chunk>> {
         loop {
             // Emit the current partition's rows in CHUNK_SIZE slices.
-            if self.emitted < self.pending.len() {
-                let end = (self.emitted + CHUNK_SIZE).min(self.pending.len());
-                let chunk: Chunk = self.pending[self.emitted..end].to_vec();
-                self.emitted = end;
-                if self.emitted >= self.pending.len() {
-                    self.pending.clear();
-                    self.emitted = 0;
-                }
+            if let Some(chunk) = self.pending.next_chunk() {
                 return Ok(Some(chunk));
             }
             match self.state {
@@ -262,8 +253,7 @@ impl Operator for GatherExec {
             // Advance the in-order cursor through buffered partitions.
             if let Some(rows) = self.buffer.remove(&self.next_emit) {
                 self.next_emit += 1;
-                self.pending = rows;
-                self.emitted = 0;
+                self.pending = RowDrain::new(rows);
                 continue;
             }
             if self.next_emit >= self.fragment.num_partitions() {

@@ -12,9 +12,9 @@ use fusion_plan::JoinType;
 use crate::context::{BudgetedReservation, ExecContext, IntoContext};
 use crate::ops::exchange::collect_morsels;
 use crate::ops::scan::ScanFragment;
-use crate::ops::{drain, row_bytes, BoxedOp, Operator, RowIndex};
+use crate::ops::{drain, row_bytes, BoxedOp, Operator, RowDrain, RowIndex};
 use crate::profile::OpSpan;
-use crate::{Chunk, Row, CHUNK_SIZE};
+use crate::{Chunk, Row};
 
 /// One morsel's contribution to a parallel hash-join build: the partial
 /// key → rows map and the state bytes it reserves.
@@ -82,7 +82,7 @@ pub struct HashJoinExec {
     _reservation: Option<BudgetedReservation>,
     ctx: Arc<ExecContext>,
     /// Probe buffer: output rows not yet emitted.
-    pending: Vec<Row>,
+    pending: RowDrain,
     /// When the build side is a plain table scan, build it morsel-parallel
     /// instead of draining a `right` operator.
     parallel_build: Option<(Arc<ScanFragment>, usize)>,
@@ -116,7 +116,7 @@ impl HashJoinExec {
             build: None,
             _reservation: None,
             ctx: ctx.into_ctx(),
-            pending: Vec::new(),
+            pending: RowDrain::default(),
             parallel_build: None,
             span: None,
         }
@@ -152,7 +152,7 @@ impl HashJoinExec {
             build: None,
             _reservation: None,
             ctx: ctx.into_ctx(),
-            pending: Vec::new(),
+            pending: RowDrain::default(),
             parallel_build: Some((fragment, workers.max(1))),
             span: None,
         }
@@ -337,20 +337,15 @@ impl Operator for HashJoinExec {
         self.ctx.check()?;
         self.build_side()?;
         loop {
-            if !self.pending.is_empty() {
-                let take = self.pending.len().min(CHUNK_SIZE);
-                let out: Vec<Row> = self.pending.drain(..take).collect();
-                return Ok(Some(out));
+            if let Some(chunk) = self.pending.next_chunk() {
+                return Ok(Some(chunk));
             }
             match self.left.next_chunk()? {
                 None => return Ok(None),
                 Some(chunk) => {
                     let mut out = Vec::with_capacity(chunk.len());
                     self.probe_chunk(&chunk, &mut out)?;
-                    self.pending = out;
-                    if self.pending.is_empty() {
-                        continue;
-                    }
+                    self.pending = RowDrain::new(out);
                 }
             }
         }
@@ -369,7 +364,7 @@ pub struct NestedLoopJoinExec {
     right_rows: Option<Vec<Row>>,
     _reservation: Option<BudgetedReservation>,
     ctx: Arc<ExecContext>,
-    pending: Vec<Row>,
+    pending: RowDrain,
     span: Option<Arc<OpSpan>>,
 }
 
@@ -396,7 +391,7 @@ impl NestedLoopJoinExec {
             right_rows: None,
             _reservation: None,
             ctx: ctx.into_ctx(),
-            pending: Vec::new(),
+            pending: RowDrain::default(),
             span: None,
         }
     }
@@ -434,10 +429,8 @@ impl Operator for NestedLoopJoinExec {
         self.ctx.check()?;
         self.materialize_right()?;
         loop {
-            if !self.pending.is_empty() {
-                let take = self.pending.len().min(CHUNK_SIZE);
-                let out: Vec<Row> = self.pending.drain(..take).collect();
-                return Ok(Some(out));
+            if let Some(chunk) = self.pending.next_chunk() {
+                return Ok(Some(chunk));
             }
             match self.left.next_chunk()? {
                 None => return Ok(None),
@@ -474,10 +467,7 @@ impl Operator for NestedLoopJoinExec {
                             out.push(padded);
                         }
                     }
-                    self.pending = out;
-                    if self.pending.is_empty() {
-                        continue;
-                    }
+                    self.pending = RowDrain::new(out);
                 }
             }
         }

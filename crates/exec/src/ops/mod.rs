@@ -16,7 +16,7 @@ use fusion_common::{ColumnId, FusionError, Result, Schema, Value};
 use fusion_expr::{Expr, Resolver};
 
 use crate::profile::OpSpan;
-use crate::{Chunk, Row};
+use crate::{Chunk, Row, CHUNK_SIZE};
 
 /// A streaming operator: repeatedly yields chunks of rows until exhausted.
 pub trait Operator {
@@ -40,6 +40,23 @@ pub fn drain(op: &mut dyn Operator) -> Result<Vec<Row>> {
         out.extend(chunk);
     }
     Ok(out)
+}
+
+/// Hands a materialized `Vec<Row>` out in `CHUNK_SIZE` chunks, moving each
+/// row out exactly once (never cloning, never shifting the remainder).
+#[derive(Default)]
+pub(crate) struct RowDrain(std::vec::IntoIter<Row>);
+
+impl RowDrain {
+    pub(crate) fn new(rows: Vec<Row>) -> Self {
+        RowDrain(rows.into_iter())
+    }
+
+    /// The next chunk, or `None` once every row has been handed out.
+    pub(crate) fn next_chunk(&mut self) -> Option<Chunk> {
+        let chunk: Chunk = self.0.by_ref().take(CHUNK_SIZE).collect();
+        (!chunk.is_empty()).then_some(chunk)
+    }
 }
 
 /// Column-identity → row-position index for one operator input.

@@ -21,10 +21,10 @@ use fusion_common::{FusionError, Result, Schema, Value};
 use fusion_expr::{BinaryOp, ColumnBatch, Expr};
 
 use crate::context::{ExecContext, IntoContext};
-use crate::ops::Operator;
+use crate::ops::{Operator, RowDrain};
 use crate::profile::OpSpan;
 use crate::table::Table;
-use crate::{Chunk, Row, CHUNK_SIZE};
+use crate::{Chunk, Row};
 
 /// A `col <op> literal` conjunct evaluated column-at-a-time on the
 /// partition arrays, before any row is materialized.
@@ -306,8 +306,7 @@ pub struct ScanExec {
     fragment: Arc<ScanFragment>,
     next_partition: usize,
     /// Materialized rows of the current partition not yet emitted.
-    pending: Vec<Row>,
-    emitted: usize,
+    pending: RowDrain,
 }
 
 impl ScanExec {
@@ -331,8 +330,7 @@ impl ScanExec {
         ScanExec {
             fragment,
             next_partition: 0,
-            pending: Vec::new(),
-            emitted: 0,
+            pending: RowDrain::default(),
         }
     }
 }
@@ -345,14 +343,7 @@ impl Operator for ScanExec {
     fn next_chunk(&mut self) -> Result<Option<Chunk>> {
         self.fragment.ctx.check()?;
         loop {
-            if self.emitted < self.pending.len() {
-                let end = (self.emitted + CHUNK_SIZE).min(self.pending.len());
-                let chunk: Chunk = self.pending[self.emitted..end].to_vec();
-                self.emitted = end;
-                if self.emitted >= self.pending.len() {
-                    self.pending.clear();
-                    self.emitted = 0;
-                }
+            if let Some(chunk) = self.pending.next_chunk() {
                 return Ok(Some(chunk));
             }
             if self.next_partition >= self.fragment.num_partitions() {
@@ -361,8 +352,7 @@ impl Operator for ScanExec {
             let part_idx = self.next_partition;
             self.next_partition += 1;
             if let Some(rows) = self.fragment.scan_partition(part_idx)? {
-                self.pending = rows;
-                self.emitted = 0;
+                self.pending = RowDrain::new(rows);
             }
         }
     }

@@ -7,9 +7,9 @@ use fusion_common::{Result, Schema, Value};
 use fusion_plan::SortKey;
 
 use crate::context::{BudgetedReservation, ExecContext, IntoContext};
-use crate::ops::{drain, row_bytes, BoxedOp, Operator, RowIndex};
+use crate::ops::{drain, row_bytes, BoxedOp, Operator, RowDrain, RowIndex};
 use crate::profile::OpSpan;
-use crate::{Chunk, Row, CHUNK_SIZE};
+use crate::{Chunk, Row};
 
 /// Fully materializing sort.
 pub struct SortExec {
@@ -18,7 +18,7 @@ pub struct SortExec {
     index: RowIndex,
     schema: Schema,
     ctx: Arc<ExecContext>,
-    output: Option<std::vec::IntoIter<Row>>,
+    output: Option<RowDrain>,
     span: Option<Arc<OpSpan>>,
 }
 
@@ -111,19 +111,9 @@ impl Operator for SortExec {
 
     fn next_chunk(&mut self) -> Result<Option<Chunk>> {
         if self.output.is_none() {
-            let rows = self.compute()?;
-            self.output = Some(rows.into_iter());
+            self.output = Some(RowDrain::new(self.compute()?));
         }
-        let it = self
-            .output
-            .as_mut()
-            .expect("sort output was initialized above");
-        let chunk: Vec<Row> = it.take(CHUNK_SIZE).collect();
-        if chunk.is_empty() {
-            Ok(None)
-        } else {
-            Ok(Some(chunk))
-        }
+        Ok(self.output.as_mut().and_then(RowDrain::next_chunk))
     }
 
     fn attach_span(&mut self, span: Arc<OpSpan>) {

@@ -7,7 +7,7 @@ use fusion_plan::{JoinType, LogicalPlan};
 
 use crate::context::ExecContext;
 use crate::metrics::ExecMetrics;
-use crate::ops::agg::{HashAggregateExec, ParallelHashAggregateExec, WindowExec};
+use crate::ops::agg::{AggInput, AggSpec, HashAggregateExec, WindowExec};
 use crate::ops::basic::{
     ConstantTableExec, EnforceSingleRowExec, FilterExec, LimitExec, ProjectExec, UnionAllExec,
 };
@@ -272,76 +272,40 @@ fn compile_node(
             }
         }
         LogicalPlan::Aggregate(a) => {
-            // Aggregation directly over a multi-partition scan runs
-            // morsel-parallel: per-partition partial group tables merged
-            // in partition order.
-            if let LogicalPlan::Scan(s) = &*a.input {
+            // Directly over a scan the aggregate owns the fragment: with
+            // more than one worker it folds per partition (the scan is
+            // inlined — no wrapping operator, its profile node reads the
+            // fragment-side counters); with one it pulls a plain scan.
+            let (input, child) = if let LogicalPlan::Scan(s) = &*a.input {
                 let scan_id = *next;
                 *next += 1;
                 let scan_span = Arc::new(OpSpan::default());
-                let scan_schema = a.input.schema();
                 let (fragment, workers) =
-                    scan_fragment(catalog, ctx, s, scan_schema.clone(), scan_span.clone())?;
-                let group_positions = a
-                    .group_by
-                    .iter()
-                    .map(|id| {
-                        scan_schema.index_of(*id).ok_or_else(|| {
-                            FusionError::Plan(format!("group-by column {id} missing from input"))
-                        })
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                let aggregates = a.aggregates.iter().map(|x| x.agg.clone()).collect();
-                if workers > 1 {
-                    let scan_node =
-                        profile_node(scan_id, &a.input, scan_span, true, vec![]);
-                    let op = Box::new(ParallelHashAggregateExec::new(
-                        fragment,
-                        group_positions,
-                        aggregates,
-                        schema,
-                        workers,
-                    )?);
-                    return Ok((
-                        spanned(op, &span),
-                        profile_node(op_id, plan, span, false, vec![scan_node]),
-                    ));
-                }
-                let scan_node =
-                    profile_node(scan_id, &a.input, scan_span.clone(), false, vec![]);
-                let scan_op =
-                    spanned(Box::new(ScanExec::from_fragment(fragment)), &scan_span);
-                let op = Box::new(HashAggregateExec::new(
-                    scan_op,
-                    group_positions,
-                    aggregates,
-                    schema,
-                    ctx.clone(),
-                )?);
-                return Ok((
-                    spanned(op, &span),
-                    profile_node(op_id, plan, span, false, vec![scan_node]),
-                ));
-            }
-            let (input, child) = compile_node(&a.input, catalog, ctx, next)?;
-            let input_schema = input.schema();
-            let group_positions = a
-                .group_by
-                .iter()
-                .map(|id| {
-                    input_schema.index_of(*id).ok_or_else(|| {
-                        FusionError::Plan(format!("group-by column {id} missing from input"))
-                    })
-                })
-                .collect::<Result<Vec<_>>>()?;
-            let aggregates = a.aggregates.iter().map(|x| x.agg.clone()).collect();
-            let op = Box::new(HashAggregateExec::new(
+                    scan_fragment(catalog, ctx, s, a.input.schema(), scan_span.clone())?;
+                let inlined = workers > 1;
+                let input = if inlined {
+                    AggInput::Partitions(fragment, workers)
+                } else {
+                    AggInput::Rows(spanned(
+                        Box::new(ScanExec::from_fragment(fragment)),
+                        &scan_span,
+                    ))
+                };
+                (
+                    input,
+                    profile_node(scan_id, &a.input, scan_span, inlined, vec![]),
+                )
+            } else {
+                let (input, child) = compile_node(&a.input, catalog, ctx, next)?;
+                (AggInput::Rows(input), child)
+            };
+            let spec = AggSpec::for_plan(a, input.schema())?;
+            let op = Box::new(HashAggregateExec::with_spec(
                 input,
-                group_positions,
-                aggregates,
+                spec,
                 schema,
                 ctx.clone(),
-            )?);
+            ));
             Ok((
                 spanned(op, &span),
                 profile_node(op_id, plan, span, false, vec![child]),

@@ -23,14 +23,14 @@
 //! * Expression evaluation uses the [`ColumnBatch`] kernels, which
 //!   reproduce the scalar evaluator's three-valued logic, short-circuit
 //!   row subsets, and error sites (see `fusion_expr::vector`).
-//! * The aggregate runs in the same mode the batch compiler would pick
-//!   for the same plan shape: per-partition partials merged in
-//!   partition-index order *only* when the aggregate sits directly over
-//!   the scan with multiple workers (`ParallelHashAggregateExec`);
-//!   any interior stage means a single group table accumulated in
-//!   partition order with inline distinct (`HashAggregateExec` above the
-//!   gather). Float sums therefore fold in the same order as the batch
-//!   path at every thread count.
+//! * The aggregate folds into the same `GroupTable` as the pull
+//!   operator and picks its fold shape by the same rule: one table per
+//!   partition, merged in partition-index order with deferred DISTINCT,
+//!   *only* when the aggregate sits directly over the scan with multiple
+//!   workers; any interior stage means a single table accumulated on the
+//!   driver in partition order with inline DISTINCT (where the pull
+//!   operators would aggregate above a gather). Float sums therefore
+//!   fold in the same order as the pull path at every thread count.
 //! * `MarkDistinct` is stateful — its first-occurrence set spans the
 //!   whole input. The chain splits at the first such stage: everything
 //!   below it still scans morsel-parallel, the stateful suffix (and the
@@ -40,19 +40,19 @@
 //!   `compile_node`, and every chain node's span reports the same row
 //!   counts the batch operators would — golden profiles do not change.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
 use fusion_common::{ColumnId, Result, Schema, Value};
-use fusion_expr::{AggFunc, AggregateExpr, ColumnBatch, Expr, HashedKey};
+use fusion_expr::{ColumnBatch, Expr};
 use fusion_plan::LogicalPlan;
 
 use crate::context::{BudgetedReservation, ExecContext};
-use crate::ops::agg::{Acc, GroupState};
+use crate::ops::agg::{fold_partitions, AggSpec, GroupTable};
 use crate::ops::exchange::collect_morsels;
 use crate::ops::scan::{ColumnarMorsel, ScanFragment};
-use crate::ops::{row_bytes, BoxedOp, Operator};
+use crate::ops::{row_bytes, BoxedOp, Operator, RowDrain};
 use crate::physical::{scan_fragment, spanned};
 use crate::profile::{OpSpan, ProfileNode};
 use crate::table::Catalog;
@@ -95,210 +95,6 @@ enum ProjectedCol {
 struct MarkState {
     seen: HashSet<Vec<Value>>,
     reservation: BudgetedReservation,
-}
-
-/// The aggregate sink terminating a chain, when present.
-struct AggSink {
-    group_positions: Vec<usize>,
-    aggregates: Vec<AggregateExpr>,
-    int_sums: Vec<bool>,
-    /// Field ids of the aggregate's input schema, parallel to the column
-    /// vector arriving from the last stage (or the scan).
-    input_ids: Vec<ColumnId>,
-}
-
-/// One partition's partial group table in parallel mode, plus the budget
-/// reservation covering its bytes (held until the merge completes).
-struct PipelinePartial {
-    groups: HashMap<HashedKey, GroupState>,
-    _reservation: BudgetedReservation,
-}
-
-impl AggSink {
-    /// Fold one morsel's surviving rows into `groups`, row-major in
-    /// selection order. Masks and arguments are evaluated vectorized —
-    /// arguments only over the rows their mask accepts, so data-dependent
-    /// errors surface exactly where the row-at-a-time operators evaluate.
-    /// `inline_distinct` selects the single-table mode (dedup while
-    /// accumulating, like `HashAggregateExec`); parallel partials record
-    /// seen-sets only (like `ParallelHashAggregateExec::build_partial`).
-    fn accumulate(
-        &self,
-        morsel: &ColumnarMorsel,
-        groups: &mut HashMap<HashedKey, GroupState>,
-        inline_distinct: bool,
-        ctx: &ExecContext,
-    ) -> Result<i64> {
-        let metrics = ctx.metrics();
-        let sel = &morsel.selection;
-        let mut batch = ColumnBatch::new();
-        for (id, col) in self.input_ids.iter().zip(&morsel.columns) {
-            batch.push(*id, col.as_slice());
-        }
-
-        // Deduplicate mask expressions, as the aggregate operators do.
-        let mut distinct_masks: Vec<&Expr> = Vec::new();
-        let mask_slot: Vec<Option<usize>> = self
-            .aggregates
-            .iter()
-            .map(|a| {
-                if a.unmasked() {
-                    None
-                } else {
-                    Some(match distinct_masks.iter().position(|m| **m == a.mask) {
-                        Some(i) => i,
-                        None => {
-                            distinct_masks.push(&a.mask);
-                            distinct_masks.len() - 1
-                        }
-                    })
-                }
-            })
-            .collect();
-        let mut mask_vals: Vec<Vec<bool>> = Vec::with_capacity(distinct_masks.len());
-        for m in &distinct_masks {
-            metrics.add_rows_evaluated_vectorized(sel.len() as u64);
-            let vs = batch.eval(m, sel)?;
-            mask_vals.push(vs.iter().map(|v| v.as_bool() == Some(true)).collect());
-        }
-
-        // One value per mask-accepted row, consumed in row order below.
-        let mut arg_vals: Vec<Option<std::vec::IntoIter<Value>>> =
-            Vec::with_capacity(self.aggregates.len());
-        for (i, a) in self.aggregates.iter().enumerate() {
-            match &a.arg {
-                None => arg_vals.push(None),
-                Some(e) => {
-                    let masked_rows: Vec<usize>;
-                    let rows: &[usize] = match mask_slot[i] {
-                        None => sel,
-                        Some(slot) => {
-                            masked_rows = sel
-                                .iter()
-                                .enumerate()
-                                .filter(|(j, _)| mask_vals[slot][*j])
-                                .map(|(_, &r)| r)
-                                .collect();
-                            &masked_rows
-                        }
-                    };
-                    metrics.add_rows_evaluated_vectorized(rows.len() as u64);
-                    arg_vals.push(Some(batch.eval(e, rows)?.into_iter()));
-                }
-            }
-        }
-
-        let naggs = self.aggregates.len();
-        let mut apply = |state: &mut GroupState, j: usize| {
-            for i in 0..naggs {
-                if let Some(slot) = mask_slot[i] {
-                    if !mask_vals[slot][j] {
-                        continue;
-                    }
-                }
-                let arg_value: Option<Value> = match &mut arg_vals[i] {
-                    None => None,
-                    Some(it) => it.next(),
-                };
-                if let Some(seen) = &mut state.distinct_seen[i] {
-                    match &arg_value {
-                        Some(v) if !v.is_null() => {
-                            if inline_distinct {
-                                if !seen.insert(v.clone()) {
-                                    continue; // already counted
-                                }
-                            } else {
-                                // Parallel partial: record only; the
-                                // accumulator is rebuilt from the merged
-                                // union at finish time.
-                                seen.insert(v.clone());
-                                continue;
-                            }
-                        }
-                        _ => continue,
-                    }
-                }
-                state.accs[i].update(arg_value.as_ref());
-            }
-        };
-
-        let mut state_bytes = 0i64;
-        if self.group_positions.is_empty() {
-            // Scalar aggregates share one group: hoist the table lookup
-            // out of the row loop entirely.
-            let key = HashedKey::new(Vec::new());
-            if !groups.contains_key(&key) {
-                state_bytes += row_bytes(&key.key) + 64 * naggs as i64;
-            }
-            let state = groups
-                .entry(key)
-                .or_insert_with(|| GroupState::new(&self.aggregates, &self.int_sums));
-            for j in 0..sel.len() {
-                apply(state, j);
-            }
-        } else {
-            for (j, &r) in sel.iter().enumerate() {
-                let key = HashedKey::new(
-                    self.group_positions
-                        .iter()
-                        .map(|&p| morsel.columns[p][r].clone())
-                        .collect(),
-                );
-                if !groups.contains_key(&key) {
-                    state_bytes += row_bytes(&key.key) + 64 * naggs as i64;
-                }
-                let state = groups
-                    .entry(key)
-                    .or_insert_with(|| GroupState::new(&self.aggregates, &self.int_sums));
-                apply(state, j);
-            }
-        }
-        Ok(state_bytes)
-    }
-
-    /// Produce the output rows: scalar aggregates emit one default row
-    /// over empty input, keys sort for deterministic order, and (parallel
-    /// mode only) distinct accumulators are rebuilt from their merged
-    /// seen-sets in sorted order.
-    fn finalize(
-        &self,
-        groups: HashMap<HashedKey, GroupState>,
-        inline_distinct: bool,
-    ) -> Result<Vec<Row>> {
-        if self.group_positions.is_empty() && groups.is_empty() {
-            let row: Row = self
-                .aggregates
-                .iter()
-                .zip(&self.int_sums)
-                .map(|(a, int_sum)| Acc::new(a.func, *int_sum).finish())
-                .collect();
-            return Ok(vec![row]);
-        }
-        let mut keys: Vec<HashedKey> = groups.keys().cloned().collect();
-        keys.sort_by(|a, b| a.key.cmp(&b.key));
-        let mut out = Vec::with_capacity(keys.len());
-        for key in keys {
-            let state = &groups[&key];
-            let mut row = key.key.clone();
-            for (i, agg) in self.aggregates.iter().enumerate() {
-                let v = match &state.distinct_seen[i] {
-                    Some(seen) if !inline_distinct => {
-                        let mut acc = Acc::new(agg.func, self.int_sums[i]);
-                        let mut vals: Vec<&Value> = seen.iter().collect();
-                        vals.sort();
-                        for v in vals {
-                            acc.update(Some(v));
-                        }
-                        acc.finish()
-                    }
-                    _ => state.accs[i].finish(),
-                };
-                row.push(v);
-            }
-            out.push(row);
-        }
-        Ok(out)
-    }
 }
 
 /// Apply one stage to a morsel in place. `mark_states` carries the
@@ -426,13 +222,29 @@ fn run_stage_list(
     Ok(elided)
 }
 
+/// Scan partition `p` and push it through the stateless prefix of the
+/// chain; `None` for a pruned partition. Safe on any worker: the prefix
+/// never holds cross-morsel state.
+fn scan_prefix(
+    fragment: &ScanFragment,
+    par_stages: &[Stage],
+    ctx: &ExecContext,
+    span: &Option<Arc<OpSpan>>,
+    p: usize,
+) -> Result<Option<(ColumnarMorsel, u64)>> {
+    let Some(mut m) = fragment.scan_partition_columnar(p)? else {
+        return Ok(None);
+    };
+    let elided = run_stage_list(par_stages, &mut [], &mut m, ctx, span)?;
+    Ok(Some((m, elided)))
+}
+
 /// A compiled `Scan → Filter*/Project*/MarkDistinct* (→ Aggregate)`
 /// chain, driven push-based over columnar morsels. Sequentially the
 /// pipeline streams one partition at a time; with more workers (or an
-/// aggregate sink) it materializes — morsel-parallel where the batch
-/// path is parallel, partition-ordered on the driver where the batch
-/// path is sequential — so output is bit-identical at every thread
-/// count.
+/// aggregate sink) it materializes — morsel-parallel where the pull
+/// operators are parallel, partition-ordered on the driver where they
+/// are sequential — so output is bit-identical at every thread count.
 pub struct FusedPipeline {
     fragment: Arc<ScanFragment>,
     workers: usize,
@@ -442,48 +254,25 @@ pub struct FusedPipeline {
     /// it — run on the driver in partition-index order.
     seq_stages: Vec<Stage>,
     mark_states: Vec<MarkState>,
-    agg: Option<AggSink>,
+    /// The aggregate terminating the chain, when present: surviving
+    /// positions fold straight into a [`GroupTable`].
+    agg: Option<AggSpec>,
     schema: Schema,
     ctx: Arc<ExecContext>,
-    /// Sequential streaming state.
+    /// Sequential streaming state: the next partition to scan and the
+    /// current partition's rows not yet emitted.
     next_partition: usize,
-    pending: Vec<Row>,
-    emitted: usize,
+    pending: RowDrain,
     /// Materialized output (aggregate or parallel mode).
-    output: Option<std::vec::IntoIter<Row>>,
+    output: Option<RowDrain>,
     span: Option<Arc<OpSpan>>,
 }
 
 impl FusedPipeline {
-    /// Non-aggregate stateless chain, morsel-parallel: process every
-    /// partition on the worker pool — rows gather inside the workers —
-    /// and concatenate in partition-index order.
-    fn compute_rows_parallel(&self) -> Result<Vec<Row>> {
-        let results = collect_morsels(
-            &self.ctx,
-            self.fragment.num_partitions(),
-            self.workers,
-            |p| -> Result<Option<Vec<Row>>> {
-                let mut m = match self.fragment.scan_partition_columnar(p)? {
-                    None => return Ok(None),
-                    Some(m) => m,
-                };
-                let elided =
-                    run_stage_list(&self.par_stages, &mut [], &mut m, &self.ctx, &self.span)?;
-                self.ctx.metrics().add_batches_elided(elided);
-                let rows = m.gather_rows();
-                Ok(if rows.is_empty() { None } else { Some(rows) })
-            },
-        )?;
-        Ok(results.into_iter().flat_map(|(_, rows)| rows).collect())
-    }
-
-    /// Aggregate chain, single worker: one group table, accumulated in
-    /// scan row order with inline distinct — `HashAggregateExec`
-    /// semantics.
-    fn compute_agg_sequential(&mut self) -> Result<Vec<Row>> {
+    fn compute_all(&mut self) -> Result<Vec<Row>> {
         let FusedPipeline {
             fragment,
+            workers,
             par_stages,
             seq_stages,
             mark_states,
@@ -492,162 +281,89 @@ impl FusedPipeline {
             span,
             ..
         } = self;
-        let sink = agg.as_ref().expect("sequential aggregate mode has a sink");
-        let mut groups: HashMap<HashedKey, GroupState> = HashMap::new();
-        let mut reservation = BudgetedReservation::try_new(ctx.clone(), 0)?;
-        if let Some(span) = span {
-            reservation.set_span(span.clone());
+        let (fragment, ctx, span, workers) = (&**fragment, &*ctx, &*span, *workers);
+        let metrics = ctx.metrics();
+        let partitions = fragment.num_partitions();
+        let prefix = |p| scan_prefix(fragment, par_stages, ctx, span, p);
+
+        if workers > 1 && seq_stages.is_empty() {
+            match agg {
+                // Aggregate directly over the scan: the per-partition
+                // fold. Only this shape aggregates in parallel — any
+                // interior stage puts the pull operators' aggregate above
+                // a gather, so the pipeline folds on the driver too.
+                Some(spec) if par_stages.is_empty() => {
+                    return fold_partitions(
+                        spec,
+                        ctx,
+                        span,
+                        partitions,
+                        workers,
+                        |p| {
+                            let m = fragment.scan_partition_columnar(p)?;
+                            if let Some(m) = &m {
+                                metrics.add_batches_elided(
+                                    m.selection.len().div_ceil(CHUNK_SIZE) as u64,
+                                );
+                            }
+                            Ok(m.filter(|m| !m.selection.is_empty()))
+                        },
+                        |table, m| table.accumulate_morsel(m),
+                    );
+                }
+                // Stateless non-aggregate chain: rows gather inside the
+                // workers and concatenate in partition-index order.
+                None => {
+                    let results = collect_morsels(ctx, partitions, workers, |p| {
+                        let Some((m, elided)) = prefix(p)? else {
+                            return Ok(None);
+                        };
+                        metrics.add_batches_elided(elided);
+                        let rows = m.gather_rows();
+                        Ok((!rows.is_empty()).then_some(rows))
+                    })?;
+                    return Ok(results.into_iter().flat_map(|(_, rows)| rows).collect());
+                }
+                Some(_) => {}
+            }
         }
-        for p in 0..fragment.num_partitions() {
+
+        // The driver fold: every morsel leaves the stateless prefix —
+        // morsel-parallel with several workers, scanned one partition at
+        // a time with one, so nothing but the current morsel is resident —
+        // and then runs the stateful suffix and the sink on this thread in
+        // partition-index order, the row order a gather would produce.
+        let morsels: Box<dyn Iterator<Item = Result<(ColumnarMorsel, u64)>> + '_> = if workers > 1 {
+            let scanned = collect_morsels(ctx, partitions, workers, prefix)?;
+            Box::new(scanned.into_iter().map(|(_, m)| Ok(m)))
+        } else {
+            Box::new((0..partitions).filter_map(|p| prefix(p).transpose()))
+        };
+        let mut table = match agg {
+            Some(spec) => Some(GroupTable::new(spec, ctx, span, true)?),
+            None => None,
+        };
+        let mut rows = Vec::new();
+        for morsel in morsels {
+            let (mut m, mut elided) = morsel?;
             ctx.check()?;
-            let mut m = match fragment.scan_partition_columnar(p)? {
-                None => continue,
-                Some(m) => m,
-            };
-            let mut elided = run_stage_list(par_stages, &mut [], &mut m, ctx, span)?;
             elided += run_stage_list(seq_stages, mark_states, &mut m, ctx, span)?;
-            elided += m.selection.len().div_ceil(CHUNK_SIZE) as u64;
-            ctx.metrics().add_batches_elided(elided);
-            let start = Instant::now();
-            let bytes = sink.accumulate(&m, &mut groups, true, ctx)?;
-            if let Some(span) = span {
-                span.add_cpu_nanos(start.elapsed().as_nanos() as u64);
-            }
-            reservation.try_grow(bytes)?;
-        }
-        let _reservation = reservation;
-        sink.finalize(groups, true)
-    }
-
-    /// Aggregate directly over the scan, multiple workers: per-partition
-    /// partials merged in partition-index order, distinct rebuilt from
-    /// merged seen-sets — `ParallelHashAggregateExec` semantics. Only
-    /// this shape aggregates in parallel; any interior stage means the
-    /// batch path would run `HashAggregateExec` above the gather, so the
-    /// pipeline accumulates sequentially too (see
-    /// [`Self::compute_two_phase`]).
-    fn compute_agg_parallel(&self, sink: &AggSink) -> Result<Vec<Row>> {
-        let partials = collect_morsels(
-            &self.ctx,
-            self.fragment.num_partitions(),
-            self.workers,
-            |p| -> Result<Option<PipelinePartial>> {
-                let m = match self.fragment.scan_partition_columnar(p)? {
-                    None => return Ok(None),
-                    Some(m) => m,
-                };
-                let elided = (m.selection.len().div_ceil(CHUNK_SIZE)) as u64;
-                self.ctx.metrics().add_batches_elided(elided);
-                if m.selection.is_empty() {
-                    return Ok(None);
-                }
-                let start = Instant::now();
-                let mut groups = HashMap::new();
-                let bytes = sink.accumulate(&m, &mut groups, false, &self.ctx)?;
-                let mut reservation = BudgetedReservation::try_new(self.ctx.clone(), bytes)?;
-                if let Some(span) = &self.span {
-                    span.add_cpu_nanos(start.elapsed().as_nanos() as u64);
-                    reservation.set_span(span.clone());
-                }
-                Ok(Some(PipelinePartial {
-                    groups,
-                    _reservation: reservation,
-                }))
-            },
-        )?;
-        let mut groups: HashMap<HashedKey, GroupState> = HashMap::new();
-        let mut reservations = Vec::with_capacity(partials.len());
-        for (_, partial) in partials {
-            reservations.push(partial._reservation);
-            for (key, st) in partial.groups {
-                match groups.entry(key) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().merge(st),
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(st);
-                    }
-                }
-            }
-        }
-        sink.finalize(groups, false)
-    }
-
-    /// Multi-worker chain with stages: scan and the stateless prefix run
-    /// morsel-parallel, then the stateful suffix and/or the aggregate
-    /// consume the morsels on the driver in partition-index order — the
-    /// same row order the batch path's gather would produce.
-    fn compute_two_phase(&mut self) -> Result<Vec<Row>> {
-        let morsels = collect_morsels(
-            &self.ctx,
-            self.fragment.num_partitions(),
-            self.workers,
-            |p| -> Result<Option<(ColumnarMorsel, u64)>> {
-                let mut m = match self.fragment.scan_partition_columnar(p)? {
-                    None => return Ok(None),
-                    Some(m) => m,
-                };
-                let elided =
-                    run_stage_list(&self.par_stages, &mut [], &mut m, &self.ctx, &self.span)?;
-                Ok(Some((m, elided)))
-            },
-        )?;
-        let FusedPipeline {
-            seq_stages,
-            mark_states,
-            agg,
-            ctx,
-            span,
-            ..
-        } = self;
-        match agg.as_ref() {
-            Some(sink) => {
-                let mut groups: HashMap<HashedKey, GroupState> = HashMap::new();
-                let mut reservation = BudgetedReservation::try_new(ctx.clone(), 0)?;
-                if let Some(span) = span {
-                    reservation.set_span(span.clone());
-                }
-                for (_, (mut m, mut elided)) in morsels {
-                    ctx.check()?;
-                    elided += run_stage_list(seq_stages, mark_states, &mut m, ctx, span)?;
+            match &mut table {
+                Some(table) => {
                     elided += m.selection.len().div_ceil(CHUNK_SIZE) as u64;
-                    ctx.metrics().add_batches_elided(elided);
-                    let start = Instant::now();
-                    let bytes = sink.accumulate(&m, &mut groups, true, ctx)?;
-                    if let Some(span) = span {
-                        span.add_cpu_nanos(start.elapsed().as_nanos() as u64);
-                    }
-                    reservation.try_grow(bytes)?;
+                    metrics.add_batches_elided(elided);
+                    table.accumulate_morsel(&m)?;
                 }
-                let _reservation = reservation;
-                sink.finalize(groups, true)
-            }
-            None => {
-                let mut out = Vec::new();
-                for (_, (mut m, mut elided)) in morsels {
-                    ctx.check()?;
-                    elided += run_stage_list(seq_stages, mark_states, &mut m, ctx, span)?;
-                    ctx.metrics().add_batches_elided(elided);
-                    out.extend(m.gather_rows());
+                None => {
+                    metrics.add_batches_elided(elided);
+                    rows.extend(m.gather_rows());
                 }
-                Ok(out)
             }
         }
-    }
-
-    fn compute_all(&mut self) -> Result<Vec<Row>> {
-        let stateless = self.par_stages.is_empty() && self.seq_stages.is_empty();
-        if self.workers > 1 {
-            if self.agg.is_none() && self.seq_stages.is_empty() {
-                return self.compute_rows_parallel();
-            }
-            if self.agg.is_some() && stateless {
-                let sink = self.agg.take().expect("aggregate sink checked above");
-                let rows = self.compute_agg_parallel(&sink);
-                self.agg = Some(sink);
-                return rows;
-            }
-            return self.compute_two_phase();
-        }
-        self.compute_agg_sequential()
+        Ok(match table {
+            Some(table) => table.finish(),
+            None => rows,
+        })
     }
 }
 
@@ -664,28 +380,15 @@ impl Operator for FusedPipeline {
         self.ctx.check()?;
         if self.agg.is_some() || self.workers > 1 {
             if self.output.is_none() {
-                let rows = self.compute_all()?;
-                self.output = Some(rows.into_iter());
+                self.output = Some(RowDrain::new(self.compute_all()?));
             }
-            let it = self
-                .output
-                .as_mut()
-                .expect("pipeline output was initialized above");
-            let chunk: Vec<Row> = it.take(CHUNK_SIZE).collect();
-            return Ok(if chunk.is_empty() { None } else { Some(chunk) });
+            return Ok(self.output.as_mut().and_then(RowDrain::next_chunk));
         }
         // Sequential streaming: one partition at a time, emitted in
-        // CHUNK_SIZE slices like the batch scan. Stateful stages carry
+        // CHUNK_SIZE chunks like the pull scan. Stateful stages carry
         // their seen-sets across partitions, which arrive in order.
         loop {
-            if self.emitted < self.pending.len() {
-                let end = (self.emitted + CHUNK_SIZE).min(self.pending.len());
-                let chunk: Chunk = self.pending[self.emitted..end].to_vec();
-                self.emitted = end;
-                if self.emitted >= self.pending.len() {
-                    self.pending.clear();
-                    self.emitted = 0;
-                }
+            if let Some(chunk) = self.pending.next_chunk() {
                 return Ok(Some(chunk));
             }
             if self.next_partition >= self.fragment.num_partitions() {
@@ -693,20 +396,19 @@ impl Operator for FusedPipeline {
             }
             let p = self.next_partition;
             self.next_partition += 1;
-            if let Some(mut m) = self.fragment.scan_partition_columnar(p)? {
-                let FusedPipeline {
-                    par_stages,
-                    seq_stages,
-                    mark_states,
-                    ctx,
-                    span,
-                    ..
-                } = &mut *self;
-                let mut elided = run_stage_list(par_stages, &mut [], &mut m, ctx, span)?;
+            let FusedPipeline {
+                fragment,
+                par_stages,
+                seq_stages,
+                mark_states,
+                ctx,
+                span,
+                ..
+            } = &mut *self;
+            if let Some((mut m, mut elided)) = scan_prefix(fragment, par_stages, ctx, span, p)? {
                 elided += run_stage_list(seq_stages, mark_states, &mut m, ctx, span)?;
                 ctx.metrics().add_batches_elided(elided);
-                self.pending = m.gather_rows();
-                self.emitted = 0;
+                self.pending = RowDrain::new(m.gather_rows());
             }
         }
     }
@@ -758,45 +460,15 @@ pub(crate) fn try_compile(
         return Ok(None);
     }
 
-    // Resolve the aggregate sink before claiming any op id, so a
-    // rejection leaves the id counter untouched for the batch compiler.
-    let sink = match agg_plan {
+    // Resolve the aggregate before claiming any op id, so a rejection
+    // leaves the id counter untouched for the operator path (which then
+    // surfaces the plan error).
+    let agg = match agg_plan {
         None => None,
-        Some(a) => {
-            let input_schema = a.input.schema();
-            let mut group_positions = Vec::with_capacity(a.group_by.len());
-            for id in &a.group_by {
-                match input_schema.index_of(*id) {
-                    Some(p) => group_positions.push(p),
-                    // Let the operator path surface the plan error.
-                    None => return Ok(None),
-                }
-            }
-            let aggregates: Vec<AggregateExpr> =
-                a.aggregates.iter().map(|x| x.agg.clone()).collect();
-            let int_sums: Vec<bool> = aggregates
-                .iter()
-                .map(|a| {
-                    a.func == AggFunc::Sum
-                        && a.arg
-                            .as_ref()
-                            .map(|e| {
-                                e.data_type(&input_schema)
-                                    .map(|t| t == fusion_common::DataType::Int64)
-                                    .unwrap_or(false)
-                            })
-                            .unwrap_or(false)
-                })
-                .collect();
-            let input_ids: Vec<ColumnId> =
-                input_schema.fields().iter().map(|f| f.id).collect();
-            Some(AggSink {
-                group_positions,
-                aggregates,
-                int_sums,
-                input_ids,
-            })
-        }
+        Some(a) => match AggSpec::for_plan(a, &a.input.schema()) {
+            Ok(spec) => Some(spec),
+            Err(_) => return Ok(None),
+        },
     };
 
     // Resolve MarkDistinct key positions bottom-up before claiming ids,
@@ -947,12 +619,11 @@ pub(crate) fn try_compile(
         par_stages: stages,
         seq_stages,
         mark_states,
-        agg: sink,
+        agg,
         schema: plan.schema(),
         ctx: ctx.clone(),
         next_partition: 0,
-        pending: Vec::new(),
-        emitted: 0,
+        pending: RowDrain::default(),
         output: None,
         span: None,
     };

@@ -101,8 +101,8 @@ pub struct WorkloadOutcome {
     pub notes: Vec<Vec<String>>,
     /// Certificate rejections from the reuse-soundness prover: splice,
     /// subsumption, or dependency-stamp claims that failed certification.
-    /// Each rejected rewrite reverted to cold execution; under
-    /// `FUSION_ANALYZE=strict` the engine fails the batch instead.
+    /// Each rejected rewrite reverted to cold execution; under strict
+    /// analysis the engine fails the batch instead.
     /// Maintainability fallbacks (e.g. float-SUM refresh refusals) are
     /// deliberately *not* here — they are correct typed fallbacks, not
     /// soundness failures — and surface in `notes` only.

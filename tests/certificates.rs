@@ -19,6 +19,7 @@
 //! pristine corpus — the false-positive control for the prover.
 
 use fusion_common::{DataType, Value};
+use fusion_core::OptimizerConfig;
 use fusion_engine::Session;
 use fusion_exec::table::TableColumn;
 use fusion_exec::TableBuilder;
@@ -57,10 +58,17 @@ fn orders_table(n: i64) -> fusion_exec::Table {
     b.build()
 }
 
+/// Strict through the session's own configuration (never through the
+/// `FUSION_ANALYZE` env var): a false-positive certificate rejection on
+/// the pristine corpus would fail its whole batch, not just bump a counter.
 fn session() -> Session {
     let mut s = Session::new();
     s.register_table(orders_table(BASE_ROWS));
     s.set_parallelism(1);
+    s.set_config(OptimizerConfig {
+        strict_analysis: true,
+        ..OptimizerConfig::default()
+    });
     s
 }
 

@@ -492,6 +492,9 @@ fn deadline_expiry_mid_batch_keeps_completed_results() {
 
     let mut s = orders_session();
     s.set_reuse_enabled(false);
+    // One worker, whatever FUSION_PARALLELISM says: the arithmetic above
+    // is four sequential reads; four workers overlap them into ~40ms.
+    s.set_parallelism(1);
     s.set_fault_policy(FaultPolicy::default().with_read_latency(Duration::from_millis(40)));
     s.set_timeout(Some(Duration::from_millis(100)));
     let batch = s.run_batch(&[q_fast, q_slow, q_fast]).unwrap();
