@@ -6,11 +6,13 @@
 //! * [`crate::Session::enqueue`] / [`crate::Session::run_queued`] — the
 //!   original single-session queue, now a one-tenant [`AdmissionQueue`]
 //!   drained in one window;
-//! * the multi-tenant `fusion-service` front end, which runs a dispatcher
-//!   thread over the same queue, closing windows on
-//!   [`AdmissionConfig::max_window_queries`] or
-//!   [`AdmissionConfig::max_window_wait`] and packing them with
-//!   weighted-fair per-tenant quotas.
+//! * the multi-tenant `fusion-service` front end, whose dispatcher thread
+//!   parks in [`AdmissionQueue::wait_nonempty`] only while nothing is
+//!   queued and otherwise packs whatever is parked, up to
+//!   [`AdmissionConfig::max_window_queries`] with weighted-fair
+//!   per-tenant quotas ([`AdmissionQueue::pack_window`]). Entries that
+//!   arrive while a window executes form the next one, so window size
+//!   tracks load; nothing on this path waits on a timer.
 //!
 //! Entries park per tenant in arrival order. Window packing is a
 //! round-robin over tenants (one entry per tenant per round, bounded by
@@ -63,9 +65,13 @@ impl From<&str> for TenantId {
 /// Window-formation and admission-cap knobs.
 #[derive(Debug, Clone)]
 pub struct AdmissionConfig {
-    /// A window closes as soon as this many queries are waiting.
+    /// The most queries one window carries; the rest stay parked for the
+    /// next one.
     pub max_window_queries: usize,
-    /// ... or once the oldest waiter has been parked this long.
+    /// Read by nothing: windows are no longer held open on a timer. The
+    /// field survives only because `benchmark/src/main.rs` stamps it into
+    /// its settings and a gain-claiming change may not edit `benchmark/`;
+    /// the next `benchmark` change removes both.
     pub max_window_wait: Duration,
     /// Per-tenant cap on parked queries (`0` = unlimited). Crossing it
     /// rejects the submission with `FUSION_ADMISSION_REJECTED`.
@@ -76,19 +82,19 @@ impl Default for AdmissionConfig {
     fn default() -> Self {
         AdmissionConfig {
             max_window_queries: 8,
-            max_window_wait: Duration::from_millis(10),
+            max_window_wait: Duration::ZERO,
             max_queued_per_tenant: 0,
         }
     }
 }
 
 impl AdmissionConfig {
-    /// The configuration of a bare session queue: windows never close on
-    /// time or size — [`AdmissionQueue::drain_all`] is the only consumer.
+    /// The configuration of a bare session queue: no window size limit —
+    /// [`AdmissionQueue::drain_all`] is the only consumer.
     pub fn unbounded() -> Self {
         AdmissionConfig {
             max_window_queries: usize::MAX,
-            max_window_wait: Duration::from_secs(u64::MAX / 4),
+            max_window_wait: Duration::ZERO,
             max_queued_per_tenant: 0,
         }
     }
@@ -145,10 +151,6 @@ impl<T> AdmissionQueue<T> {
         }
     }
 
-    pub fn config(&self) -> &AdmissionConfig {
-        &self.config
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner<T>> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -202,73 +204,40 @@ impl<T> AdmissionQueue<T> {
         self.lock().lane_len(tenant)
     }
 
-    /// Close the queue: further [`AdmissionQueue::admit`] calls reject,
-    /// blocked [`AdmissionQueue::next_window`] callers wake up, and once
-    /// the backlog drains `next_window` returns `None`. Parked entries
-    /// are *not* dropped — the dispatcher drains them first (graceful
-    /// shutdown never loses a waiter).
+    /// Close the queue: further [`AdmissionQueue::admit`] calls reject and
+    /// a blocked [`AdmissionQueue::wait_nonempty`] wakes up. Parked
+    /// entries are *not* dropped — `wait_nonempty` keeps returning `true`
+    /// until the dispatcher has packed them all (graceful shutdown never
+    /// loses a waiter).
     pub fn close(&self) {
         self.lock().closed = true;
         self.cond.notify_all();
     }
 
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
+    /// Park the caller until at least one entry is queued. Returns
+    /// `false` only when the queue is closed *and* fully drained.
+    pub fn wait_nonempty(&self) -> bool {
+        let mut inner = self.lock();
+        while inner.len == 0 {
+            if inner.closed {
+                return false;
+            }
+            inner = self
+                .cond
+                .wait(inner)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        true
     }
 
-    /// Block until a window closes, then return its entries packed
-    /// weighted-fair: round-robin over tenant lanes, one entry per lane
-    /// per round, each tenant bounded by `quota(tenant)` entries this
-    /// window (`0` = the tenant sits this window out). Returns `None`
-    /// only when the queue is closed *and* fully drained.
-    ///
-    /// A window opens when the first entry is observed and closes on
-    /// whichever of `max_window_queries` / `max_window_wait` trips first
-    /// (closing the queue also closes the window immediately — shutdown
-    /// does not wait out the timer).
-    pub fn next_window(&self, quota: impl Fn(&TenantId) -> usize) -> Option<Vec<Admitted<T>>> {
+    /// Pack what is parked right now into one window of at most
+    /// `max_window_queries` entries, weighted-fair: round-robin over
+    /// tenant lanes, one entry per lane per round, each tenant bounded by
+    /// `quota(tenant)` entries this window. Never blocks; what does not
+    /// fit stays parked.
+    pub fn pack_window(&self, quota: impl Fn(&TenantId) -> usize) -> Vec<Admitted<T>> {
         let mut inner = self.lock();
-        loop {
-            // Wait for the first entry (or shutdown).
-            while inner.len == 0 {
-                if inner.closed {
-                    return None;
-                }
-                inner = self
-                    .cond
-                    .wait(inner)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-            // Window open: fill up to the size target or the wait cap.
-            let opened = Instant::now();
-            while inner.len < self.config.max_window_queries && !inner.closed {
-                let elapsed = opened.elapsed();
-                if elapsed >= self.config.max_window_wait {
-                    break;
-                }
-                let (guard, _) = self
-                    .cond
-                    .wait_timeout(inner, self.config.max_window_wait - elapsed)
-                    .unwrap_or_else(PoisonError::into_inner);
-                inner = guard;
-            }
-            let window = Self::pack(&mut inner, self.config.max_window_queries, &quota);
-            if !window.is_empty() {
-                return Some(window);
-            }
-            // Everything parked belongs to tenants quota'd to zero this
-            // window (e.g. at their in-flight cap). Yield until the
-            // caller's quotas change or shutdown drains unconditionally.
-            if inner.closed {
-                let window = Self::pack(&mut inner, usize::MAX, &|_| usize::MAX);
-                return if window.is_empty() { None } else { Some(window) };
-            }
-            let (guard, _) = self
-                .cond
-                .wait_timeout(inner, self.config.max_window_wait)
-                .unwrap_or_else(PoisonError::into_inner);
-            inner = guard;
-        }
+        Self::pack(&mut inner, self.config.max_window_queries, &quota)
     }
 
     /// Weighted-fair packing over the tenant lanes. Advances the lane
@@ -318,10 +287,6 @@ impl<T> AdmissionQueue<T> {
 mod tests {
     use super::*;
 
-    fn entry_tenants(window: &[Admitted<u32>]) -> Vec<String> {
-        window.iter().map(|e| e.tenant.to_string()).collect()
-    }
-
     #[test]
     fn admit_and_drain_preserves_per_tenant_fifo() {
         let q = AdmissionQueue::new(AdmissionConfig::unbounded());
@@ -351,67 +316,60 @@ mod tests {
         assert_eq!(q.len(), 3);
     }
 
+    fn queue_with_window(max_window_queries: usize) -> AdmissionQueue<u32> {
+        AdmissionQueue::new(AdmissionConfig {
+            max_window_queries,
+            ..AdmissionConfig::default()
+        })
+    }
+
+    fn count_of(window: &[Admitted<u32>], tenant: &str) -> usize {
+        window.iter().filter(|e| e.tenant.as_str() == tenant).count()
+    }
+
     #[test]
     fn window_packs_round_robin_across_tenants() {
-        let q = AdmissionQueue::new(AdmissionConfig {
-            max_window_queries: 4,
-            max_window_wait: Duration::from_millis(1),
-            max_queued_per_tenant: 0,
-        });
+        let q = queue_with_window(4);
         for i in 0..5 {
             q.admit(TenantId::new("chatty"), i).unwrap();
         }
         q.admit(TenantId::new("quiet"), 100).unwrap();
-        let window = q.next_window(|_| usize::MAX).unwrap();
+        let window = q.pack_window(|_| usize::MAX);
         // Round-robin: quiet's single query makes the window despite
         // chatty's five-deep backlog.
         assert_eq!(window.len(), 4);
-        assert!(entry_tenants(&window).contains(&"quiet".to_string()));
-        assert_eq!(
-            window.iter().filter(|e| e.tenant.as_str() == "chatty").count(),
-            3
-        );
+        assert_eq!(count_of(&window, "quiet"), 1);
+        assert_eq!(count_of(&window, "chatty"), 3);
     }
 
     #[test]
     fn per_window_quota_caps_a_tenant() {
-        let q = AdmissionQueue::new(AdmissionConfig {
-            max_window_queries: 8,
-            max_window_wait: Duration::from_millis(1),
-            max_queued_per_tenant: 0,
-        });
+        let q = queue_with_window(8);
         for i in 0..6 {
             q.admit(TenantId::new("chatty"), i).unwrap();
         }
         q.admit(TenantId::new("quiet"), 100).unwrap();
-        let window = q
-            .next_window(|t| if t.as_str() == "chatty" { 2 } else { usize::MAX })
-            .unwrap();
-        assert_eq!(
-            window.iter().filter(|e| e.tenant.as_str() == "chatty").count(),
-            2
-        );
-        assert_eq!(
-            window.iter().filter(|e| e.tenant.as_str() == "quiet").count(),
-            1
-        );
+        let window = q.pack_window(|t| if t.as_str() == "chatty" { 2 } else { usize::MAX });
+        assert_eq!(count_of(&window, "chatty"), 2);
+        assert_eq!(count_of(&window, "quiet"), 1);
         // The un-taken backlog stays parked.
         assert_eq!(q.tenant_len(&TenantId::new("chatty")), 4);
     }
 
     #[test]
-    fn window_closes_on_size_before_timer() {
-        let q = Arc::new(AdmissionQueue::new(AdmissionConfig {
-            max_window_queries: 2,
-            max_window_wait: Duration::from_secs(60),
-            max_queued_per_tenant: 0,
-        }));
-        q.admit(TenantId::new("a"), 1).unwrap();
-        q.admit(TenantId::new("b"), 2).unwrap();
-        let start = Instant::now();
-        let window = q.next_window(|_| usize::MAX).unwrap();
-        assert_eq!(window.len(), 2);
-        assert!(start.elapsed() < Duration::from_secs(5), "size target, not timer");
+    fn window_is_capped_at_max_window_queries() {
+        let q = queue_with_window(2);
+        for i in 0..5 {
+            q.admit(TenantId::new("a"), i).unwrap();
+        }
+        // A backlog leaves two at a time, in arrival order, without
+        // waiting for anything: 5 parked = windows of 2, 2, 1.
+        let windows: Vec<Vec<u32>> = std::iter::from_fn(|| {
+            let window = q.pack_window(|_| usize::MAX);
+            (!window.is_empty()).then(|| window.into_iter().map(|e| e.payload).collect())
+        })
+        .collect();
+        assert_eq!(windows, vec![vec![0, 1], vec![2, 3], vec![4]]);
     }
 
     #[test]
@@ -424,24 +382,24 @@ mod tests {
             Err(FusionError::AdmissionRejected { .. })
         ));
         // The parked entry still comes out...
-        let window = q.next_window(|_| usize::MAX).unwrap();
-        assert_eq!(window.len(), 1);
+        assert!(q.wait_nonempty());
+        assert_eq!(q.pack_window(|_| usize::MAX).len(), 1);
         // ...and only then does the stream end.
-        assert!(q.next_window(|_| usize::MAX).is_none());
+        assert!(!q.wait_nonempty());
     }
 
     #[test]
-    fn next_window_wakes_on_admission() {
-        let q = Arc::new(AdmissionQueue::new(AdmissionConfig {
-            max_window_queries: 1,
-            max_window_wait: Duration::from_millis(5),
-            max_queued_per_tenant: 0,
-        }));
+    fn wait_nonempty_wakes_on_admission() {
+        let q = Arc::new(queue_with_window(1));
         let q2 = Arc::clone(&q);
-        let waiter = std::thread::spawn(move || q2.next_window(|_| usize::MAX));
-        std::thread::sleep(Duration::from_millis(20));
+        // Whether the waiter parks before or after the admission, it
+        // returns with the entry.
+        let waiter = std::thread::spawn(move || {
+            assert!(q2.wait_nonempty());
+            q2.pack_window(|_| usize::MAX)
+        });
         q.admit(TenantId::new("a"), 7).unwrap();
-        let window = waiter.join().unwrap().unwrap();
+        let window = waiter.join().unwrap();
         assert_eq!(window[0].payload, 7);
     }
 }

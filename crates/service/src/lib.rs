@@ -9,9 +9,10 @@
 //! ```text
 //! ClientHandle::submit ──▶ admission (caps, budget) ──▶ AdmissionQueue
 //!                                                           │
-//!                        dispatcher thread: close window ◀──┘
-//!                        (max_window_queries / max_window_wait,
-//!                         weighted-fair tenant packing)
+//!                        dispatcher thread, whenever free: ◀┘
+//!                        pack what is parked (parks itself only
+//!                        while the queue is empty; at most
+//!                        max_window_queries, weighted-fair)
 //!                                    │
 //!                          Session::run_batch(window)
 //!                         (reuse groups, shared cache,
@@ -22,6 +23,9 @@
 //!                  metrics deltas absorbed into tenant snapshots)
 //! ```
 //!
+//! Dispatch is batch-while-busy: an idle service runs a lone query at
+//! once, and whatever arrives while a window executes becomes the next
+//! window, so occupancy rises with load and no query waits on a timer.
 //! Queries from *different tenants* that land in the same window share
 //! work exactly like a hand-assembled batch would: group formation is
 //! plan-driven and tenant-blind, while accounting and governance are
@@ -29,7 +33,7 @@
 
 use std::collections::HashMap;
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -50,9 +54,9 @@ use tenant::TenantState;
 /// governance defaults and overrides.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Window-formation knobs (`max_window_queries`, `max_window_wait`).
-    /// Per-tenant queue caps are governed by [`TenantConfig::max_queued`];
-    /// leave [`AdmissionConfig::max_queued_per_tenant`] at 0 here.
+    /// Window formation (`max_window_queries`). Per-tenant queue caps
+    /// are governed by [`TenantConfig::max_queued`]; leave
+    /// [`AdmissionConfig::max_queued_per_tenant`] at 0 here.
     pub admission: AdmissionConfig,
     /// Governance applied to tenants without an explicit override.
     pub default_tenant: TenantConfig,
@@ -123,6 +127,9 @@ struct Inner {
     queue: AdmissionQueue<Job>,
     config: ServiceConfig,
     tenants: Mutex<HashMap<TenantId, TenantState>>,
+    /// Held by the dispatcher while it forms a window, and by
+    /// [`QueryService::hold`] to keep a backlog parked meanwhile.
+    gate: Mutex<()>,
     /// Service-wide admission/window counters (tenant-scoped copies live
     /// in each [`TenantState`]'s governance sink).
     metrics: Arc<ExecMetrics>,
@@ -133,13 +140,25 @@ struct Inner {
 }
 
 impl Inner {
-    fn lock_tenants(&self) -> std::sync::MutexGuard<'_, HashMap<TenantId, TenantState>> {
+    fn new(session: Arc<Session>, config: ServiceConfig) -> Arc<Self> {
+        Arc::new(Inner {
+            session,
+            queue: AdmissionQueue::new(config.admission.clone()),
+            config,
+            tenants: Mutex::new(HashMap::new()),
+            gate: Mutex::new(()),
+            metrics: ExecMetrics::new(),
+            execution: Mutex::new(MetricsSnapshot::default()),
+        })
+    }
+
+    fn lock_tenants(&self) -> MutexGuard<'_, HashMap<TenantId, TenantState>> {
         self.tenants.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Admission: cap + budget checks, then park the job. Lock order is
-    /// strictly tenants → queue; the dispatcher never takes them in the
-    /// other order (its packing quotas are snapshotted up front).
+    /// Admission: cap + budget checks, then park the job. O(1): the SQL
+    /// is not looked at on the caller's thread. Lock order is strictly
+    /// tenants → queue, here and in [`Inner::form_window`].
     fn submit(&self, tenant: TenantId, sql: String) -> Result<Ticket> {
         let (tenant_metrics, reservation) = {
             let mut tenants = self.lock_tenants();
@@ -198,107 +217,89 @@ impl Inner {
         Ok(Ticket { rx })
     }
 
-    /// Snapshot the per-tenant window-packing quotas: each tenant's share
-    /// of a window is proportional to its weight (never below one slot)
-    /// and capped by its `max_inflight`. Taken *before* blocking on the
-    /// queue so the packing closure never locks the tenant map (see the
-    /// lock-order note on [`Inner::submit`]); tenants that first appear
-    /// while the dispatcher is parked get the default quota this window.
-    fn window_quotas(&self) -> (HashMap<TenantId, usize>, usize) {
-        let tenants = self.lock_tenants();
-        let max_q = self.config.admission.max_window_queries;
+    /// Pack the next window from whatever is parked and move its queries
+    /// from queued to in flight. Each tenant's share is proportional to
+    /// its weight among the tenants with queries parked *now* (never
+    /// below one slot) and capped by its `max_inflight`. The tenant map
+    /// stays locked across the pack, so quotas, lanes and counts are one
+    /// consistent view and every parked tenant is in the map.
+    fn form_window(&self) -> Vec<Admitted<Job>> {
+        let _gate = self.gate.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut tenants = self.lock_tenants();
         let total_weight: usize = tenants
             .values()
             .filter(|s| s.queued > 0)
             .map(|s| s.config.weight.max(1))
             .sum::<usize>()
             .max(1);
-        let base = (max_q / total_weight).max(1);
+        let base = (self.config.admission.max_window_queries / total_weight).max(1);
         let quota_for = |cfg: &TenantConfig| {
-            let q = (cfg.weight.max(1)).saturating_mul(base).max(1);
+            let q = cfg.weight.max(1).saturating_mul(base);
             if cfg.max_inflight > 0 {
                 q.min(cfg.max_inflight)
             } else {
                 q
             }
         };
-        let quotas = tenants
-            .iter()
-            .map(|(t, s)| (t.clone(), quota_for(&s.config)))
-            .collect();
-        (quotas, quota_for(&self.config.default_tenant))
-    }
-
-    /// Execute one closed window through the engine's batch path and
-    /// route each slot back to its waiter. Typed per-query errors stay in
-    /// their slot; a batch-wide failure (fail-fast, strict mode) is
-    /// cloned to every waiter in the window.
-    fn run_window(&self, window: Vec<Admitted<Job>>) {
+        let window = self
+            .queue
+            .pack_window(|t| tenants.get(t).map_or(1, |s| quota_for(&s.config)));
         let dispatched_at = Instant::now();
-        {
-            let mut tenants = self.lock_tenants();
-            for entry in &window {
-                let wait = dispatched_at
-                    .saturating_duration_since(entry.enqueued_at)
-                    .as_nanos() as u64;
-                self.metrics.add_queue_wait_nanos(wait);
-                if let Some(state) = tenants.get_mut(&entry.tenant) {
-                    state.metrics.add_queue_wait_nanos(wait);
-                    state.queued = state.queued.saturating_sub(1);
-                    state.inflight += 1;
-                }
+        for entry in &window {
+            let wait = dispatched_at
+                .saturating_duration_since(entry.enqueued_at)
+                .as_nanos() as u64;
+            self.metrics.add_queue_wait_nanos(wait);
+            if let Some(state) = tenants.get_mut(&entry.tenant) {
+                state.metrics.add_queue_wait_nanos(wait);
+                state.queued = state.queued.saturating_sub(1);
+                state.inflight += 1;
             }
         }
         self.metrics.add_window_dispatched(window.len() as u64);
+        window
+    }
+
+    /// Execute one window through the engine's batch path and route each
+    /// slot back to its waiter. Typed per-query errors stay in
+    /// their slot; a batch-wide failure (fail-fast, strict mode) is
+    /// cloned to every waiter in the window.
+    fn run_window(&self, window: Vec<Admitted<Job>>) {
         let sqls: Vec<&str> = window.iter().map(|e| e.payload.sql.as_str()).collect();
         let batch = self.session.run_batch(&sqls);
-        let mut tenants = self.lock_tenants();
-        let mut window_deltas: HashMap<TenantId, MetricsSnapshot> = HashMap::new();
-        match batch {
+        // One `Result` per slot: a batch-wide failure is every slot's.
+        let slots: Vec<Result<QueryResult>> = match batch {
             Ok(batch) => {
                 self.execution
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner)
                     .absorb(&batch.metrics);
-                for (entry, slot) in window.into_iter().zip(batch.results) {
-                    if let Some(state) = tenants.get_mut(&entry.tenant) {
-                        state.inflight = state.inflight.saturating_sub(1);
+                let results = batch.results.into_iter();
+                results.map(|slot| slot.map_err(|failure| failure.error)).collect()
+            }
+            Err(err) => vec![Err(err); window.len()],
+        };
+        let mut tenants = self.lock_tenants();
+        let mut window_deltas: HashMap<TenantId, MetricsSnapshot> = HashMap::new();
+        for (entry, slot) in window.into_iter().zip(slots) {
+            if let Some(state) = tenants.get_mut(&entry.tenant) {
+                state.inflight = state.inflight.saturating_sub(1);
+                if let Ok(result) = &slot {
+                    if result.reused() {
+                        self.metrics.add_query_coalesced_shared();
+                        state.metrics.add_query_coalesced_shared();
                     }
-                    match slot {
-                        Ok(result) => {
-                            if result.reused() {
-                                self.metrics.add_query_coalesced_shared();
-                                if let Some(state) = tenants.get_mut(&entry.tenant) {
-                                    state.metrics.add_query_coalesced_shared();
-                                }
-                            }
-                            // Slot metrics are per-query deltas (batch
-                            // fault-domain semantics), so absorbing them
-                            // keeps tenant snapshots free of other
-                            // tenants' counters.
-                            window_deltas
-                                .entry(entry.tenant.clone())
-                                .or_default()
-                                .absorb(&result.metrics);
-                            if let Some(state) = tenants.get_mut(&entry.tenant) {
-                                state.cumulative.absorb(&result.metrics);
-                            }
-                            let _ = entry.payload.responder.send(Ok(result));
-                        }
-                        Err(failure) => {
-                            let _ = entry.payload.responder.send(Err(failure.error));
-                        }
-                    }
+                    // Slot metrics are per-query deltas (batch
+                    // fault-domain semantics), so absorbing them keeps
+                    // tenant snapshots free of other tenants' counters.
+                    state.cumulative.absorb(&result.metrics);
+                    window_deltas
+                        .entry(entry.tenant.clone())
+                        .or_default()
+                        .absorb(&result.metrics);
                 }
             }
-            Err(err) => {
-                for entry in window {
-                    if let Some(state) = tenants.get_mut(&entry.tenant) {
-                        state.inflight = state.inflight.saturating_sub(1);
-                    }
-                    let _ = entry.payload.responder.send(Err(err.clone()));
-                }
-            }
+            let _ = entry.payload.responder.send(slot);
         }
         for (tenant, delta) in window_deltas {
             if let Some(state) = tenants.get_mut(&tenant) {
@@ -307,18 +308,33 @@ impl Inner {
         }
     }
 
+    /// Batch-while-busy: park only while nothing is queued; otherwise
+    /// run what is there. Arrivals during `run_window` form the next
+    /// window. Ends once the queue is closed and fully drained, when
+    /// every waiter has its response.
     fn dispatch_loop(&self) {
-        loop {
-            let (quotas, default_quota) = self.window_quotas();
-            let window = self
-                .queue
-                .next_window(|t| quotas.get(t).copied().unwrap_or(default_quota));
-            match window {
-                Some(window) => self.run_window(window),
-                // Queue closed and fully drained: every waiter got its
-                // response; the dispatcher can retire.
-                None => break,
-            }
+        while self.queue.wait_nonempty() {
+            let window = self.form_window();
+            self.run_window(window);
+        }
+    }
+}
+
+/// The dispatcher's exit guard, owned by its thread's closure. However
+/// the dispatcher ends — queue closed and drained, a panic inside a
+/// window, or a thread that never spawned (the unrun closure is dropped,
+/// and the guard with it) — no [`Ticket`] is left waiting: the queue is
+/// closed, so later `submit`s are refused, and every job still parked is
+/// answered with a typed internal error.
+struct DispatcherExit(Arc<Inner>);
+
+impl Drop for DispatcherExit {
+    fn drop(&mut self) {
+        self.0.queue.close();
+        for entry in self.0.queue.drain_all() {
+            let _ = entry.payload.responder.send(Err(FusionError::Internal(
+                "query service dispatcher exited before running this query".into(),
+            )));
         }
     }
 }
@@ -336,18 +352,16 @@ impl QueryService {
     /// *before* wrapping it in `Arc` — the catalog is immutable once
     /// shared). Spawns the dispatcher thread immediately.
     pub fn start(session: Arc<Session>, config: ServiceConfig) -> Self {
-        let inner = Arc::new(Inner {
-            session,
-            queue: AdmissionQueue::new(config.admission.clone()),
-            config,
-            tenants: Mutex::new(HashMap::new()),
-            metrics: ExecMetrics::new(),
-            execution: Mutex::new(MetricsSnapshot::default()),
-        });
-        let dispatcher_inner = Arc::clone(&inner);
+        let inner = Inner::new(session, config);
+        let exit = DispatcherExit(Arc::clone(&inner));
         let dispatcher = std::thread::Builder::new()
             .name("fusion-service-dispatcher".into())
-            .spawn(move || dispatcher_inner.dispatch_loop())
+            .spawn(move || {
+                // Bind the whole guard, so it drops with this closure
+                // whether the closure runs, unwinds or is never run.
+                let exit = exit;
+                exit.0.dispatch_loop();
+            })
             .ok();
         QueryService {
             inner,
@@ -362,6 +376,15 @@ impl QueryService {
             inner: Arc::clone(&self.inner),
             tenant: tenant.into(),
         }
+    }
+
+    /// Hold the dispatcher between windows: a window already executing
+    /// finishes, but the next one is not formed until the guard drops, so
+    /// everything submitted meanwhile leaves as one backlog. Drop the
+    /// guard before calling [`QueryService::shutdown`], which waits for
+    /// the dispatcher.
+    pub fn hold(&self) -> MutexGuard<'_, ()> {
+        self.inner.gate.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The shared engine session (for catalog inspection in tests/bench).
@@ -451,8 +474,9 @@ impl QueryService {
         );
         let _ = writeln!(
             out,
-            "queue wait: total={:.3}ms max={:.3}ms",
+            "queue wait: total={:.3}ms mean={:.3}ms max={:.3}ms",
             snap.queue_wait_nanos as f64 / 1e6,
+            snap.queue_wait_nanos as f64 / 1e6 / snap.window_occupancy.max(1) as f64,
             snap.queue_wait_nanos_max as f64 / 1e6
         );
         let exec = self.execution_metrics();
@@ -518,5 +542,58 @@ impl ClientHandle {
     /// coalesces it with whatever else is in flight.
     pub fn query(&self, sql: impl Into<String>) -> Result<QueryResult> {
         self.submit(sql)?.wait()
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::panic)]
+mod tests {
+    use super::*;
+
+    /// A service core with no dispatcher thread: jobs only ever park.
+    fn parked(config: ServiceConfig) -> Arc<Inner> {
+        Inner::new(Arc::new(Session::new()), config)
+    }
+
+    #[test]
+    fn first_window_after_idle_is_packed_by_weight() {
+        let weighted = |weight| TenantConfig {
+            weight,
+            ..TenantConfig::default()
+        };
+        let inner = parked(
+            ServiceConfig::default()
+                .with_tenant("light", weighted(1))
+                .with_tenant("heavy", weighted(3)),
+        );
+        // Nobody was queued, or even known, before this burst.
+        for tenant in ["light", "heavy"] {
+            for _ in 0..8 {
+                inner.submit(TenantId::new(tenant), "SELECT 1".into()).unwrap();
+            }
+        }
+        let window = inner.form_window();
+        let count = |name| window.iter().filter(|e| e.tenant.as_str() == name).count();
+        assert_eq!((count("light"), count("heavy")), (2, 6));
+        assert_eq!(inner.queue.len(), 8);
+    }
+
+    #[test]
+    fn dispatcher_exit_answers_every_parked_ticket() {
+        let inner = parked(ServiceConfig::default());
+        let tickets: Vec<Ticket> = ["a", "b", "a"]
+            .into_iter()
+            .map(|t| inner.submit(TenantId::new(t), "SELECT 1".into()).unwrap())
+            .collect();
+        drop(DispatcherExit(Arc::clone(&inner)));
+        for ticket in tickets {
+            match ticket.wait() {
+                Err(FusionError::Internal(why)) => assert!(why.contains("dispatcher exited"), "{why}"),
+                other => panic!("expected a typed internal error, got {other:?}"),
+            }
+        }
+        assert!(inner.queue.is_empty());
+        let late = inner.submit(TenantId::new("a"), "SELECT 1".into()).unwrap_err();
+        assert_eq!(late.code().as_str(), "FUSION_ADMISSION_REJECTED");
     }
 }

@@ -1,5 +1,10 @@
 //! Multi-tenant query service: concurrency soak, admission caps,
 //! graceful shutdown, fairness, and per-tenant metrics isolation.
+//!
+//! Tests that need particular queries in one window stage them behind
+//! `QueryService::hold()`: submit while the dispatcher is held, release,
+//! and the backlog leaves as deterministic windows. Nothing here sleeps
+//! or relies on a timer to form a window.
 #![allow(clippy::unwrap_used, clippy::panic)]
 
 use std::sync::Arc;
@@ -37,22 +42,23 @@ fn two_tenants_share_one_window() {
     let service = start_service(ServiceConfig {
         admission: AdmissionConfig {
             max_window_queries: 2,
-            max_window_wait: Duration::from_millis(200),
-            max_queued_per_tenant: 0,
+            ..AdmissionConfig::default()
         },
         ..ServiceConfig::default()
     });
     let sql = sql_of("C42");
     let acme = service.client("acme");
     let blox = service.client("blox");
+    let hold = service.hold();
     let t1 = acme.submit(sql.clone()).unwrap();
     let t2 = blox.submit(sql).unwrap();
+    drop(hold);
     let r1 = t1.wait().unwrap();
     let r2 = t2.wait().unwrap();
     assert_eq!(r1.rows, r2.rows);
     let snap = service.service_metrics();
     assert_eq!(snap.queries_admitted, 2);
-    assert!(snap.windows_dispatched >= 1);
+    assert_eq!(snap.windows_dispatched, 1);
     assert!(
         snap.queries_coalesced_shared >= 1,
         "identical queries in one window must share: {snap:?}"
@@ -65,17 +71,8 @@ fn two_tenants_share_one_window() {
 
 #[test]
 fn queue_cap_rejects_typed() {
-    // A window large enough that nothing dispatches while we overfill.
     let service = start_service(
-        ServiceConfig {
-            admission: AdmissionConfig {
-                max_window_queries: 64,
-                max_window_wait: Duration::from_secs(30),
-                max_queued_per_tenant: 0,
-            },
-            ..ServiceConfig::default()
-        }
-        .with_tenant(
+        ServiceConfig::default().with_tenant(
             "capped",
             TenantConfig {
                 max_queued: 2,
@@ -85,6 +82,8 @@ fn queue_cap_rejects_typed() {
     );
     let sql = sql_of("C42");
     let client = service.client("capped");
+    // Nothing dispatches while we overfill.
+    let hold = service.hold();
     let _t1 = client.submit(sql.clone()).unwrap();
     let _t2 = client.submit(sql.clone()).unwrap();
     let err = client.submit(sql.clone()).unwrap_err();
@@ -99,6 +98,7 @@ fn queue_cap_rejects_typed() {
         .tenant_metrics(&TenantId::new("capped"))
         .unwrap();
     assert_eq!(tenant.queries_rejected, 1);
+    drop(hold);
     service.shutdown();
 }
 
@@ -106,11 +106,6 @@ fn queue_cap_rejects_typed() {
 fn memory_budget_rejects_typed() {
     let service = start_service(
         ServiceConfig {
-            admission: AdmissionConfig {
-                max_window_queries: 64,
-                max_window_wait: Duration::from_secs(30),
-                max_queued_per_tenant: 0,
-            },
             per_query_memory_cost: 1 << 20,
             ..ServiceConfig::default()
         }
@@ -125,11 +120,13 @@ fn memory_budget_rejects_typed() {
     );
     let sql = sql_of("C42");
     let client = service.client("frugal");
+    let hold = service.hold();
     let _t1 = client.submit(sql.clone()).unwrap();
     let _t2 = client.submit(sql.clone()).unwrap();
     let err = client.submit(sql).unwrap_err();
     assert_eq!(err.code().as_str(), "FUSION_ADMISSION_REJECTED");
     assert!(err.to_string().contains("memory budget"), "{err}");
+    drop(hold);
     service.shutdown();
 }
 
@@ -138,22 +135,26 @@ fn graceful_shutdown_drains_every_waiter() {
     let service = start_service(ServiceConfig {
         admission: AdmissionConfig {
             max_window_queries: 4,
-            max_window_wait: Duration::from_millis(5),
-            max_queued_per_tenant: 0,
+            ..AdmissionConfig::default()
         },
         ..ServiceConfig::default()
     });
     let sql = sql_of("C42");
     let mut tickets = Vec::new();
+    let hold = service.hold();
     for i in 0..12 {
         let client = service.client(if i % 2 == 0 { "even" } else { "odd" });
         tickets.push(client.submit(sql.clone()).unwrap());
     }
+    // Shutdown follows the release at once: whatever is still parked
+    // when the queue closes must drain.
+    drop(hold);
     service.shutdown();
     // Every waiter gets a response — none lost, none hung.
     for ticket in tickets {
         ticket.wait().unwrap();
     }
+    assert_eq!(service.service_metrics().windows_dispatched, 3);
     // Post-shutdown admissions are refused, typed.
     let err = service.client("late").submit(sql).unwrap_err();
     assert_eq!(err.code().as_str(), "FUSION_ADMISSION_REJECTED");
@@ -176,8 +177,7 @@ fn soak_mixed_tenants_bit_identical_to_standalone() {
     let service = Arc::new(start_service(ServiceConfig {
         admission: AdmissionConfig {
             max_window_queries: 8,
-            max_window_wait: Duration::from_millis(10),
-            max_queued_per_tenant: 0,
+            ..AdmissionConfig::default()
         },
         ..ServiceConfig::default()
     }));
@@ -223,8 +223,7 @@ fn soak_with_seeded_faults_keeps_errors_in_their_slot() {
         ServiceConfig {
             admission: AdmissionConfig {
                 max_window_queries: 6,
-                max_window_wait: Duration::from_millis(8),
-                max_queued_per_tenant: 0,
+                ..AdmissionConfig::default()
             },
             ..ServiceConfig::default()
         },
@@ -267,8 +266,7 @@ fn weighted_fair_packing_prevents_starvation() {
         ServiceConfig {
             admission: AdmissionConfig {
                 max_window_queries: 4,
-                max_window_wait: Duration::from_millis(100),
-                max_queued_per_tenant: 0,
+                ..AdmissionConfig::default()
             },
             ..ServiceConfig::default()
         }
@@ -284,17 +282,20 @@ fn weighted_fair_packing_prevents_starvation() {
     let chatty = service.client("chatty");
     let quiet = service.client("quiet");
     let mut tickets = Vec::new();
+    let hold = service.hold();
     for _ in 0..6 {
         tickets.push(chatty.submit(sql.clone()).unwrap());
     }
     tickets.push(quiet.submit(sql.clone()).unwrap());
+    drop(hold);
     for ticket in tickets {
         ticket.wait().unwrap();
     }
     // The chatty tenant was capped at 2 slots per window, so its 6
-    // queries needed >= 3 windows; quiet's single query rode along.
+    // queries needed 3 windows; quiet's single query rode along in the
+    // first.
     let snap = service.service_metrics();
-    assert!(snap.windows_dispatched >= 3, "{snap:?}");
+    assert_eq!(snap.windows_dispatched, 3, "{snap:?}");
     let quiet_metrics = service.tenant_metrics(&TenantId::new("quiet")).unwrap();
     assert_eq!(quiet_metrics.queries_admitted, 1);
     service.shutdown();
@@ -305,8 +306,7 @@ fn tenant_metrics_are_isolated_per_tenant_and_window() {
     let service = start_service(ServiceConfig {
         admission: AdmissionConfig {
             max_window_queries: 2,
-            max_window_wait: Duration::from_millis(100),
-            max_queued_per_tenant: 0,
+            ..AdmissionConfig::default()
         },
         ..ServiceConfig::default()
     });
@@ -319,8 +319,10 @@ fn tenant_metrics_are_isolated_per_tenant_and_window() {
 
     let heavy = service.client("heavy");
     let light = service.client("light");
+    let hold = service.hold();
     let t1 = heavy.submit(sql_of("C42")).unwrap();
     let t2 = light.submit(light_sql).unwrap();
+    drop(hold);
     let heavy_rows = t1.wait().unwrap();
     t2.wait().unwrap();
     assert!(!heavy_rows.rows.is_empty());
@@ -339,6 +341,61 @@ fn tenant_metrics_are_isolated_per_tenant_and_window() {
     let light_cumulative = service.tenant_metrics(&TenantId::new("light")).unwrap();
     assert_eq!(light_cumulative.bytes_scanned, light_solo.bytes_scanned);
     assert_eq!(light_cumulative.queries_admitted, 1);
+    // Both tenants were in the same window.
+    assert_eq!(service.service_metrics().windows_dispatched, 1);
+    service.shutdown();
+}
+
+#[test]
+fn lone_query_on_idle_service_runs_at_once() {
+    // `max_window_wait` is read by nothing: a lone query is a one-query
+    // window the moment it arrives, not after 30 s.
+    let service = start_service(ServiceConfig {
+        admission: AdmissionConfig {
+            max_window_wait: Duration::from_secs(30),
+            ..AdmissionConfig::default()
+        },
+        ..ServiceConfig::default()
+    });
+    let (tx, rx) = std::sync::mpsc::channel();
+    let client = service.client("solo");
+    let worker = std::thread::spawn(move || {
+        let _ = tx.send(client.query("SELECT COUNT(*) AS n FROM time_dim"));
+    });
+    // A watchdog, not a stage: far above the query's cost, far below 30 s.
+    let result = rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("a lone query waited on a timer");
+    assert_eq!(result.unwrap().rows.len(), 1);
+    worker.join().unwrap();
+    let snap = service.service_metrics();
+    assert_eq!((snap.windows_dispatched, snap.window_occupancy), (1, 1));
+    service.shutdown();
+}
+
+#[test]
+fn staged_backlog_leaves_in_full_windows_and_coalesces_repeats() {
+    let service = start_service(ServiceConfig::default());
+    let sql = sql_of("C42");
+    let clients: Vec<_> = (0..4).map(|t| service.client(format!("t{t}").as_str())).collect();
+    const N: usize = 20;
+    let hold = service.hold();
+    let tickets: Vec<_> = (0..N)
+        .map(|i| clients[i % 4].submit(sql.clone()).unwrap())
+        .collect();
+    assert_eq!(service.queued_total(), N);
+    drop(hold);
+    let expected = tpcds_session().sql(&sql).unwrap().rows;
+    for ticket in tickets {
+        assert_eq!(ticket.wait().unwrap().rows, expected);
+    }
+    // 20 parked = windows of 8, 8, 4. The first executes the repeated
+    // plan once for all eight and admits it; the other two are warm hits.
+    let snap = service.service_metrics();
+    assert_eq!(snap.windows_dispatched as usize, N.div_ceil(8));
+    assert_eq!(snap.window_occupancy as usize, N);
+    assert_eq!(snap.queries_coalesced_shared as usize, N);
+    assert_eq!(service.execution_metrics().shared_subplans_executed, 1);
     service.shutdown();
 }
 
@@ -365,8 +422,7 @@ fn wire_adapter_serves_two_tenants_over_tcp() {
     let service = Arc::new(start_service(ServiceConfig {
         admission: AdmissionConfig {
             max_window_queries: 2,
-            max_window_wait: Duration::from_millis(50),
-            max_queued_per_tenant: 0,
+            ..AdmissionConfig::default()
         },
         ..ServiceConfig::default()
     }));
