@@ -24,4 +24,4 @@ pub use error::{ErrorCode, FusionError, Result};
 pub use ident::{ColumnId, IdGen};
 pub use schema::{Field, Schema, SchemaRef};
 pub use types::DataType;
-pub use value::Value;
+pub use value::{rows_checksum, Value};

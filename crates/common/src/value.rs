@@ -187,6 +187,36 @@ impl Hash for Value {
     }
 }
 
+/// FNV-1a over row contents (row count, per-row arity, and every value
+/// through [`Value`]'s `Hash`, which normalizes float bits). Deterministic
+/// within a process, which is all integrity verification and in-process
+/// equality witnesses need. The reuse cache stamps entries with it and
+/// re-verifies on every hit; a `ConstantTable` leaf carries it so plan
+/// comparison and canonical encoding never walk shared rows.
+pub fn rows_checksum(rows: &[Vec<Value>]) -> u64 {
+    struct Fnv(u64);
+    impl Hasher for Fnv {
+        fn finish(&self) -> u64 {
+            self.0
+        }
+        fn write(&mut self, bytes: &[u8]) {
+            for &b in bytes {
+                self.0 ^= b as u64;
+                self.0 = self.0.wrapping_mul(0x100_0000_01B3);
+            }
+        }
+    }
+    let mut h = Fnv(0xCBF2_9CE4_8422_2325);
+    rows.len().hash(&mut h);
+    for row in rows {
+        row.len().hash(&mut h);
+        for v in row {
+            v.hash(&mut h);
+        }
+    }
+    h.0
+}
+
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -32,7 +32,7 @@ use std::fmt;
 
 use fusion_common::ColumnId;
 use fusion_expr::{simplify, split_conjuncts, split_disjuncts, AggregateExpr, Expr, WindowExpr};
-use fusion_plan::{JoinType, LogicalPlan};
+use fusion_plan::{ConstantTable, JoinType, LogicalPlan};
 
 /// A stable 64-bit fingerprint of a canonicalized plan (FNV-1a over the
 /// canonical serialization).
@@ -254,17 +254,21 @@ pub fn encode(plan: &LogicalPlan) -> (String, Vec<String>) {
         }
         LogicalPlan::ConstantTable(c) => {
             let slots: Vec<String> = c
-                .fields
+                .fields()
                 .iter()
                 .enumerate()
                 .map(|(i, f)| format!("const{}:{:?}", i, f.data_type))
                 .collect();
-            let encoding = format!(
-                "ConstantTable([{}];{:?})",
-                slots.join(","),
-                c.rows
-            );
-            (encoding, slots)
+            // `$tag`-sized tables are spelled out. A larger leaf is
+            // identified by (types, row checksum, row count, view): still
+            // an equality witness, and O(fields) however many rows a
+            // splice put behind it.
+            let rows = if c.len() <= ConstantTable::INLINE_ROWS {
+                format!("{:?}", c.view().collect::<Vec<_>>())
+            } else {
+                format!("#{:016x}x{}@{:?}", c.checksum(), c.len(), c.columns())
+            };
+            (format!("ConstantTable([{}];{})", slots.join(","), rows), slots)
         }
         LogicalPlan::EnforceSingleRow(e) => {
             let (enc, slots) = encode(&e.input);

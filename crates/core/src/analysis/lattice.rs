@@ -31,7 +31,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 
 use fusion_common::{ColumnId, DataType, Value};
 use fusion_expr::Expr;
-use fusion_plan::{JoinType, LogicalPlan};
+use fusion_plan::{ConstantTable, JoinType, LogicalPlan};
 
 /// Caps keep the lattice cheap on pathological plans; dropping facts is
 /// always sound.
@@ -120,26 +120,26 @@ pub fn node_props(plan: &LogicalPlan, children: &[PlanProps]) -> PlanProps {
         },
         LogicalPlan::ConstantTable(t) => {
             let mut p = PlanProps {
-                single_row: t.rows.len() <= 1,
+                single_row: t.len() <= 1,
                 ..PlanProps::default()
             };
-            for (i, f) in t.fields.iter().enumerate() {
+            // Tag tables are small by construction; a larger leaf is a
+            // spliced shared result and carries no dispatch column.
+            if t.is_empty() || t.len() > ConstantTable::INLINE_ROWS {
+                return p;
+            }
+            for (i, f) in t.fields().iter().enumerate() {
                 if f.data_type != DataType::Int64 || !is_tag_name(&f.name) {
                     continue;
                 }
                 let mut values = BTreeSet::new();
-                let mut ok = true;
-                for row in &t.rows {
-                    match row.get(i) {
-                        Some(Value::Int64(v)) => {
-                            // Duplicate tag values would break the "one
-                            // row per branch" invariant; drop the fact.
-                            ok &= values.insert(*v);
-                        }
-                        _ => ok = false,
-                    }
-                }
-                if ok && !t.rows.is_empty() {
+                // Duplicate tag values would break the "one row per
+                // branch" invariant; drop the fact.
+                let ok = t.view().all(|row| match row[i] {
+                    Value::Int64(v) => values.insert(*v),
+                    _ => false,
+                });
+                if ok {
                     p.tag_domains.insert(f.id, values);
                     p.add_key([f.id].into_iter().collect());
                 }

@@ -21,7 +21,7 @@ use fusion_plan::{
 use super::canon::canonical_form;
 use super::reuse::{
     certify_exact_splice, certify_fused_splice, certify_maintainability, certify_stamps,
-    certify_subsumption, check_maintain_claim, MaintainShape,
+    certify_subsumption, check_maintain_claim, MaintainShape, ReuseCertificate,
 };
 use super::{analyze_plan, check_fuse_contract, render_violations, Violation};
 use crate::fuse::{fuse, FuseContext, Fused};
@@ -179,12 +179,7 @@ fn filter_fusion_mutants(report: &mut MutationReport) {
     });
     let ctx = FuseContext::new(gen);
     let Some(good) = fuse(&p1, &p2, &ctx) else {
-        report.outcomes.push(MutationOutcome {
-            description: "filter fusion sample failed to fuse".into(),
-            killed: false,
-            detail: String::new(),
-        });
-        return;
+        return sample_failed(report, "filter fusion");
     };
 
     // Baseline: the uncorrupted result must be accepted (recorded
@@ -294,12 +289,7 @@ fn scalar_aggregate_mutants(report: &mut MutationReport) {
     });
     let ctx = FuseContext::new(gen);
     let Some(good) = fuse(&p1, &p2, &ctx) else {
-        report.outcomes.push(MutationOutcome {
-            description: "scalar aggregate sample failed to fuse".into(),
-            killed: false,
-            detail: String::new(),
-        });
-        return;
+        return sample_failed(report, "scalar aggregate");
     };
     let baseline = check_fuse_contract(&p1, &p2, &good);
     report.outcomes.push(MutationOutcome {
@@ -379,12 +369,7 @@ fn keyed_aggregate_mutants(report: &mut MutationReport) {
     });
     let ctx = FuseContext::new(gen);
     let Some(good) = fuse(&p1, &p2, &ctx) else {
-        report.outcomes.push(MutationOutcome {
-            description: "keyed aggregate sample failed to fuse".into(),
-            killed: false,
-            detail: String::new(),
-        });
-        return;
+        return sample_failed(report, "keyed aggregate");
     };
     let baseline = check_fuse_contract(&p1, &p2, &good);
     report.outcomes.push(MutationOutcome {
@@ -582,6 +567,39 @@ impl MutationReport {
         });
     }
 
+    /// Record one stored layout that is a *permutation* of the shared
+    /// plan's: the columns are all there, somewhere else. It is handled —
+    /// killed — when the prover refuses it, or binds every shared column
+    /// to the stored position with the same slot and so not position by
+    /// position, which is how a permuted entry serves one consumer
+    /// another's values.
+    fn record_layout(
+        &mut self,
+        description: impl Into<String>,
+        result: Result<ReuseCertificate, Vec<Violation>>,
+        shared_slots: &[String],
+        stored_slots: &[String],
+    ) {
+        let (killed, detail) = match result {
+            Err(v) => (true, render_violations(&v)),
+            Ok(ReuseCertificate::FusedSplice { positions, .. }) => {
+                let by_slot = positions.len() == shared_slots.len()
+                    && positions
+                        .iter()
+                        .zip(shared_slots)
+                        .all(|(&k, slot)| stored_slots.get(k) == Some(slot));
+                let positional = positions.iter().enumerate().all(|(j, &k)| j == k);
+                (by_slot && !positional, format!("bound at {positions:?}"))
+            }
+            Ok(other) => (false, other.describe()),
+        };
+        self.outcomes.push(MutationOutcome {
+            description: description.into(),
+            killed,
+            detail,
+        });
+    }
+
     /// Record one pristine artifact that must be *accepted* (inverted:
     /// "killed" means the prover stayed quiet).
     fn record_pristine<T>(
@@ -699,28 +717,26 @@ fn fused_splice_mutants(report: &mut MutationReport) {
     });
     let ctx = FuseContext::new(gen);
     let Some(good) = fuse(&p1, &p2, &ctx) else {
-        report.outcomes.push(MutationOutcome {
-            description: "fused splice sample failed to fuse".into(),
-            killed: false,
-            detail: String::new(),
-        });
-        return;
+        return sample_failed(report, "fused splice");
     };
+
+    // The stored rows of these samples are the fused plan's own output.
+    let slots = canonical_form(&good.plan).slots;
 
     report.record_pristine(
         "fused splice: pristine mapping/compensation accepted",
-        certify_fused_splice(&p2, &good.plan, &good.mapping, &good.right),
+        certify_fused_splice(&p2, &good.plan, &slots, &good.mapping, &good.right),
     );
 
     // Swapped compensation: serve P2 through P1's residual.
     report.record_cert(
         "fused splice: compensations swapped (P2 served through L)",
-        certify_fused_splice(&p2, &good.plan, &good.mapping, &good.left),
+        certify_fused_splice(&p2, &good.plan, &slots, &good.mapping, &good.left),
     );
     // Widened compensation: TRUE keeps the other member's rows.
     report.record_cert(
         "fused splice: compensation widened to TRUE",
-        certify_fused_splice(&p2, &good.plan, &good.mapping, &Expr::boolean(true)),
+        certify_fused_splice(&p2, &good.plan, &slots, &good.mapping, &Expr::boolean(true)),
     );
     // Wrong literal in the compensation.
     report.record_cert(
@@ -728,6 +744,7 @@ fn fused_splice_mutants(report: &mut MutationReport) {
         certify_fused_splice(
             &p2,
             &good.plan,
+            &slots,
             &good.mapping,
             &col(good.mapped_id(x2)).lt(lit(4i64)),
         ),
@@ -739,6 +756,7 @@ fn fused_splice_mutants(report: &mut MutationReport) {
         certify_fused_splice(
             &p2,
             &good.plan,
+            &slots,
             &good.mapping,
             &good
                 .right
@@ -753,7 +771,7 @@ fn fused_splice_mutants(report: &mut MutationReport) {
         if m.len() < good.mapping.len() {
             report.record_cert(
                 format!("fused splice: drop mapping entry for {}#{}", f.name, f.id.0),
-                certify_fused_splice(&p2, &good.plan, &m, &good.right),
+                certify_fused_splice(&p2, &good.plan, &slots, &m, &good.right),
             );
         }
     }
@@ -762,7 +780,7 @@ fn fused_splice_mutants(report: &mut MutationReport) {
         m.insert(x2, ctx.gen.fresh());
         report.record_cert(
             "fused splice: remap consumer x onto unknown column",
-            certify_fused_splice(&p2, &good.plan, &m, &good.right),
+            certify_fused_splice(&p2, &good.plan, &slots, &m, &good.right),
         );
     }
     {
@@ -771,7 +789,7 @@ fn fused_splice_mutants(report: &mut MutationReport) {
         m.insert(x2, field_id(&s1, "y"));
         report.record_cert(
             "fused splice: remap consumer Int64 x onto Utf8 column",
-            certify_fused_splice(&p2, &good.plan, &m, &good.right),
+            certify_fused_splice(&p2, &good.plan, &slots, &m, &good.right),
         );
     }
     // Compensation hygiene.
@@ -780,13 +798,14 @@ fn fused_splice_mutants(report: &mut MutationReport) {
         certify_fused_splice(
             &p2,
             &good.plan,
+            &slots,
             &good.mapping,
             &col(ctx.gen.fresh()).gt(lit(0i64)),
         ),
     );
     report.record_cert(
         "fused splice: compensation is not boolean",
-        certify_fused_splice(&p2, &good.plan, &good.mapping, &col(x1).add(lit(1i64))),
+        certify_fused_splice(&p2, &good.plan, &slots, &good.mapping, &col(x1).add(lit(1i64))),
     );
 
     // Two-conjunct consumer: dropping one conjunct from the compensation
@@ -807,25 +826,192 @@ fn fused_splice_mutants(report: &mut MutationReport) {
     });
     let ctx = FuseContext::new(gen);
     let Some(good2) = fuse(&q1, &q2, &ctx) else {
-        report.outcomes.push(MutationOutcome {
-            description: "two-conjunct fused splice sample failed to fuse".into(),
-            killed: false,
-            detail: String::new(),
-        });
-        return;
+        return sample_failed(report, "two-conjunct fused splice");
     };
+    let slots2 = canonical_form(&good2.plan).slots;
     report.record_pristine(
         "fused splice: pristine two-conjunct compensation accepted",
-        certify_fused_splice(&q2, &good2.plan, &good2.mapping, &good2.right),
+        certify_fused_splice(&q2, &good2.plan, &slots2, &good2.mapping, &good2.right),
     );
     report.record_cert(
         "fused splice: compensation drops the z>0 conjunct",
         certify_fused_splice(
             &q2,
             &good2.plan,
+            &slots2,
             &good2.mapping,
             &col(good2.mapped_id(x2)).lt(lit(3i64)),
         ),
+    );
+
+    member_permutation_mutants(report);
+    stale_compensation_mutants(report);
+}
+
+/// `SELECT z, COUNT(*), SUM(x) FROM t WHERE x > bound GROUP BY z`: the
+/// members of a fused reuse group that differ in one literal.
+fn keyed_member(gen: &IdGen, bound: i64) -> LogicalPlan {
+    let s = scan(gen, "t");
+    let (x, z) = (field_id(&s, "x"), field_id(&s, "z"));
+    LogicalPlan::Aggregate(Aggregate {
+        input: Box::new(LogicalPlan::Filter(Filter {
+            input: Box::new(s),
+            predicate: col(x).gt(lit(bound)),
+        })),
+        group_by: vec![z],
+        aggregates: vec![
+            AggAssign::new(gen.fresh(), "n", AggregateExpr::count_star()),
+            AggAssign::new(gen.fresh(), "s", AggregateExpr::sum(col(x))),
+        ],
+    })
+}
+
+fn sample_failed(report: &mut MutationReport, what: &str) {
+    report.outcomes.push(MutationOutcome {
+        description: format!("{what} sample failed to fuse"),
+        killed: false,
+        detail: String::new(),
+    });
+}
+
+/// Member permutation: a fused plan's cache key does not depend on the
+/// order its members were folded in, its column order does. A warm entry
+/// written by the fold (A,B) and read by the fold (B,A) holds every
+/// column the reader wants at another position, and most of those
+/// positions have the same type — nothing but the slot strings tells
+/// them apart.
+fn member_permutation_mutants(report: &mut MutationReport) {
+    let gen = IdGen::new();
+    let (a, b, c) = (
+        keyed_member(&gen, 230),
+        keyed_member(&gen, 353),
+        keyed_member(&gen, 400),
+    );
+    let ctx = FuseContext::new(gen);
+    let (Some(ab), Some(ba), Some(ac)) =
+        (fuse(&a, &b, &ctx), fuse(&b, &a, &ctx), fuse(&a, &c, &ctx))
+    else {
+        return sample_failed(report, "member permutation");
+    };
+    let (form_ab, form_ba) = (canonical_form(&ab.plan), canonical_form(&ba.plan));
+    // Reader: member A of the fold (B,A), against whatever is stored.
+    let read = |stored: &[String]| certify_fused_splice(&a, &ba.plan, stored, &ba.mapping, &ba.right);
+
+    report.outcomes.push(MutationOutcome {
+        description: "member permutation: both fold orders accepted under one cache key".into(),
+        killed: form_ab.encoding == form_ba.encoding && read(&form_ba.slots).is_ok(),
+        detail: String::new(),
+    });
+    report.record_layout(
+        "member permutation: entry written by the fold (A,B), read by the fold (B,A)",
+        read(&form_ab.slots),
+        &form_ba.slots,
+        &form_ab.slots,
+    );
+    // The smallest permutation types cannot see: the two COUNT(*)s.
+    let counts: Vec<usize> = (0..form_ba.slots.len())
+        .filter(|&i| ba.plan.schema().field(i).name == "n")
+        .collect();
+    let mut swapped = form_ba.slots.clone();
+    if let [i, j] = counts[..] {
+        swapped.swap(i, j);
+    }
+    report.record_layout(
+        "member permutation: two same-typed stored positions swapped",
+        read(&swapped),
+        &form_ba.slots,
+        &swapped,
+    );
+    // Not permutations: the entry is some other plan's result.
+    let mut doubled = form_ab.slots.clone();
+    if let [i, j] = counts[..] {
+        doubled[i] = doubled[j].clone();
+    }
+    report.record_cert(
+        "member permutation: one stored column holds another same-typed column's slot twice",
+        read(&doubled),
+    );
+    report.record_cert(
+        "member permutation: stored entry dropped a column",
+        read(&form_ab.slots[..form_ab.slots.len() - 1]),
+    );
+    let mut widened = form_ab.slots.clone();
+    widened.push(form_ab.slots[0].clone());
+    report.record_cert(
+        "member permutation: stored entry carries a column the plan does not produce",
+        read(&widened),
+    );
+    report.record_cert(
+        "member permutation: stored entry was written by a fold of other members (A,C)",
+        read(&canonical_form(&ac.plan).slots),
+    );
+}
+
+/// Stale compensation: a mapping paired with a compensation (or a plan)
+/// that another fold produced; and a mapping crossed between members of
+/// one fold.
+fn stale_compensation_mutants(report: &mut MutationReport) {
+    // Filter-rooted members over one base: the folds (P1,P2) and (P1,P3)
+    // both keep P1's column ids, so one's compensation type-checks over
+    // the other's plan.
+    let gen = IdGen::new();
+    let filter = |pred: fn(Expr) -> Expr| {
+        let s = scan(&gen, "t");
+        let x = field_id(&s, "x");
+        LogicalPlan::Filter(Filter {
+            input: Box::new(s),
+            predicate: pred(col(x)),
+        })
+    };
+    let p1 = filter(|x| x.gt(lit(5i64)));
+    let p2 = filter(|x| x.lt(lit(3i64)));
+    let p3 = filter(|x| x.lt(lit(1i64)));
+    let ctx = FuseContext::new(gen.clone());
+    let (Some(f12), Some(f13), Some(f21)) =
+        (fuse(&p1, &p2, &ctx), fuse(&p1, &p3, &ctx), fuse(&p2, &p1, &ctx))
+    else {
+        return sample_failed(report, "stale compensation");
+    };
+    let slots12 = canonical_form(&f12.plan).slots;
+    report.record_cert(
+        "stale compensation: P2's mapping with the compensation of the fold (P1,P3)",
+        certify_fused_splice(&p2, &f12.plan, &slots12, &f12.mapping, &f13.right),
+    );
+    report.record_cert(
+        "stale compensation: P2's mapping with its compensation from the fold (P2,P1)",
+        certify_fused_splice(&p2, &f12.plan, &slots12, &f12.mapping, &f21.left),
+    );
+
+    // Aggregate-rooted members (masks carry the predicates): a mapping
+    // from the other fold order, and one member read through another's.
+    let (a, b) = (keyed_member(&gen, 230), keyed_member(&gen, 353));
+    let (Some(ab), Some(ba)) = (fuse(&a, &b, &ctx), fuse(&b, &a, &ctx)) else {
+        return sample_failed(report, "stale aggregate mapping");
+    };
+    let slots_ab = canonical_form(&ab.plan).slots;
+    report.record_pristine(
+        "stale compensation: pristine member B of the fold (A,B) accepted",
+        certify_fused_splice(&b, &ab.plan, &slots_ab, &ab.mapping, &ab.right),
+    );
+    report.record_cert(
+        "stale compensation: plan of the fold (A,B) with B's mapping from the fold (B,A)",
+        certify_fused_splice(&b, &ab.plan, &slots_ab, &ba.mapping, &ab.right),
+    );
+    // A keeps its ids in the fold (A,B); sending them through B's targets
+    // reads B's masked aggregates as A's. Known survivor: the aggregate
+    // check requires a fused mask to be at least as strict as the
+    // member's, not equal to it, and B's `x > 353` is stricter than A's
+    // `x > 230` (ROADMAP, kill matrix).
+    let crossed: HashMap<_, _> = a
+        .schema()
+        .fields()
+        .iter()
+        .zip(b.schema().fields())
+        .map(|(fa, fb)| (fa.id, ab.mapped_id(fb.id)))
+        .collect();
+    report.record_cert(
+        "crossed mapping: member A read through member B's masked aggregates",
+        certify_fused_splice(&a, &ab.plan, &slots_ab, &crossed, &ab.left),
     );
 }
 

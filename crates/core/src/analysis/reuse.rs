@@ -2,7 +2,7 @@
 //!
 //! The workload-reuse layer (`fusion-reuse`) performs result-substituting
 //! rewrites: a consumer's subplan is replaced by
-//! `Project_M(Filter_C(ConstantTable(shared rows)))`, a consumer is served
+//! `Project_M(Filter_C(leaf over the shared rows))`, a consumer is served
 //! from a cached *superset* through its own filter, and a stale cache
 //! entry is refreshed in place by merging a delta execution. Each of those
 //! rewrites is exactly where a silent wrong answer would fan out to every
@@ -17,8 +17,10 @@
 //!
 //! * **splice** — [`certify_exact_splice`] proves a consumer subplan
 //!   canonically equal to the shared plan with a total slot alignment;
-//!   [`certify_fused_splice`] proves the compensation/mapping pair
-//!   reconstructs the consumer from the fused superset, re-using the
+//!   [`certify_fused_splice`] proves the stored rows hold exactly the
+//!   fused superset's columns (in whatever fold order they were written)
+//!   and the compensation/mapping pair reconstructs the consumer from
+//!   them, re-using the
 //!   §III.A contract machinery (mapping totality and typing, compensation
 //!   reference/typing discipline, and *bidirectional* residual implication
 //!   — forward kills widened or swapped compensations, reverse kills
@@ -97,8 +99,13 @@ pub enum ReuseCertificate {
     /// position `j`.
     ExactSplice { positions: Vec<usize> },
     /// Compensation/mapping pair proven to reconstruct the consumer from
-    /// the fused superset.
+    /// the fused superset, whose stored rows are proven to hold exactly
+    /// the superset's columns.
     FusedSplice {
+        /// `positions[j]` is the stored position holding the shared
+        /// plan's output column `j` — by slot identity, whatever order the
+        /// fold that produced the stored rows laid them out in.
+        positions: Vec<usize>,
         /// Consumer output columns proven mapped and type-compatible.
         mapped_columns: usize,
         /// Conjuncts of the consumer's (mapped) predicate discharged
@@ -132,6 +139,7 @@ impl ReuseCertificate {
             ReuseCertificate::FusedSplice {
                 mapped_columns,
                 residual_conjuncts,
+                ..
             } => format!(
                 "fused-splice[{mapped_columns} cols, {residual_conjuncts} residual conjuncts]"
             ),
@@ -203,36 +211,62 @@ pub fn certify_exact_splice(
 }
 
 /// Certify a *fused* splice: the consumer is claimed reconstructible from
-/// the fused superset `shared` as `Project_M(Filter_comp(shared rows))`.
+/// the fused superset `shared` as `Project_M(Filter_comp(shared rows))`,
+/// the rows being stored in the layout `stored_slots` describes.
 ///
 /// Obligations, in order:
 ///
-/// 1. `M` total and type-preserving: every consumer output column maps
+/// 1. `stored_slots` is a permutation of the shared plan's own slots,
+///    re-derived here. A fused plan's canonical encoding — the cache key —
+///    does not depend on the order its members were folded in, but its
+///    column order does: a warm entry may hold the same columns in
+///    another fold's order, and is read by slot, never by position. An
+///    entry that lacks a column, or holds one the plan does not produce,
+///    is not this plan's result;
+/// 2. `M` total and type-preserving: every consumer output column maps
 ///    (identity where unmapped) onto a column the shared plan produces, of
 ///    compatible type;
-/// 2. `comp` references only shared outputs and is boolean over the
+/// 3. `comp` references only shared outputs and is boolean over the
 ///    shared schema;
-/// 3. filter-rooted residual equality, **both directions**: every
+/// 4. filter-rooted residual equality, **both directions**: every
 ///    conjunct of the consumer's mapped predicate is implied by
 ///    `comp ∧ shared predicate` (forward — a widened, swapped, or
 ///    wrong-literal compensation loses a conjunct here), and every
 ///    conjunct of `comp` is implied by the mapped predicate conjoined
 ///    with the shared predicate (reverse — an over-narrow compensation
 ///    would silently drop rows the consumer expects);
-/// 4. aggregate-rooted members go through the §III.A aggregate-side
+/// 5. aggregate-rooted members go through the §III.A aggregate-side
 ///    check (same function, argument, DISTINCT-ness; masks at least as
 ///    strict) against a synthetic `Fused` built from the claimed
 ///    mapping/compensation.
 pub fn certify_fused_splice(
     consumer: &LogicalPlan,
     shared: &LogicalPlan,
+    stored_slots: &[String],
     mapping: &HashMap<ColumnId, ColumnId>,
     comp: &Expr,
 ) -> Result<ReuseCertificate, Vec<Violation>> {
     let mut v = Vec::new();
     let shared_schema = shared.schema();
 
-    // 1. Mapping totality and typing over the consumer's output schema.
+    // 1. The stored rows hold the shared plan's columns, each exactly once.
+    let shared_slots = canonical_form(shared).slots;
+    let positions = position_map(&shared_slots, stored_slots)
+        .filter(|p| p.len() == stored_slots.len())
+        .unwrap_or_else(|| {
+            v.push(Violation::new(
+                AnalysisCode::ReuseSplice,
+                format!(
+                    "the {} stored slots are not a permutation of the shared \
+                     plan's {} output slots; the rows cannot be read as its result",
+                    stored_slots.len(),
+                    shared_slots.len()
+                ),
+            ));
+            Vec::new()
+        });
+
+    // 2. Mapping totality and typing over the consumer's output schema.
     let mut mapped_columns = 0usize;
     for f in consumer.schema().fields() {
         let src = mapping.get(&f.id).copied().unwrap_or(f.id);
@@ -259,7 +293,7 @@ pub fn certify_fused_splice(
         }
     }
 
-    // 2. Compensation reference and typing discipline.
+    // 3. Compensation reference and typing discipline.
     for c in comp.columns() {
         if !shared_schema.contains(c) {
             v.push(Violation::new(
@@ -288,7 +322,7 @@ pub fn certify_fused_splice(
         }
     }
 
-    // 3. Bidirectional residual equality for filter-rooted members.
+    // 4. Bidirectional residual equality for filter-rooted members.
     let mut residual_conjuncts = 0usize;
     if let (LogicalPlan::Filter(cf), LogicalPlan::Filter(sf)) = (consumer, shared) {
         let mapped_pred = cf.predicate.map_columns(mapping);
@@ -319,7 +353,7 @@ pub fn certify_fused_splice(
         }
     }
 
-    // 4. Aggregate-rooted members: reuse the contract's aggregate check
+    // 5. Aggregate-rooted members: reuse the contract's aggregate check
     //    through a synthetic Fused carrying the claimed mapping/comp.
     if let (LogicalPlan::Aggregate(ca), LogicalPlan::Aggregate(sa)) = (consumer, shared) {
         let synthetic = Fused {
@@ -339,6 +373,7 @@ pub fn certify_fused_splice(
 
     if v.is_empty() {
         Ok(ReuseCertificate::FusedSplice {
+            positions,
             mapped_columns,
             residual_conjuncts,
         })

@@ -11,7 +11,7 @@ use std::collections::HashSet;
 
 use fusion_common::ColumnId;
 use fusion_plan::{
-    Aggregate, ConstantTable, EnforceSingleRow, Filter, Join, Limit, LogicalPlan,
+    Aggregate, EnforceSingleRow, Filter, Join, Limit, LogicalPlan,
     MarkDistinct, Project, Scan, Sort, UnionAll, Window,
 };
 
@@ -247,23 +247,16 @@ fn prune(plan: &LogicalPlan, required: &HashSet<ColumnId>) -> LogicalPlan {
         }
         LogicalPlan::ConstantTable(c) => {
             let mut positions: Vec<usize> = c
-                .fields
+                .fields()
                 .iter()
                 .enumerate()
                 .filter(|(_, f)| required.contains(&f.id))
                 .map(|(i, _)| i)
                 .collect();
-            if positions.is_empty() {
+            if positions.is_empty() && !c.fields().is_empty() {
                 positions.push(0);
             }
-            LogicalPlan::ConstantTable(ConstantTable {
-                fields: positions.iter().map(|&i| c.fields[i].clone()).collect(),
-                rows: c
-                    .rows
-                    .iter()
-                    .map(|r| positions.iter().map(|&i| r[i].clone()).collect())
-                    .collect(),
-            })
+            LogicalPlan::ConstantTable(c.project(&positions))
         }
         LogicalPlan::EnforceSingleRow(e) => {
             let input_schema = e.input.schema();

@@ -108,10 +108,13 @@ fn build_replacement(
 
     // General case: cross join with a constant tag table.
     let tag_id = ctx.gen.fresh();
-    let tag_table = LogicalPlan::ConstantTable(ConstantTable {
-        fields: vec![Field::new(tag_id, "$tag", DataType::Int64, false)],
-        rows: (1..=n as i64).map(|i| vec![Value::Int64(i)]).collect(),
-    });
+    let tag_table = LogicalPlan::ConstantTable(
+        ConstantTable::new(
+            vec![Field::new(tag_id, "$tag", DataType::Int64, false)],
+            (1..=n as i64).map(|i| vec![Value::Int64(i)]).collect(),
+        )
+        .expect("one Int64 value per row under one Int64 field"),
+    );
     let crossed = LogicalPlan::Join(Join {
         left: Box::new(fused_plan),
         right: Box::new(tag_table),

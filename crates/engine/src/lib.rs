@@ -631,12 +631,7 @@ impl Session {
                 Some(&optimize),
             )
         } else {
-            WorkloadOutcome {
-                plans: plans.clone(),
-                notes: vec![Vec::new(); plans.len()],
-                rejections: Vec::new(),
-                report: WorkloadReport::default(),
-            }
+            WorkloadOutcome::unshared(&plans)
         };
         self.check_certified(&outcome.rejections)?;
         let mut rewritten = outcome.plans.into_iter().zip(outcome.notes);

@@ -4,8 +4,8 @@
 //! Every operator that pulls from an input carries an [`ExecContext`] and
 //! calls [`ExecContext::check`] at chunk boundaries, so cancellation and
 //! deadlines are observed even in pipelines whose leaves are cheap
-//! (`ConstantTableExec`, the only context-free operator here, is a
-//! one-shot literal).
+//! (`ConstantTableExec`, the only context-free operator here, only copies
+//! rows out of memory).
 
 use std::sync::Arc;
 
@@ -14,7 +14,7 @@ use fusion_expr::Expr;
 
 use crate::context::{ExecContext, IntoContext};
 use crate::ops::{drain, BoxedOp, Operator, RowIndex};
-use crate::{Chunk, Row};
+use crate::{Chunk, Row, CHUNK_SIZE};
 
 /// Keep rows where the predicate is TRUE.
 pub struct FilterExec {
@@ -258,16 +258,28 @@ impl Operator for UnionAllExec {
     }
 }
 
-/// Emit an inline constant relation once.
+/// Emit a constant relation: `rows` read through `columns` (output
+/// position `i` is stored position `columns[i]`), a chunk at a time. The
+/// rows stay where they are — a spliced consumer reads the reuse cache's
+/// own allocation — and this copy into chunks is the only one made.
 pub struct ConstantTableExec {
-    rows: Option<Vec<Row>>,
+    rows: Arc<Vec<Row>>,
+    columns: Vec<usize>,
+    next: usize,
     schema: Schema,
 }
 
 impl ConstantTableExec {
+    /// Rows laid out as `schema` says.
     pub fn new(rows: Vec<Row>, schema: Schema) -> Self {
+        Self::view(Arc::new(rows), (0..schema.len()).collect(), schema)
+    }
+
+    pub fn view(rows: Arc<Vec<Row>>, columns: Vec<usize>, schema: Schema) -> Self {
         ConstantTableExec {
-            rows: Some(rows),
+            rows,
+            columns,
+            next: 0,
             schema,
         }
     }
@@ -279,10 +291,16 @@ impl Operator for ConstantTableExec {
     }
 
     fn next_chunk(&mut self) -> Result<Option<Chunk>> {
-        match self.rows.take() {
-            Some(rows) if !rows.is_empty() => Ok(Some(rows)),
-            _ => Ok(None),
+        let end = self.rows.len().min(self.next + CHUNK_SIZE);
+        if self.next == end {
+            return Ok(None);
         }
+        let chunk = self.rows[self.next..end]
+            .iter()
+            .map(|row| self.columns.iter().map(|&k| row[k].clone()).collect())
+            .collect();
+        self.next = end;
+        Ok(Some(chunk))
     }
 }
 

@@ -349,7 +349,11 @@ fn compile_node(
             ))
         }
         LogicalPlan::ConstantTable(c) => {
-            let op = Box::new(ConstantTableExec::new(c.rows.clone(), schema));
+            let op = Box::new(ConstantTableExec::view(
+                Arc::clone(c.rows()),
+                c.columns().to_vec(),
+                schema,
+            ));
             Ok((
                 spanned(op, &span),
                 profile_node(op_id, plan, span, false, vec![]),

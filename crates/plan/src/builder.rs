@@ -64,20 +64,21 @@ impl PlanBuilder {
         }
     }
 
-    /// An inline constant table (`VALUES`).
+    /// An inline constant table (`VALUES`); the rows must match the
+    /// columns' types and hold no NULL.
     pub fn values(
         gen: &IdGen,
         columns: &[(&str, DataType)],
         rows: Vec<Vec<Value>>,
-    ) -> Self {
+    ) -> Result<Self> {
         let fields = columns
             .iter()
             .map(|(n, t)| Field::new(gen.fresh(), *n, *t, false))
             .collect();
-        PlanBuilder {
-            plan: LogicalPlan::ConstantTable(ConstantTable { fields, rows }),
+        Ok(PlanBuilder {
+            plan: LogicalPlan::ConstantTable(ConstantTable::new(fields, rows)?),
             gen: gen.clone(),
-        }
+        })
     }
 
     pub fn plan(&self) -> &LogicalPlan {
@@ -332,7 +333,8 @@ mod tests {
             &gen,
             &[("tag", DataType::Int64)],
             vec![vec![Value::Int64(1)], vec![Value::Int64(2)]],
-        );
+        )
+        .unwrap();
         let plan = t.build();
         plan.validate().unwrap();
         assert_eq!(plan.schema().len(), 1);

@@ -149,7 +149,7 @@ fn write_label(plan: &LogicalPlan, f: &mut impl fmt::Write) -> fmt::Result {
             write!(f, "UnionAll: {} inputs", u.inputs.len())?;
         }
         LogicalPlan::ConstantTable(c) => {
-            write!(f, "ConstantTable: {} rows", c.rows.len())?;
+            write!(f, "ConstantTable: {} rows", c.len())?;
         }
         LogicalPlan::EnforceSingleRow(_) => f.write_str("EnforceSingleRow")?,
         LogicalPlan::Sort(s) => {

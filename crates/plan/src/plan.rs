@@ -1,6 +1,10 @@
 //! Logical plan operators and schema propagation.
 
-use fusion_common::{ColumnId, DataType, Field, Schema, Value};
+use std::sync::Arc;
+
+use fusion_common::{
+    rows_checksum, ColumnId, DataType, Field, FusionError, Result, Schema, Value,
+};
 use fusion_expr::{AggregateExpr, Expr, WindowExpr};
 
 /// A logical query plan: a tree of relational operators.
@@ -197,12 +201,155 @@ impl UnionAll {
     }
 }
 
-/// An inline constant relation (`VALUES`), e.g. the `(1), (2)` tag table
-/// manufactured by the UnionAll fusion rule.
-#[derive(Debug, Clone, PartialEq)]
+/// A constant relation: the `VALUES` / `(1), (2)` tag tables the planner
+/// and the UnionAll fusion rule manufacture, and the leaf through which a
+/// spliced consumer reads a shared result.
+///
+/// The rows are not part of the plan's value. The leaf holds them behind
+/// an `Arc` together with their [`rows_checksum`] and a column view
+/// (`fields[i]` reads stored position `columns[i]`), so the reuse cache,
+/// every consumer spliced onto one shared result and every clone of
+/// their plans read one allocation. All of it is private and checked
+/// once, in the constructor (arity, type, nullability); after that
+/// `Clone`, `PartialEq`, validation, pruning and canonical encoding cost
+/// O(fields), not O(rows).
+#[derive(Clone)]
 pub struct ConstantTable {
-    pub fields: Vec<Field>,
-    pub rows: Vec<Vec<Value>>,
+    fields: Vec<Field>,
+    columns: Vec<usize>,
+    rows: Arc<Vec<Vec<Value>>>,
+    checksum: u64,
+}
+
+impl ConstantTable {
+    /// Tables up to this many rows are `$tag`-sized: the canonical
+    /// encoding renders them verbatim and the property lattice reads tag
+    /// domains off them. Anything larger is opaque to both.
+    pub const INLINE_ROWS: usize = 64;
+
+    /// A table over its own rows: `fields[i]` is row position `i`.
+    pub fn new(fields: Vec<Field>, rows: Vec<Vec<Value>>) -> Result<Self> {
+        let (columns, arity) = ((0..fields.len()).collect(), fields.len());
+        let checksum = rows_checksum(&rows);
+        Self::shared(fields, columns, Arc::new(rows), checksum, arity)
+    }
+
+    /// A view over rows owned elsewhere (the reuse cache, a shared
+    /// execution): `fields[i]` reads position `columns[i]` of rows that
+    /// are all `arity` wide. `checksum` is the caller's
+    /// [`rows_checksum`] of `rows`. The one walk over the rows happens
+    /// here: a row of another arity, a value of another type than its
+    /// field declares, or a NULL in a non-nullable field is an error.
+    pub fn shared(
+        fields: Vec<Field>,
+        columns: Vec<usize>,
+        rows: Arc<Vec<Vec<Value>>>,
+        checksum: u64,
+        arity: usize,
+    ) -> Result<Self> {
+        let bad = |what: String| Err(FusionError::Plan(format!("ConstantTable {what}")));
+        if fields.len() != columns.len() {
+            let (f, c) = (fields.len(), columns.len());
+            return bad(format!("has {f} fields over {c} viewed positions"));
+        }
+        if let Some(k) = columns.iter().find(|&&k| k >= arity) {
+            return bad(format!("views position {k} of {arity}-wide rows"));
+        }
+        for row in rows.iter() {
+            if row.len() != arity {
+                let n = row.len();
+                return bad(format!("row arity mismatch: {n} values in a {arity}-wide table"));
+            }
+            for (f, &k) in fields.iter().zip(&columns) {
+                match row[k].data_type() {
+                    None if !f.nullable => {
+                        return bad(format!("NULL in non-nullable column {}", f.name));
+                    }
+                    Some(dt) if dt != f.data_type => {
+                        return bad(format!(
+                            "column {}: value type {dt} does not match declared type {}",
+                            f.name, f.data_type
+                        ));
+                    }
+                    _ => {}
+                }
+            }
+        }
+        Ok(ConstantTable {
+            fields,
+            columns,
+            rows,
+            checksum,
+        })
+    }
+
+    /// The same rows seen through `positions` of this table's fields, in
+    /// that order. Narrows the view; the rows are not touched.
+    pub fn project(&self, positions: &[usize]) -> Self {
+        ConstantTable {
+            fields: positions.iter().map(|&i| self.fields[i].clone()).collect(),
+            columns: positions.iter().map(|&i| self.columns[i]).collect(),
+            rows: Arc::clone(&self.rows),
+            checksum: self.checksum,
+        }
+    }
+
+    pub fn fields(&self) -> &[Field] {
+        &self.fields
+    }
+
+    /// Stored row position read by each field.
+    pub fn columns(&self) -> &[usize] {
+        &self.columns
+    }
+
+    /// The stored rows, un-viewed: read them through [`Self::columns`].
+    pub fn rows(&self) -> &Arc<Vec<Vec<Value>>> {
+        &self.rows
+    }
+
+    pub fn checksum(&self) -> u64 {
+        self.checksum
+    }
+
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The rows as the fields see them. O(rows): for `$tag`-sized tables
+    /// only.
+    pub fn view(&self) -> impl Iterator<Item = Vec<&Value>> + '_ {
+        self.rows
+            .iter()
+            .map(|row| self.columns.iter().map(|&k| &row[k]).collect())
+    }
+}
+
+/// Two leaves over one allocation are equal when their views are; rows
+/// of distinct allocations are compared by checksum first.
+impl PartialEq for ConstantTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.fields == other.fields
+            && self.columns == other.columns
+            && (Arc::ptr_eq(&self.rows, &other.rows)
+                || (self.checksum == other.checksum && self.rows == other.rows))
+    }
+}
+
+/// Never prints the rows: a plan's `{:?}` stays O(operators).
+impl std::fmt::Debug for ConstantTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ConstantTable")
+            .field("fields", &self.fields)
+            .field("columns", &self.columns)
+            .field("rows", &self.rows.len())
+            .field("checksum", &format_args!("{:#018x}", self.checksum))
+            .finish()
+    }
 }
 
 /// Enforce that the input produces exactly one row (scalar subqueries).
@@ -329,7 +476,7 @@ impl LogicalPlan {
                 Schema::new(fields)
             }
             LogicalPlan::UnionAll(u) => Schema::new(u.fields.clone()),
-            LogicalPlan::ConstantTable(c) => Schema::new(c.fields.clone()),
+            LogicalPlan::ConstantTable(c) => Schema::new(c.fields.to_vec()),
             LogicalPlan::EnforceSingleRow(e) => e.input.schema(),
             LogicalPlan::Sort(s) => s.input.schema(),
             LogicalPlan::Limit(l) => l.input.schema(),
@@ -565,6 +712,51 @@ mod tests {
         let rebuilt = f.with_new_children(vec![p]);
         assert_eq!(f, rebuilt);
         assert_eq!(f.node_count(), 2);
+    }
+
+    #[test]
+    fn constant_table_checks_rows_once_and_shares_them_after() {
+        let gen = IdGen::new();
+        let fields = vec![
+            Field::new(gen.fresh(), "a", DataType::Int64, false),
+            Field::new(gen.fresh(), "b", DataType::Utf8, true),
+        ];
+        let rows = Arc::new(vec![
+            vec![Value::Boolean(true), Value::Utf8("x".into()), Value::Int64(1)],
+            vec![Value::Boolean(false), Value::Null, Value::Int64(2)],
+        ]);
+        let checksum = rows_checksum(&rows);
+        let view = |columns: Vec<usize>, arity| {
+            ConstantTable::shared(fields.clone(), columns, Arc::clone(&rows), checksum, arity)
+        };
+        // `a` reads stored position 2, `b` position 1.
+        let t = view(vec![2, 1], 3).unwrap();
+        assert_eq!(t.view().nth(1).unwrap(), [&Value::Int64(2), &Value::Null]);
+        for (bad, why) in [
+            (view(vec![0, 1], 3), "value type"),
+            (view(vec![2, 1], 4), "arity"),
+            (view(vec![2, 3], 3), "position 3"),
+            (view(vec![2], 3), "fields"),
+            (view(vec![1, 1], 3), "value type"),
+        ] {
+            let e = bad.unwrap_err().to_string();
+            assert!(e.contains(why), "{e}");
+        }
+        let null_in_a = vec![vec![Value::Null, Value::Null]];
+        let e = ConstantTable::new(fields.clone(), null_in_a).unwrap_err().to_string();
+        assert!(e.contains("non-nullable"), "{e}");
+
+        // Clones and narrowed views read the same allocation, and equality
+        // sees through distinct allocations of equal rows.
+        let narrowed = t.clone().project(&[1]);
+        assert!(Arc::ptr_eq(narrowed.rows(), &rows));
+        assert_eq!(narrowed.fields(), &fields[1..]);
+        assert_eq!(narrowed.columns(), [1]);
+        let copy = Arc::new(rows.as_ref().clone());
+        let same =
+            ConstantTable::shared(fields.clone(), vec![2, 1], copy, t.checksum(), 3).unwrap();
+        assert_eq!(t, same);
+        assert_ne!(t, narrowed);
     }
 
     #[test]

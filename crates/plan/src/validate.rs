@@ -157,35 +157,9 @@ impl LogicalPlan {
                     }
                 }
             }
-            LogicalPlan::ConstantTable(c) => {
-                for row in &c.rows {
-                    if row.len() != c.fields.len() {
-                        return Err(FusionError::Plan(
-                            "ConstantTable row arity mismatch".into(),
-                        ));
-                    }
-                    for (val, f) in row.iter().zip(c.fields.iter()) {
-                        match val.data_type() {
-                            None => {
-                                if !f.nullable {
-                                    return Err(FusionError::Plan(format!(
-                                        "ConstantTable NULL in non-nullable column {}",
-                                        f.name
-                                    )));
-                                }
-                            }
-                            Some(dt) if dt != f.data_type => {
-                                return Err(FusionError::Plan(format!(
-                                    "ConstantTable column {}: value type {dt} does \
-                                     not match declared type {}",
-                                    f.name, f.data_type
-                                )));
-                            }
-                            Some(_) => {}
-                        }
-                    }
-                }
-            }
+            // Rows were checked against the fields when the table was
+            // built, and neither can change since.
+            LogicalPlan::ConstantTable(_) => {}
             LogicalPlan::Sort(s) => {
                 let input = s.input.schema();
                 for k in &s.keys {

@@ -41,6 +41,7 @@ use fusion_plan::LogicalPlan;
 
 use crate::fingerprint::Fingerprint;
 
+pub use fusion_common::rows_checksum;
 pub use fusion_core::analysis::MaintainShape;
 
 /// Configuration for the shared-subplan cache.
@@ -69,6 +70,8 @@ impl Default for ReuseCacheConfig {
 #[derive(Debug, Clone)]
 pub struct CachedRows {
     pub rows: Arc<Vec<Row>>,
+    /// [`rows_checksum`] of `rows`, verified against them on this hit.
+    pub checksum: u64,
     pub slots: Vec<String>,
     /// When this hit was served by an in-place append refresh: the number
     /// of delta rows that were executed (and appended or merged) to bring
@@ -97,35 +100,6 @@ struct Entry {
     /// entry releases them. Replaced when a refresh changes the entry's
     /// size.
     reservation: BudgetedReservation,
-}
-
-/// FNV-1a over the row contents (row count, per-row arity, and every
-/// value through [`fusion_common::Value`]'s `Hash`, which normalizes
-/// float bits). Deterministic within a process, which is all integrity
-/// verification needs.
-pub fn rows_checksum(rows: &[Row]) -> u64 {
-    use std::hash::{Hash, Hasher};
-    struct Fnv(u64);
-    impl Hasher for Fnv {
-        fn finish(&self) -> u64 {
-            self.0
-        }
-        fn write(&mut self, bytes: &[u8]) {
-            for &b in bytes {
-                self.0 ^= b as u64;
-                self.0 = self.0.wrapping_mul(0x100_0000_01B3);
-            }
-        }
-    }
-    let mut h = Fnv(0xCBF2_9CE4_8422_2325);
-    rows.len().hash(&mut h);
-    for row in rows {
-        row.len().hash(&mut h);
-        for v in row {
-            v.hash(&mut h);
-        }
-    }
-    h.0
 }
 
 /// Canonical dependency stamps: `(table, catalog version)` pairs in
@@ -400,6 +374,7 @@ impl ReuseCache {
         entry.last_used = clock;
         Some(CachedRows {
             rows: Arc::clone(&entry.rows),
+            checksum: entry.checksum,
             slots: entry.slots.clone(),
             refreshed_delta_rows: None,
         })
@@ -456,6 +431,7 @@ impl ReuseCache {
             Ok((entry, delta_rows)) => {
                 let hit = CachedRows {
                     rows: Arc::clone(&entry.rows),
+                    checksum: entry.checksum,
                     slots: entry.slots.clone(),
                     refreshed_delta_rows: Some(delta_rows),
                 };
@@ -732,6 +708,14 @@ impl ReuseCache {
         true
     }
 
+    /// Drop a resident entry (counted as an eviction) so that the result
+    /// its fingerprint names can be computed and admitted afresh.
+    pub fn evict(&mut self, fp: Fingerprint, metrics: &ExecMetrics) {
+        if self.entries.remove(&fp.0).is_some() {
+            metrics.add_reuse_cache_eviction();
+        }
+    }
+
     fn evict_lru(&mut self, metrics: &ExecMetrics) -> bool {
         let victim = self
             .entries
@@ -785,10 +769,8 @@ mod tests {
     /// A trivial non-maintainable plan: staleness always falls back to
     /// evict-and-recompute, preserving the pre-refresh test semantics.
     fn plan() -> LogicalPlan {
-        LogicalPlan::ConstantTable(fusion_plan::ConstantTable {
-            fields: Vec::new(),
-            rows: Vec::new(),
-        })
+        let empty = fusion_plan::ConstantTable::new(Vec::new(), Vec::new()).unwrap();
+        LogicalPlan::ConstantTable(empty)
     }
 
     /// An empty catalog: no append lineage, so no refresh path engages.

@@ -321,4 +321,34 @@ mod tests {
         let (cached_add, _) = mk(false, true);
         assert!(!subsumes(&cached_add, &consumer));
     }
+    /// A spliced consumer's encoding is O(fields): the rows behind its
+    /// leaf enter as (checksum, count), not verbatim — yet two leaves
+    /// encode alike exactly when they show the same rows.
+    #[test]
+    fn spliced_leaf_encoding_does_not_grow_with_its_rows() {
+        let gen = IdGen::new();
+        let fields: Vec<fusion_common::Field> = ["k", "n", "s"]
+            .iter()
+            .map(|n| fusion_common::Field::new(gen.fresh(), *n, DataType::Int64, false))
+            .collect();
+        let rows = |n: i64, last: i64| -> Vec<Vec<fusion_common::Value>> {
+            (0..n)
+                .map(|i| [i, 2 * i, if i + 1 == n { last } else { 0 }].map(Into::into).to_vec())
+                .collect()
+        };
+        let spliced = |rows: Vec<Vec<fusion_common::Value>>| {
+            let leaf = fusion_plan::ConstantTable::new(fields.clone(), rows).unwrap();
+            canonical_form(&LogicalPlan::Filter(fusion_plan::Filter {
+                input: Box::new(LogicalPlan::ConstantTable(leaf)),
+                predicate: col(fields[1].id).gt(lit(3i64)),
+            }))
+            .encoding
+        };
+        let (small, large) = (spliced(rows(10, 0)), spliced(rows(10_000, 0)));
+        assert!(large.len() <= small.len(), "{} > {}", large.len(), small.len());
+        assert_eq!(large.len(), spliced(rows(20_000, 0)).len());
+        assert_eq!(large, spliced(rows(10_000, 0)), "same rows, another allocation");
+        assert_ne!(large, spliced(rows(10_000, 1)), "one value apart");
+        assert_ne!(small, spliced(rows(10, 1)), "tag-sized tables are spelled out");
+    }
 }

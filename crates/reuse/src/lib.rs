@@ -19,9 +19,10 @@
 //!    subplans across a batch, group them by fingerprint (exact groups)
 //!    or by folding `Fuse` over shape-compatible near-matches (fused
 //!    groups), execute each shared plan once, and splice every consumer
-//!    as `Project_M(Filter_C(ConstantTable(rows)))`. Every shared plan
-//!    and every spliced consumer is re-checked by the semantic plan
-//!    analyzer; failures revert to unshared execution.
+//!    as `Project_M(Filter_C(leaf))`, the leaf reading the one shared
+//!    result in place. Every shared plan and every spliced consumer is
+//!    re-checked by the semantic plan analyzer; failures revert to
+//!    unshared execution.
 //! 3. [`cache`] — an LRU shared-subplan result cache keyed by
 //!    fingerprint, with catalog-version invalidation, budget-backed
 //!    memory accounting, and frequency-gated admission.
@@ -100,12 +101,7 @@ impl ReuseManager {
                 metrics,
                 optimize,
             ),
-            _ => WorkloadOutcome {
-                plans: plans.to_vec(),
-                notes: vec![Vec::new(); plans.len()],
-                rejections: Vec::new(),
-                report: WorkloadReport::default(),
-            },
+            _ => WorkloadOutcome::unshared(plans),
         }
     }
 

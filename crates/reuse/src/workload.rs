@@ -4,11 +4,11 @@
 //! [`plan_workload`] takes a batch of logical plans (one per concurrent
 //! query), finds subplans that can be computed once and shared, executes
 //! each shared subplan a single time, and rewrites every consuming query
-//! to read the materialized rows instead — through the paper's
-//! compensation machinery: consumer `i` becomes
+//! to read that one result — through the paper's compensation machinery:
+//! consumer `i` becomes
 //!
 //! ```text
-//! Project_{M_i(outCols_i)}( Filter_{C_i}( ConstantTable(rows of P) ) )
+//! Project_{M_i(outCols_i)}( Filter_{C_i}( leaf over the rows of P ) )
 //! ```
 //!
 //! where `P` is the shared plan, `C_i` the consumer's compensating filter
@@ -16,14 +16,22 @@
 //! `Fuse`, lifted from two queries to a reuse *group* by folding:
 //! fusing a new member into `P` ANDs the fold's `L` onto every prior
 //! member's compensation (prior columns survive in the fused plan under
-//! their ids, so prior mappings stay valid).
+//! their ids, so prior mappings stay valid). The leaf is a
+//! [`ConstantTable`] that *points at* the rows — the shared execution's
+//! allocation, which is also the cache's — with each column bound to a
+//! stored position by canonical slot string, never by position.
 //!
 //! Reuse groups come in two flavors:
 //!
-//! * **exact** — members share a canonical fingerprint; rows are spliced
-//!   directly, aligned position-by-position via canonical slots;
+//! * **exact** — members share a canonical fingerprint; the leaf carries
+//!   the member's own columns;
 //! * **fused** — members share a shape (root operator + scanned tables)
-//!   but differ in predicates/columns; `fuse` builds the covering plan.
+//!   but differ in predicates/columns; `fuse` builds the covering plan,
+//!   whose column order follows the fold while its cache key does not.
+//!
+//! Group members, warm hits on the single-query path and subsumption
+//! serves all pass one gate, `serve`: certify, splice, validate, or
+//! leave the query as it was.
 //!
 //! Every shared plan is re-validated by the semantic plan analyzer before
 //! execution, and every spliced consumer is re-validated before it
@@ -47,20 +55,20 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use fusion_common::{Field, IdGen};
+use fusion_common::{rows_checksum, ColumnId, Field, IdGen};
 use fusion_core::analysis::{
     certify_exact_splice, certify_fused_splice, certify_stamps, certify_subsumption,
     render_violations,
 };
 use fusion_core::{analyze_plan, fuse, FuseContext};
 use fusion_exec::{
-    execute_plan_profiled, Catalog, ExecContext, ExecMetrics, FaultPolicy, ReuseFaultSite, Row,
+    execute_plan_profiled, Catalog, ExecContext, ExecMetrics, FaultPolicy, ReuseFaultSite,
 };
 use fusion_expr::{simplify_filter, Expr};
 use fusion_plan::{ConstantTable, Filter, LogicalPlan, Project, ProjExpr};
 
 use crate::breaker::FailureBreaker;
-use crate::cache::{DepStamps, ReuseCache};
+use crate::cache::{CachedRows, DepStamps, ReuseCache};
 use crate::fingerprint::{canonical_form, position_map, CanonicalForm};
 
 /// Tuning knobs for the workload optimizer.
@@ -109,6 +117,18 @@ pub struct WorkloadOutcome {
     pub rejections: Vec<String>,
     /// Per-group accounting.
     pub report: WorkloadReport,
+}
+
+impl WorkloadOutcome {
+    /// Every query on its own plan: nothing shared, nothing to report.
+    pub fn unshared(plans: &[LogicalPlan]) -> Self {
+        WorkloadOutcome {
+            plans: plans.to_vec(),
+            notes: vec![Vec::new(); plans.len()],
+            rejections: Vec::new(),
+            report: WorkloadReport::default(),
+        }
+    }
 }
 
 /// Batch-level reuse accounting.
@@ -191,10 +211,10 @@ struct Candidate {
 struct Group {
     plan: LogicalPlan,
     form: CanonicalForm,
+    /// Built by folding `fuse` (members read it through their
+    /// compensation and mapping) rather than by exact match (members
+    /// *are* the plan, canonically).
     fused: bool,
-    /// `(candidate index, compensating filter over plan's columns,
-    /// mapping from consumer output ids into plan's column ids)`.
-    /// Exact-group members have no entry here; they splice via slots.
     members: Vec<GroupMember>,
 }
 
@@ -203,9 +223,9 @@ struct GroupMember {
     /// Compensating filter over the shared plan's columns (TRUE for exact
     /// members).
     comp: Expr,
-    /// Consumer output id -> shared plan column id. `None` for exact
-    /// members, which align by canonical slots instead.
-    mapping: Option<HashMap<fusion_common::ColumnId, fusion_common::ColumnId>>,
+    /// Consumer output id -> shared plan column id; ids it does not name
+    /// (all of them, for an exact member or a fold's first) are their own.
+    mapping: HashMap<ColumnId, ColumnId>,
 }
 
 /// An optional single-plan optimizer the caller (the engine session)
@@ -231,12 +251,7 @@ pub fn plan_workload(
     metrics: &ExecMetrics,
     optimize: Option<OptimizeFn<'_>>,
 ) -> WorkloadOutcome {
-    let mut out = WorkloadOutcome {
-        plans: plans.to_vec(),
-        notes: vec![Vec::new(); plans.len()],
-        rejections: Vec::new(),
-        report: WorkloadReport::default(),
-    };
+    let mut out = WorkloadOutcome::unshared(plans);
     if plans.len() < 2 && cache.is_empty() {
         return out;
     }
@@ -300,33 +315,18 @@ pub fn apply_cache(
     }
     let versions = catalog.table_versions();
     let candidates = collect_candidates(std::slice::from_ref(plan), cfg.min_nodes);
-    let mut order: Vec<usize> = (0..candidates.len()).collect();
-    order.sort_by(|&x, &y| {
-        candidates[y]
-            .plan
-            .node_count()
-            .cmp(&candidates[x].plan.node_count())
-            .then_with(|| candidates[x].path.cmp(&candidates[y].path))
-    });
     let mut result = plan.clone();
     let mut notes = Vec::new();
-    let mut taken: Vec<Vec<usize>> = Vec::new();
-    for i in order {
+    let mut taken = Taken::new(1);
+    for i in largest_first(&candidates) {
         let c = &candidates[i];
-        if taken.iter().any(|p| paths_overlap(p, &c.path)) {
+        if taken.overlaps(c) {
             continue;
         }
         // Same CacheLookup fault point as the batch path: a forced miss
         // leaves the query on its cold plan.
-        if fault
-            .inject_reuse(
-                ReuseFaultSite::CacheLookup,
-                &c.form.fingerprint.to_string(),
-                0,
-            )
-            .is_err()
-        {
-            metrics.add_fault_injected();
+        let key = c.form.fingerprint.to_string();
+        if injected(fault, ReuseFaultSite::CacheLookup, &key, metrics) {
             continue;
         }
         let hit = cache.lookup(c.form.fingerprint, &c.form.encoding, catalog, &versions, metrics);
@@ -334,35 +334,27 @@ pub fn apply_cache(
         let Some(hit) = hit else {
             continue;
         };
-        // Certificate gate: re-prove the exact-splice claim from the
-        // consumer plan itself before any cached row is served.
-        match certify_exact_splice(&c.plan, &c.form.encoding, &hit.slots) {
-            Ok(_) => metrics.add_reuse_certificate_issued(),
-            Err(v) => {
-                metrics.add_reuse_certificate_rejected();
-                notes.push(format!(
-                    "cache hit {} rejected by reuse prover ({}); running cold",
-                    c.form.fingerprint,
-                    render_violations(&v)
-                ));
-                continue;
-            }
-        }
-        let Some(replacement) = splice_exact(&c.plan, &c.form.slots, &hit.slots, &hit.rows) else {
-            continue;
+        let claim = Claim::Exact {
+            encoding: &c.form.encoding,
         };
-        let rewritten = replace_at(&result, &c.path, replacement);
-        if rewritten.validate().is_ok() && analyze_plan(&rewritten).is_empty() {
-            metrics.add_reuse_cache_hit();
-            notes.push(format!(
-                "cache hit {}: {} node subplan served from shared-subplan cache ({} rows{})",
-                c.form.fingerprint,
-                c.plan.node_count(),
-                hit.rows.len(),
-                refresh_note(&hit),
-            ));
-            result = rewritten;
-            taken.push(c.path.clone());
+        match serve(&result, c, claim, &hit, metrics) {
+            Ok(rewritten) => {
+                metrics.add_reuse_cache_hit();
+                notes.push(format!(
+                    "cache hit {}: {} node subplan served from shared-subplan cache ({} rows{})",
+                    c.form.fingerprint,
+                    c.plan.node_count(),
+                    hit.rows.len(),
+                    refresh_note(&hit),
+                ));
+                result = rewritten;
+                taken.claim(c);
+            }
+            Err(refusal) if refusal.uncertified => notes.push(format!(
+                "cache hit {} {}; running cold",
+                c.form.fingerprint, refusal.why
+            )),
+            Err(_) => {}
         }
     }
     // Exact misses may still be answerable from a cached superset. The
@@ -375,8 +367,17 @@ pub fn apply_cache(
     (result, notes)
 }
 
+/// Whether the fault policy fires at `site` for `key` (counted).
+fn injected(fault: &FaultPolicy, site: ReuseFaultSite, key: &str, metrics: &ExecMetrics) -> bool {
+    let fired = fault.inject_reuse(site, key, 0).is_err();
+    if fired {
+        metrics.add_fault_injected();
+    }
+    fired
+}
+
 /// Render the delta-refresh suffix for a cache-hit note.
-fn refresh_note(hit: &crate::cache::CachedRows) -> String {
+fn refresh_note(hit: &CachedRows) -> String {
     match hit.refreshed_delta_rows {
         Some(n) => format!(", refreshed in place over {n} delta rows"),
         None => String::new(),
@@ -404,37 +405,19 @@ fn apply_subsumption(
         return (plan.clone(), Vec::new(), Vec::new());
     }
     let candidates = collect_candidates(std::slice::from_ref(plan), cfg.min_nodes);
-    let mut order: Vec<usize> = (0..candidates.len()).collect();
-    order.sort_by(|&x, &y| {
-        candidates[y]
-            .plan
-            .node_count()
-            .cmp(&candidates[x].plan.node_count())
-            .then_with(|| candidates[x].path.cmp(&candidates[y].path))
-    });
     let mut result = plan.clone();
     let mut notes = Vec::new();
     let mut rejections = Vec::new();
-    let mut taken: Vec<Vec<usize>> = Vec::new();
-    for i in order {
+    let mut taken = Taken::new(1);
+    for i in largest_first(&candidates) {
         let c = &candidates[i];
-        if !matches!(c.plan, LogicalPlan::Filter(_)) {
-            continue;
-        }
-        if taken.iter().any(|p| paths_overlap(p, &c.path)) {
+        if !matches!(c.plan, LogicalPlan::Filter(_)) || taken.overlaps(c) {
             continue;
         }
         // Same CacheLookup fault point as exact lookups: a forced miss
         // leaves the consumer on its cold plan.
-        if fault
-            .inject_reuse(
-                ReuseFaultSite::CacheLookup,
-                &format!("subsume/{}", c.form.fingerprint),
-                0,
-            )
-            .is_err()
-        {
-            metrics.add_fault_injected();
+        let key = format!("subsume/{}", c.form.fingerprint);
+        if injected(fault, ReuseFaultSite::CacheLookup, &key, metrics) {
             continue;
         }
         let looked = cache.lookup_subsuming(&c.plan, catalog, versions, metrics);
@@ -442,74 +425,32 @@ fn apply_subsumption(
         let Some((hit, fp)) = looked else {
             continue;
         };
-        // Certificate gate: re-derive the subsumption proof against the
-        // cached entry's *plan* (not its match metadata) before serving.
-        match cache.entry_plan(fp).map(|p| certify_subsumption(p, &c.plan)) {
-            Some(Ok(_)) => metrics.add_reuse_certificate_issued(),
-            Some(Err(v)) => {
-                metrics.add_reuse_certificate_rejected();
-                rejections.push(format!(
-                    "subsumption serve {fp} rejected by reuse prover ({}); running cold",
-                    render_violations(&v)
-                ));
-                continue;
-            }
-            // Entry vanished between lookup and certification: stay cold.
-            None => continue,
-        }
-        let Some(replacement) = splice_subsumed(&c.plan, &hit) else {
+        // The proof is re-derived against the cached entry's *plan* (not
+        // its match metadata); an entry that vanished between lookup and
+        // certification leaves the consumer cold.
+        let Some(cached) = cache.entry_plan(fp) else {
             continue;
         };
-        let rewritten = replace_at(&result, &c.path, replacement);
-        if rewritten.validate().is_ok() && analyze_plan(&rewritten).is_empty() {
-            metrics.add_subsumption_hit();
-            notes.push(format!(
-                "subsumption hit {fp}: certified; consumer served from cached superset through \
-                 compensating filter ({} rows{})",
-                hit.rows.len(),
-                refresh_note(&hit),
-            ));
-            result = rewritten;
-            taken.push(c.path.clone());
+        match serve(&result, c, Claim::Subsumed { cached }, &hit, metrics) {
+            Ok(rewritten) => {
+                metrics.add_subsumption_hit();
+                notes.push(format!(
+                    "subsumption hit {fp}: certified; consumer served from cached superset through \
+                     compensating filter ({} rows{})",
+                    hit.rows.len(),
+                    refresh_note(&hit),
+                ));
+                result = rewritten;
+                taken.claim(c);
+            }
+            Err(refusal) if refusal.uncertified => rejections.push(format!(
+                "subsumption serve {fp} {}; running cold",
+                refusal.why
+            )),
+            Err(_) => {}
         }
     }
     (result, notes, rejections)
-}
-
-/// Splice for a subsumption hit: the consumer is `Filter_p(Input)` and
-/// the cached rows are `Filter_q(Input)` with q's conjuncts a strict
-/// subset of p's. Materialize the cached rows under the consumer's own
-/// input schema (aligned by canonical slots) and re-apply the consumer's
-/// *full* predicate — σ_p(σ_q(I)) = σ_p(I) — so no predicate surgery is
-/// needed and row order matches a cold run (a filtered subsequence of
-/// the same partition-ordered stream).
-fn splice_subsumed(consumer: &LogicalPlan, hit: &crate::cache::CachedRows) -> Option<LogicalPlan> {
-    let LogicalPlan::Filter(f) = consumer else {
-        return None;
-    };
-    let input_form = canonical_form(&f.input);
-    let map = position_map(&input_form.slots, &hit.slots)?;
-    let fields: Vec<Field> = f.input.schema().fields().to_vec();
-    if fields.len() != map.len() {
-        return None;
-    }
-    let identity = map.iter().enumerate().all(|(j, &k)| j == k);
-    let rows: Vec<Row> = if identity {
-        hit.rows.as_ref().clone()
-    } else {
-        hit.rows
-            .iter()
-            .map(|row| {
-                map.iter()
-                    .map(|&k| row.get(k).cloned().unwrap_or(fusion_common::Value::Null))
-                    .collect()
-            })
-            .collect()
-    };
-    Some(LogicalPlan::Filter(Filter {
-        input: Box::new(LogicalPlan::ConstantTable(ConstantTable { fields, rows })),
-        predicate: f.predicate.clone(),
-    }))
 }
 
 // ---------------------------------------------------------------------
@@ -577,6 +518,41 @@ fn paths_overlap(a: &[usize], b: &[usize]) -> bool {
     a[..n] == b[..n]
 }
 
+/// The greedy order every pass visits candidates in: largest subplan
+/// first, ties by query, then by path.
+fn largest_first(candidates: &[Candidate]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..candidates.len()).collect();
+    order.sort_by(|&x, &y| {
+        let (x, y) = (&candidates[x], &candidates[y]);
+        (y.plan.node_count().cmp(&x.plan.node_count()))
+            .then_with(|| x.query.cmp(&y.query))
+            .then_with(|| x.path.cmp(&y.path))
+    });
+    order
+}
+
+/// The regions of each query a splice or a group has already claimed; a
+/// candidate inside, or around, one of them is skipped.
+struct Taken(Vec<Vec<Vec<usize>>>);
+
+impl Taken {
+    fn new(n_queries: usize) -> Self {
+        Taken(vec![Vec::new(); n_queries])
+    }
+
+    fn overlaps(&self, c: &Candidate) -> bool {
+        self.0[c.query].iter().any(|p| paths_overlap(p, &c.path))
+    }
+
+    fn claim(&mut self, c: &Candidate) {
+        self.0[c.query].push(c.path.clone());
+    }
+
+    fn release(&mut self, c: &Candidate) {
+        self.0[c.query].retain(|p| p != &c.path);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Group formation
 // ---------------------------------------------------------------------
@@ -591,16 +567,8 @@ fn form_groups(
     n_queries: usize,
     gen: &IdGen,
 ) -> Vec<Group> {
-    // Size-descending greedy order: prefer sharing the largest subplans.
-    let mut order: Vec<usize> = (0..candidates.len()).collect();
-    order.sort_by(|&x, &y| {
-        candidates[y]
-            .plan
-            .node_count()
-            .cmp(&candidates[x].plan.node_count())
-            .then_with(|| candidates[x].query.cmp(&candidates[y].query))
-            .then_with(|| candidates[x].path.cmp(&candidates[y].path))
-    });
+    // Greedy: prefer sharing the largest subplans.
+    let order = largest_first(candidates);
 
     // Which encodings qualify for exact sharing: seen in >= 2 distinct
     // queries, or already cached and valid.
@@ -612,7 +580,7 @@ fn form_groups(
         }
     }
 
-    let mut taken: Vec<Vec<Vec<usize>>> = vec![Vec::new(); n_queries];
+    let mut taken = Taken::new(n_queries);
     let mut exact: HashMap<&str, Vec<usize>> = HashMap::new();
     let mut exact_order: Vec<&str> = Vec::new();
 
@@ -626,10 +594,10 @@ fn form_groups(
         if spans < 2 && !cached {
             continue;
         }
-        if taken[c.query].iter().any(|p| paths_overlap(p, &c.path)) {
+        if taken.overlaps(c) {
             continue;
         }
-        taken[c.query].push(c.path.clone());
+        taken.claim(c);
         let members = exact.entry(enc).or_default();
         if members.is_empty() {
             exact_order.push(enc);
@@ -652,8 +620,7 @@ fn form_groups(
             // Conflicts whittled the group below the sharing threshold;
             // release its regions so fusion can still use them.
             for &i in &members {
-                let c = &candidates[i];
-                taken[c.query].retain(|p| p != &c.path);
+                taken.release(&candidates[i]);
             }
             continue;
         }
@@ -667,7 +634,7 @@ fn form_groups(
                 .map(|i| GroupMember {
                     cand: i,
                     comp: Expr::boolean(true),
-                    mapping: None,
+                    mapping: HashMap::new(),
                 })
                 .collect(),
         });
@@ -686,7 +653,7 @@ fn form_groups(
     let mut bucket_order: Vec<String> = Vec::new();
     for &i in &order {
         let c = &candidates[i];
-        if taken[c.query].iter().any(|p| paths_overlap(p, &c.path)) {
+        if taken.overlaps(c) {
             continue;
         }
         let key = shape_of(c);
@@ -708,7 +675,7 @@ fn form_groups(
             if seen_queries.contains(&c.query) {
                 continue;
             }
-            if taken[c.query].iter().any(|p| paths_overlap(p, &c.path)) {
+            if taken.overlaps(c) {
                 continue;
             }
             seen_queries.push(c.query);
@@ -722,7 +689,7 @@ fn form_groups(
         let mut members = vec![GroupMember {
             cand: base,
             comp: Expr::boolean(true),
-            mapping: None,
+            mapping: HashMap::new(),
         }];
         for &i in &distinct[1..] {
             if attempts >= cfg.max_fuse_attempts {
@@ -740,24 +707,15 @@ fn form_groups(
             members.push(GroupMember {
                 cand: i,
                 comp: simplify_filter(&f.right),
-                mapping: Some(f.mapping.clone()),
+                mapping: f.mapping.clone(),
             });
             plan = f.plan;
         }
         if members.len() < 2 {
             continue;
         }
-        // Representative members of a fused group need an explicit
-        // (identity) mapping so they splice through the compensation
-        // path rather than slot alignment.
-        for m in &mut members {
-            if m.mapping.is_none() {
-                m.mapping = Some(HashMap::new());
-            }
-        }
         for m in &members {
-            let c = &candidates[m.cand];
-            taken[c.query].push(c.path.clone());
+            taken.claim(&candidates[m.cand]);
         }
         let form = canonical_form(&plan);
         groups.push(Group {
@@ -807,34 +765,8 @@ fn execute_group(
     if group.plan.validate().is_err() {
         return;
     }
-    let violations = analyze_plan(&group.plan);
-    if !violations.is_empty() {
-        for m in &group.members {
-            let q = candidates[m.cand].query;
-            out.notes[q].push(format!(
-                "reuse group {} rejected by analyzer ({} violations)",
-                group.form.fingerprint,
-                violations.len()
-            ));
-        }
-        return;
-    }
-
     let fp = group.form.fingerprint;
     let fp_key = fp.to_string();
-
-    // Circuit breaker: a fingerprint whose shared executions keep failing
-    // stops forming groups; consumers simply run their originals.
-    if !breaker.allows(fp.0) {
-        for m in &group.members {
-            let q = candidates[m.cand].query;
-            out.notes[q].push(format!(
-                "reuse group {fp}: circuit breaker open after repeated shared failures; running unshared"
-            ));
-        }
-        return;
-    }
-
     let mut queries: Vec<usize> = group
         .members
         .iter()
@@ -842,15 +774,37 @@ fn execute_group(
         .collect();
     queries.sort_unstable();
     queries.dedup();
+    // A note about the group as a whole, on every query it serves.
+    let note_all = |out: &mut WorkloadOutcome, note: String| {
+        for &q in &queries {
+            out.notes[q].push(note.clone());
+        }
+    };
+
+    let violations = analyze_plan(&group.plan);
+    if !violations.is_empty() {
+        let n = violations.len();
+        note_all(out, format!("reuse group {fp} rejected by analyzer ({n} violations)"));
+        return;
+    }
+
+    // Circuit breaker: a fingerprint whose shared executions keep failing
+    // stops forming groups; consumers simply run their originals.
+    if !breaker.allows(fp.0) {
+        note_all(
+            out,
+            format!(
+                "reuse group {fp}: circuit breaker open after repeated shared failures; \
+                 running unshared"
+            ),
+        );
+        return;
+    }
 
     let fault = ctx.fault_policy();
     // CacheLookup fault point: a forced miss — fall through to cold
     // execution rather than trusting the warm entry.
-    let hit = if fault
-        .inject_reuse(ReuseFaultSite::CacheLookup, &fp_key, 0)
-        .is_err()
-    {
-        metrics.add_fault_injected();
+    let hit = if injected(fault, ReuseFaultSite::CacheLookup, &fp_key, metrics) {
         None
     } else {
         cache.lookup(fp, &group.form.encoding, catalog, versions, metrics)
@@ -859,18 +813,32 @@ fn execute_group(
     // float-SUM entry that could not be refreshed in place) are typed
     // notes for every consumer, never strict failures.
     for note in cache.drain_rejections() {
-        for &q in &queries {
-            out.notes[q].push(note.clone());
-        }
+        note_all(out, note);
     }
+    // A resident entry whose columns cannot be matched, slot for slot,
+    // to the group plan's is not this plan's result, whatever its key
+    // says: a miss. Drop it, run cold and re-admit.
+    let hit = match hit {
+        Some(h) if !same_columns(&group.form.slots, &h.slots) => {
+            cache.evict(fp, metrics);
+            note_all(
+                out,
+                format!(
+                    "reuse group {fp}: cached entry's columns do not match the shared plan's; \
+                     evicted, executing cold"
+                ),
+            );
+            None
+        }
+        hit => hit,
+    };
     let cache_hit = hit.is_some();
-    let refreshed_delta_rows = hit.as_ref().and_then(|h| h.refreshed_delta_rows);
-    let (rows, slots): (Arc<Vec<Row>>, Vec<String>) = match hit {
-        Some(h) => (h.rows, h.slots),
+    let shared = match hit {
+        Some(hit) => hit,
         None => {
             // Run the shared plan through the caller's optimizer when the
-            // result keeps the output layout (slots and compensations are
-            // positional, so field order and types must survive; ids and
+            // result keeps the output layout (the slots describe it by
+            // position, so field order and types must survive; ids and
             // names are free to change under rewrites).
             let exec_plan = optimize
                 .map(|f| f(&group.plan))
@@ -895,19 +863,25 @@ fn execute_group(
                     if e.allows_fallback() && breaker.record_failure(fp.0) {
                         metrics.add_circuit_breaker_trip();
                     }
-                    for m in &group.members {
-                        let q = candidates[m.cand].query;
-                        metrics.add_consumer_detached();
-                        out.notes[q].push(format!(
-                            "shared subplan {fp} failed ({e}); consumer detached, re-executing unshared"
-                        ));
-                    }
+                    group.members.iter().for_each(|_| metrics.add_consumer_detached());
+                    note_all(
+                        out,
+                        format!(
+                            "shared subplan {fp} failed ({e}); consumer detached, \
+                             re-executing unshared"
+                        ),
+                    );
                     return;
                 }
             };
             breaker.record_success(fp.0);
             metrics.add_shared_subplan_executed();
-            (Arc::new(executed.rows), group.form.slots.clone())
+            CachedRows {
+                checksum: rows_checksum(&executed.rows),
+                rows: Arc::new(executed.rows),
+                slots: group.form.slots.clone(),
+                refreshed_delta_rows: None,
+            }
         }
     };
 
@@ -916,77 +890,60 @@ fn execute_group(
         let c = &candidates[m.cand];
         // Splice fault point: detaches just this consumer; the rest of
         // the group keeps sharing.
-        if fault
-            .inject_reuse(ReuseFaultSite::Splice, &format!("{fp_key}/{i}"), 0)
-            .is_err()
-        {
-            metrics.add_fault_injected();
+        if injected(fault, ReuseFaultSite::Splice, &format!("{fp_key}/{i}"), metrics) {
             metrics.add_consumer_detached();
             out.notes[c.query].push(format!(
                 "reuse group {fp}: injected splice fault; consumer detached, running unshared"
             ));
             continue;
         }
-        // Certificate gate: every splice must be re-proven sound from the
-        // consumer and shared plans themselves before any row is served.
         // Exact members re-derive canonical equality; fused members
         // discharge the mapping/compensation obligations of §III.A.
-        let certificate = match &m.mapping {
-            None => certify_exact_splice(&c.plan, &group.form.encoding, &slots),
-            Some(mapping) => certify_fused_splice(&c.plan, &group.plan, mapping, &m.comp),
-        };
-        if let Err(v) = certificate {
-            metrics.add_reuse_certificate_rejected();
-            metrics.add_consumer_detached();
-            let msg = format!(
-                "reuse group {fp}: splice rejected by reuse prover ({}); \
-                 consumer detached, running unshared",
-                render_violations(&v)
-            );
-            out.notes[c.query].push(msg.clone());
-            out.rejections.push(msg);
-            continue;
-        }
-        metrics.add_reuse_certificate_issued();
-        let replacement = match &m.mapping {
-            None => splice_exact(&c.plan, &c.form.slots, &slots, &rows),
-            Some(mapping) => splice_fused(&c.plan, &group.plan, mapping, &m.comp, &rows, gen),
-        };
-        let Some(replacement) = replacement else {
-            metrics.add_consumer_detached();
-            out.notes[c.query].push(format!(
-                "reuse group {fp}: consumer could not be aligned; running unshared"
-            ));
-            continue;
-        };
-        let rewritten = replace_at(&out.plans[c.query], &c.path, replacement);
-        if rewritten.validate().is_ok() && analyze_plan(&rewritten).is_empty() {
-            if cache_hit {
-                metrics.add_reuse_cache_hit();
+        let claim = if group.fused {
+            Claim::Fused {
+                shared: &group.plan,
+                slots: &group.form.slots,
+                mapping: &m.mapping,
+                comp: &m.comp,
+                gen,
             }
-            // Admission pressure (`admit_min_uses`) counts only consumers
-            // that were actually served a validated splice.
-            cache.observe(fp);
-            out.notes[c.query].push(format!(
-                "{} {}: {} node subplan shared across queries {:?} ({} rows, certified{}{})",
-                if group.fused { "fused" } else { "shared" },
-                fp,
-                c.plan.node_count(),
-                queries,
-                rows.len(),
-                if cache_hit { ", cached" } else { "" },
-                match refreshed_delta_rows {
-                    Some(n) => format!(", refreshed in place over {n} delta rows"),
-                    None => String::new(),
-                },
-            ));
-            out.plans[c.query] = rewritten;
-            spliced += 1;
         } else {
-            metrics.add_consumer_detached();
-            out.notes[c.query].push(format!(
-                "reuse group {fp}: spliced plan failed validation; reverted"
-            ));
+            Claim::Exact {
+                encoding: &group.form.encoding,
+            }
+        };
+        match serve(&out.plans[c.query], c, claim, &shared, metrics) {
+            Ok(rewritten) => {
+                if cache_hit {
+                    metrics.add_reuse_cache_hit();
+                }
+                // Admission pressure (`admit_min_uses`) counts only consumers
+                // that were actually served a validated splice.
+                cache.observe(fp);
+                out.notes[c.query].push(format!(
+                    "{} {}: {} node subplan shared across queries {:?} ({} rows, certified{}{})",
+                    if group.fused { "fused" } else { "shared" },
+                    fp,
+                    c.plan.node_count(),
+                    queries,
+                    shared.rows.len(),
+                    if cache_hit { ", cached" } else { "" },
+                    refresh_note(&shared),
+                ));
+                out.plans[c.query] = rewritten;
+                spliced += 1;
+            }
+            Err(refusal) => {
+                metrics.add_consumer_detached();
+                let msg = format!(
+                    "reuse group {fp}: splice {}; consumer detached, running unshared",
+                    refusal.why
+                );
+                out.notes[c.query].push(msg.clone());
+                if refusal.uncertified {
+                    out.rejections.push(msg);
+                }
+            }
         }
     }
 
@@ -995,48 +952,36 @@ fn execute_group(
     // fault point (a skipped admission only costs future batches a warm
     // hit). The CacheCorrupt point then silently flips a cached value so
     // chaos runs exercise the checksum defense on the next lookup.
-    if !cache_hit {
-        if fault
-            .inject_reuse(ReuseFaultSite::CacheAdmit, &fp_key, 0)
-            .is_err()
-        {
-            metrics.add_fault_injected();
-        } else if let Some(deps) = DepStamps::for_plan(&group.plan, versions) {
-            // Certificate gate: the canonical stamps must be re-proven
-            // consistent with the plan's scanned tables and the live
-            // catalog before the entry becomes servable to future batches.
-            match certify_stamps(&group.plan, deps.as_slice(), versions) {
-                Ok(_) => {
-                    metrics.add_reuse_certificate_issued();
-                    cache.admit(
-                        fp,
-                        &group.form.encoding,
-                        Arc::clone(&rows),
-                        group.form.slots.clone(),
-                        &group.plan,
-                        deps,
-                        metrics,
-                    );
-                    if fault
-                        .inject_reuse(ReuseFaultSite::CacheCorrupt, &fp_key, 0)
-                        .is_err()
-                    {
-                        metrics.add_fault_injected();
-                        cache.corrupt_entry(fp);
-                    }
+    let admit = !cache_hit && !injected(fault, ReuseFaultSite::CacheAdmit, &fp_key, metrics);
+    if let Some(deps) = DepStamps::for_plan(&group.plan, versions).filter(|_| admit) {
+        // Certificate gate: the canonical stamps must be re-proven
+        // consistent with the plan's scanned tables and the live
+        // catalog before the entry becomes servable to future batches.
+        match certify_stamps(&group.plan, deps.as_slice(), versions) {
+            Ok(_) => {
+                metrics.add_reuse_certificate_issued();
+                cache.admit(
+                    fp,
+                    &group.form.encoding,
+                    Arc::clone(&shared.rows),
+                    group.form.slots.clone(),
+                    &group.plan,
+                    deps,
+                    metrics,
+                );
+                if injected(fault, ReuseFaultSite::CacheCorrupt, &fp_key, metrics) {
+                    cache.corrupt_entry(fp);
                 }
-                Err(v) => {
-                    metrics.add_reuse_certificate_rejected();
-                    let msg = format!(
-                        "reuse group {fp}: admission stamps rejected by reuse prover ({}); \
-                         result not cached",
-                        render_violations(&v)
-                    );
-                    for &q in &queries {
-                        out.notes[q].push(msg.clone());
-                    }
-                    out.rejections.push(msg);
-                }
+            }
+            Err(v) => {
+                metrics.add_reuse_certificate_rejected();
+                let msg = format!(
+                    "reuse group {fp}: admission stamps rejected by reuse prover ({}); \
+                     result not cached",
+                    render_violations(&v)
+                );
+                note_all(out, msg.clone());
+                out.rejections.push(msg);
             }
         }
     }
@@ -1048,7 +993,7 @@ fn execute_group(
         fused: group.fused,
         cache_hit,
         executed: !cache_hit,
-        rows: rows.len(),
+        rows: shared.rows.len(),
         subplan_nodes: group.plan.node_count(),
     });
 }
@@ -1090,94 +1035,153 @@ fn execute_shared(
     }
 }
 
-/// Splice for an exact member: the consumer's subplan is canonically
-/// identical to the shared plan, so its rows are the shared rows permuted
-/// into the consumer's output layout, under the consumer's own ids.
-fn splice_exact(
-    consumer: &LogicalPlan,
-    consumer_slots: &[String],
-    shared_slots: &[String],
-    rows: &Arc<Vec<Row>>,
-) -> Option<LogicalPlan> {
-    let map = position_map(consumer_slots, shared_slots)?;
-    let fields: Vec<Field> = consumer.schema().fields().to_vec();
-    if fields.len() != map.len() {
-        return None;
-    }
-    let identity = map.iter().enumerate().all(|(j, &k)| j == k);
-    let rows: Vec<Row> = if identity {
-        rows.as_ref().clone()
-    } else {
-        rows.iter()
-            .map(|row| {
-                map.iter()
-                    .map(|&k| row.get(k).cloned().unwrap_or(fusion_common::Value::Null))
-                    .collect()
-            })
-            .collect()
-    };
-    Some(LogicalPlan::ConstantTable(ConstantTable { fields, rows }))
+/// Whether two slot lists name the same columns, each as often, in any
+/// order.
+fn same_columns(a: &[String], b: &[String]) -> bool {
+    a.len() == b.len() && position_map(a, b).is_some()
 }
 
-/// Splice for a fused member: materialize the shared plan's schema under
-/// fresh ids, filter by the member's compensation, and project the
-/// member's output columns through its mapping — the paper's
-/// `Project_M(outCols)(Filter_C(P))` reconstruction.
-fn splice_fused(
-    consumer: &LogicalPlan,
-    shared: &LogicalPlan,
-    mapping: &HashMap<fusion_common::ColumnId, fusion_common::ColumnId>,
-    comp: &Expr,
-    rows: &Arc<Vec<Row>>,
-    gen: &IdGen,
-) -> Option<LogicalPlan> {
-    let shared_schema = shared.schema();
-    // Fresh ids per splice instance: the same shared schema is spliced
-    // into several queries, and column ids must stay unique per plan.
-    let fresh: HashMap<fusion_common::ColumnId, fusion_common::ColumnId> = shared_schema
-        .fields()
-        .iter()
-        .map(|f| (f.id, gen.fresh()))
-        .collect();
-    let ct_fields: Vec<Field> = shared_schema
-        .fields()
-        .iter()
-        .map(|f| {
-            Some(Field::new(
-                *fresh.get(&f.id)?,
-                f.name.clone(),
-                f.data_type,
-                f.nullable,
-            ))
-        })
-        .collect::<Option<Vec<_>>>()?;
-    let table = LogicalPlan::ConstantTable(ConstantTable {
-        fields: ct_fields,
-        rows: rows.as_ref().clone(),
-    });
-    let comp = comp.map_columns(&fresh);
-    let filtered = if comp.is_true_literal() {
-        table
-    } else {
-        LogicalPlan::Filter(Filter {
-            input: Box::new(table),
-            predicate: comp,
-        })
+/// What a consumer claims about a shared result, for the prover to
+/// certify and [`splice`] to build.
+enum Claim<'a> {
+    /// The consumer is canonically the plan that produced the rows: the
+    /// leaf carries the consumer's own columns, no `C`, no `M`.
+    Exact { encoding: &'a str },
+    /// The consumer is `σ_p(I)` and the rows are the cached plan's
+    /// `σ_q(I)`, q's conjuncts a strict subset of p's: the leaf carries
+    /// `I`'s columns and `C` is all of p — σ_p(σ_q(I)) = σ_p(I), so no
+    /// predicate surgery, and row order matches a cold run.
+    Subsumed { cached: &'a LogicalPlan },
+    /// The consumer is one member of the fused plan `shared` (whose
+    /// columns are `slots`): the leaf carries those under fresh ids (one
+    /// schema is spliced into several queries, and ids stay unique per
+    /// plan), `C` is `comp` and `M` is `mapping`.
+    Fused {
+        shared: &'a LogicalPlan,
+        slots: &'a [String],
+        mapping: &'a HashMap<ColumnId, ColumnId>,
+        comp: &'a Expr,
+        gen: &'a IdGen,
+    },
+}
+
+/// Why a consumer keeps its own plan; `uncertified` when it was the
+/// prover that refused the claim (strict batches fail on those).
+struct Refusal {
+    uncertified: bool,
+    why: String,
+}
+
+/// Serve the consumer `c` of `query` from `stored`: certify the claim,
+/// splice, check the rewritten query. On a refusal `query` stays as it is.
+fn serve(
+    query: &LogicalPlan,
+    c: &Candidate,
+    claim: Claim<'_>,
+    stored: &CachedRows,
+    metrics: &ExecMetrics,
+) -> Result<LogicalPlan, Refusal> {
+    // Re-proven from the plans themselves before any shared row is served.
+    let certificate = match &claim {
+        Claim::Exact { encoding } => certify_exact_splice(&c.plan, encoding, &stored.slots),
+        Claim::Subsumed { cached } => certify_subsumption(cached, &c.plan),
+        Claim::Fused {
+            shared,
+            mapping,
+            comp,
+            ..
+        } => certify_fused_splice(&c.plan, shared, &stored.slots, mapping, comp),
     };
-    let exprs: Vec<ProjExpr> = consumer
-        .schema()
-        .fields()
-        .iter()
-        .map(|f| {
-            let src = mapping.get(&f.id).copied().unwrap_or(f.id);
-            let src = fresh.get(&src).copied()?;
-            Some(ProjExpr::new(f.id, f.name.clone(), Expr::Column(src)))
-        })
-        .collect::<Option<Vec<_>>>()?;
-    Some(LogicalPlan::Project(Project {
-        input: Box::new(filtered),
-        exprs,
-    }))
+    let refuse = |uncertified, why| Refusal { uncertified, why };
+    if let Err(v) = certificate {
+        metrics.add_reuse_certificate_rejected();
+        let why = format!("rejected by reuse prover ({})", render_violations(&v));
+        return Err(refuse(true, why));
+    }
+    metrics.add_reuse_certificate_issued();
+    let replacement = splice(c, &claim, stored)
+        .map_err(|e| refuse(false, format!("could not be aligned ({e})")))?;
+    let rewritten = replace_at(query, &c.path, replacement);
+    if rewritten.validate().is_ok() && analyze_plan(&rewritten).is_empty() {
+        Ok(rewritten)
+    } else {
+        Err(refuse(false, "failed validation".into()))
+    }
+}
+
+/// The paper's `Project_M(Filter_C(P))` over the one stored computation
+/// of `P`: a leaf that reads the stored rows in place, each of its
+/// columns bound to the stored position with the same canonical slot,
+/// under the claim's `C` and `M` where it has them.
+fn splice(c: &Candidate, claim: &Claim<'_>, stored: &CachedRows) -> Result<LogicalPlan, String> {
+    let input_form;
+    let (fields, slots, filter, project): (Vec<Field>, &[String], _, _) = match claim {
+        Claim::Exact { .. } => (c.plan.schema().fields().to_vec(), &c.form.slots, None, None),
+        Claim::Subsumed { .. } => {
+            let LogicalPlan::Filter(f) = &c.plan else {
+                return Err("a subsumed consumer must be filter-rooted".into());
+            };
+            input_form = canonical_form(&f.input);
+            let fields = f.input.schema().fields().to_vec();
+            (fields, &input_form.slots, Some(f.predicate.clone()), None)
+        }
+        Claim::Fused {
+            shared,
+            slots,
+            mapping,
+            comp,
+            gen,
+        } => {
+            let schema = shared.schema();
+            let fresh: HashMap<ColumnId, ColumnId> =
+                schema.fields().iter().map(|f| (f.id, gen.fresh())).collect();
+            let fields = schema
+                .fields()
+                .iter()
+                .map(|f| Field::new(fresh[&f.id], f.name.clone(), f.data_type, f.nullable))
+                .collect();
+            let exprs = c
+                .plan
+                .schema()
+                .fields()
+                .iter()
+                .map(|f| {
+                    let src = mapping.get(&f.id).copied().unwrap_or(f.id);
+                    let src = fresh.get(&src).ok_or_else(|| {
+                        format!("column {}#{} maps outside the shared plan", f.name, f.id.0)
+                    })?;
+                    Ok(ProjExpr::new(f.id, f.name.clone(), Expr::Column(*src)))
+                })
+                .collect::<Result<Vec<_>, String>>()?;
+            let comp = (!comp.is_true_literal()).then(|| comp.map_columns(&fresh));
+            (fields, *slots, comp, Some(exprs))
+        }
+    };
+    let columns = position_map(slots, &stored.slots)
+        .filter(|columns| columns.len() == fields.len())
+        .ok_or("its slots are not among the stored ones")?;
+    let leaf = ConstantTable::shared(
+        fields,
+        columns,
+        Arc::clone(&stored.rows),
+        stored.checksum,
+        stored.slots.len(),
+    )
+    .map_err(|e| e.to_string())?;
+    let mut plan = LogicalPlan::ConstantTable(leaf);
+    if let Some(predicate) = filter {
+        plan = LogicalPlan::Filter(Filter {
+            input: Box::new(plan),
+            predicate,
+        });
+    }
+    if let Some(exprs) = project {
+        plan = LogicalPlan::Project(Project {
+            input: Box::new(plan),
+            exprs,
+        });
+    }
+    Ok(plan)
 }
 
 /// Replace the subtree at `path` (child-index steps from the root).

@@ -157,10 +157,8 @@ impl Planner<'_> {
     pub(crate) fn plan_from(&mut self, from: &[TableRef]) -> Result<(LogicalPlan, Scope)> {
         if from.is_empty() {
             // SELECT without FROM: a single empty row.
-            let plan = LogicalPlan::ConstantTable(fusion_plan::ConstantTable {
-                fields: vec![],
-                rows: vec![vec![]],
-            });
+            let plan =
+                LogicalPlan::ConstantTable(fusion_plan::ConstantTable::new(vec![], vec![vec![]])?);
             return Ok((plan, Scope::default()));
         }
         let mut iter = from.iter();

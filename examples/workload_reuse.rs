@@ -6,16 +6,22 @@
 //! the batch executes the shared subplan once, later single queries are
 //! served from the shared-subplan cache, appended rows refresh
 //! maintainable entries in place (continuous ingest), and re-registering
-//! the table invalidates the cache instead of serving stale rows.
+//! the table invalidates the cache instead of serving stale rows. Ends
+//! with what sharing a *large* result costs: two TPC-DS queries that
+//! share a join, in one window, against each run alone (CI reads the
+//! `splice ratio` line).
 //!
 //! ```sh
 //! cargo run --example workload_reuse
 //! ```
 
+use std::time::{Duration, Instant};
+
 use fusion_common::{DataType, Value};
 use fusion_engine::Session;
 use fusion_exec::table::TableColumn;
 use fusion_exec::TableBuilder;
+use fusion_tpcds::{all_queries, generate_catalog, TpcdsConfig};
 
 fn build_sales(price: f64) -> fusion_exec::Table {
     let mut b = TableBuilder::new(
@@ -41,6 +47,47 @@ fn build_sales(price: f64) -> fusion_exec::Table {
         .unwrap();
     }
     b.build()
+}
+
+/// C42 and C55 share the unfiltered `date_dim ⋈ store_sales ⋈ item` join
+/// (tens of thousands of rows at scale 2), spliced into both as a leaf
+/// over the one shared allocation. Prints the window's time over the two
+/// queries' time alone, best of three each.
+fn splice_ratio() {
+    let mut session = Session::new();
+    for table in generate_catalog(&TpcdsConfig::with_scale(2.0)).into_tables() {
+        session.register_table(table);
+    }
+    session.set_parallelism(2);
+    let sql_of = |id: &str| all_queries().into_iter().find(|q| q.id == id).unwrap().sql;
+    let (c42, c55) = (sql_of("C42"), sql_of("C55"));
+    let best_of_3 = |run: &dyn Fn()| -> Duration {
+        (0..3)
+            .map(|_| {
+                session.clear_reuse_cache();
+                let start = Instant::now();
+                run();
+                start.elapsed()
+            })
+            .min()
+            .unwrap()
+    };
+    let alone = best_of_3(&|| {
+        session.sql(&c42).unwrap();
+        session.sql(&c55).unwrap();
+    });
+    let window = best_of_3(&|| {
+        let batch = session.run_batch(&[&c42, &c55]).unwrap();
+        assert!(batch.all_succeeded());
+        assert_eq!(batch.report.consumers_spliced(), 2, "{:?}", batch.report);
+    });
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
+    println!(
+        "splice ratio: C42+C55 one window {:.1} ms / run alone {:.1} ms = {:.1}x",
+        ms(window),
+        ms(alone),
+        ms(window) / ms(alone)
+    );
 }
 
 fn main() {
@@ -113,4 +160,7 @@ fn main() {
         fresh.sorted_rows(),
         "new data, new answer"
     );
+
+    println!("\n== sharing a large result: one window against run alone ==");
+    splice_ratio();
 }

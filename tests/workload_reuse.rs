@@ -8,8 +8,11 @@
 //! worker counts — while shared subplans actually execute once, and the
 //! shared-subplan cache must drop entries when a table is re-registered.
 
+use std::sync::Arc;
+
 use fusion_common::{DataType, Value};
 use fusion_engine::Session;
+use fusion_plan::LogicalPlan;
 use fusion_exec::table::TableColumn;
 use fusion_exec::TableBuilder;
 use fusion_tpcds::{all_queries, generate_catalog, TpcdsConfig};
@@ -293,4 +296,171 @@ fn queued_queries_share_on_drain() {
         batch.query(0).unwrap().sorted_rows(),
         batch.query(1).unwrap().sorted_rows()
     );
+}
+
+// ---------------------------------------------------------------------
+// Fold order: a fused entry is read by slot, whatever order wrote it
+// ---------------------------------------------------------------------
+
+/// One template, one literal: the members of a fused group differ only
+/// in `X`, so the group's cache key is the same set of literals in any
+/// arrival order while the fused plan's column order follows the fold.
+fn returns_over(x: i64) -> String {
+    format!(
+        "SELECT sr_store_sk, COUNT(*), SUM(sr_return_amt) FROM store_returns \
+         WHERE sr_return_amt > {x} GROUP BY sr_store_sk"
+    )
+}
+
+/// Run `windows` (each a list of indices into `literals`) in order
+/// through one session, so every window after the first meets the cache
+/// the earlier ones left, and require every slot to be bit-identical to
+/// the same query on a reuse-off session. At least `min_warm_hits`
+/// windows must have been served from an entry an earlier one wrote.
+fn check_window_sequence(
+    workers: usize,
+    literals: &[i64],
+    windows: &[Vec<usize>],
+    min_warm_hits: usize,
+) {
+    let sqls: Vec<String> = literals.iter().map(|&x| returns_over(x)).collect();
+    let mut solo = tpcds_session(true, workers);
+    solo.set_reuse_enabled(false);
+    let expected: Vec<_> = sqls
+        .iter()
+        .map(|sql| solo.sql(sql).unwrap().sorted_rows())
+        .collect();
+    for (i, rows) in expected.iter().enumerate() {
+        for other in &expected[..i] {
+            assert_ne!(rows, other, "the literals must select different rows");
+        }
+    }
+
+    let batcher = tpcds_session(true, workers);
+    let mut warm_hits = 0;
+    for (w, window) in windows.iter().enumerate() {
+        let refs: Vec<&str> = window.iter().map(|&i| sqls[i].as_str()).collect();
+        let batch = batcher.run_batch(&refs).unwrap();
+        assert!(batch.all_succeeded());
+        assert!(
+            batch.report.groups.iter().any(|g| g.fused),
+            "window {w} {window:?} should share through Fuse: {:?}",
+            batch.report
+        );
+        warm_hits += batch.report.cache_hits();
+        for (slot, &i) in window.iter().enumerate() {
+            let r = batch.query(slot).unwrap();
+            assert_eq!(
+                r.sorted_rows(),
+                expected[i],
+                "window {w} {window:?} slot {slot} (X = {}) diverged from its reuse-off run \
+                 ({workers} workers)\nreuse notes: {:?}",
+                literals[i],
+                r.report.reuse
+            );
+        }
+    }
+    assert!(
+        warm_hits >= min_warm_hits,
+        "{warm_hits} of {} windows read an entry an earlier window wrote, expected {min_warm_hits}",
+        windows.len()
+    );
+}
+
+/// The pair as windows (A,B) cold, (B,A) warm, (A,B) warm. Before the
+/// fused splice bound columns by slot, the second window served each
+/// query the other's rows.
+fn check_pair_in_both_orders(workers: usize) {
+    check_window_sequence(workers, &[230, 353], &[vec![0, 1], vec![1, 0], vec![0, 1]], 2);
+}
+
+#[test]
+fn fused_pair_in_either_order_on_a_warm_cache_1_worker() {
+    check_pair_in_both_orders(1);
+}
+
+#[test]
+fn fused_pair_in_either_order_on_a_warm_cache_2_workers() {
+    check_pair_in_both_orders(2);
+}
+
+/// Three literals through all six arrival orders on one warm cache. A
+/// three-member fold's key still depends on which member is folded last,
+/// so the six orders meet three entries, each written by one order and
+/// read by the order that swaps its first two members.
+fn check_triple_in_all_orders(workers: usize) {
+    let orders = [
+        vec![0, 1, 2],
+        vec![0, 2, 1],
+        vec![1, 0, 2],
+        vec![1, 2, 0],
+        vec![2, 0, 1],
+        vec![2, 1, 0],
+    ];
+    check_window_sequence(workers, &[120, 230, 353], &orders, 3);
+}
+
+#[test]
+fn fused_triple_in_all_six_orders_on_a_warm_cache_1_worker() {
+    check_triple_in_all_orders(1);
+}
+
+#[test]
+fn fused_triple_in_all_six_orders_on_a_warm_cache_2_workers() {
+    check_triple_in_all_orders(2);
+}
+
+// ---------------------------------------------------------------------
+// Shared rows are referenced, never copied into a plan
+// ---------------------------------------------------------------------
+
+/// The shared rows behind every `ConstantTable` leaf of a plan.
+fn shared_leaves(plan: &LogicalPlan) -> Vec<Arc<Vec<Vec<Value>>>> {
+    let mut out = Vec::new();
+    fn walk(plan: &LogicalPlan, out: &mut Vec<Arc<Vec<Vec<Value>>>>) {
+        if let LogicalPlan::ConstantTable(c) = plan {
+            out.push(Arc::clone(c.rows()));
+        }
+        for child in plan.children() {
+            walk(child, out);
+        }
+    }
+    walk(plan, &mut out);
+    out
+}
+
+/// C42 and C55 share a join: one execution, one allocation. Both
+/// consumers' executed plans and the cache entry (observed through a
+/// later warm hit, which reads the entry's own `Arc`) point at it, and
+/// neither cloning a plan nor pruning its columns copies it.
+#[test]
+fn spliced_consumers_and_the_cache_share_one_allocation() {
+    let s = tpcds_session(true, 2);
+    let (c42, c55) = (sql_of("C42"), sql_of("C55"));
+    let batch = s.run_batch(&[&c42, &c55]).unwrap();
+    assert!(batch.all_succeeded());
+    assert_eq!(batch.metrics.shared_subplans_executed, 1, "{:?}", batch.report);
+
+    let plans: Vec<&LogicalPlan> = (0..2)
+        .map(|i| &batch.query(i).unwrap().optimized_plan)
+        .collect();
+    let leaves: Vec<_> = plans.iter().map(|p| shared_leaves(p)).collect();
+    assert_eq!(leaves[0].len(), 1, "C42 reads one shared result");
+    assert_eq!(leaves[1].len(), 1, "C55 reads one shared result");
+    let shared = &leaves[0][0];
+    assert!(!shared.is_empty());
+    assert!(Arc::ptr_eq(shared, &leaves[1][0]), "both consumers read one allocation");
+
+    let warm = s.sql(&c42).unwrap();
+    assert_eq!(warm.metrics.reuse_cache_hits, 1, "{:?}", warm.report.reuse);
+    let warm_leaves = shared_leaves(&warm.optimized_plan);
+    assert_eq!(warm_leaves.len(), 1);
+    assert!(Arc::ptr_eq(shared, &warm_leaves[0]), "the cache holds that allocation");
+
+    for plan in plans {
+        let pruned = fusion_core::rules::pruning::prune_columns(&plan.clone());
+        for leaf in shared_leaves(&pruned) {
+            assert!(Arc::ptr_eq(shared, &leaf), "clone and prune_columns keep it");
+        }
+    }
 }
