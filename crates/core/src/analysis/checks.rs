@@ -204,7 +204,7 @@ fn check_domains(
             op: BinaryOp::Eq,
             left,
             right,
-        } = &e
+        } = e
         {
             match (left.as_ref(), right.as_ref()) {
                 (Expr::Column(id), Expr::Literal(Value::Int64(k)))

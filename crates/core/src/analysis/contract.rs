@@ -25,27 +25,48 @@
 //! the fusion paths construct `L`/`R`/masks by conjoining exactly these
 //! conjuncts; a corrupted one (swapped or widened compensation, widened
 //! mask, retyped aggregate) loses a conjunct and is flagged.
+//!
+//! Conjunct sets, renderings and equivalences come from an [`ExprMemo`]:
+//! `Fuse` checks every result at every depth of its recursion, and the
+//! memo it carries lets each expression be normalized once per
+//! `optimize` call however often it is checked.
 
-use std::collections::BTreeSet;
+use std::collections::HashMap;
 
-use fusion_common::DataType;
-use fusion_expr::{normalize, simplify_filter, split_conjuncts, split_disjuncts, Expr};
+use fusion_common::{ColumnId, DataType, Field};
+use fusion_expr::Expr;
 use fusion_plan::LogicalPlan;
 
 use super::{AnalysisCode, Violation};
-use crate::fuse::Fused;
+use crate::fuse::memo::Conjunct;
+use crate::fuse::{ExprMemo, Fused};
 
 /// Check a raw `Fuse` result against the contract. Empty result = OK.
 pub fn check_fuse_contract(p1: &LogicalPlan, p2: &LogicalPlan, f: &Fused) -> Vec<Violation> {
+    check(p1, p2, f, &ExprMemo::default())
+}
+
+/// [`check_fuse_contract`], deriving expression forms through `memo`.
+pub(crate) fn check(
+    p1: &LogicalPlan,
+    p2: &LogicalPlan,
+    f: &Fused,
+    memo: &ExprMemo,
+) -> Vec<Violation> {
     let mut v = Vec::new();
     let fused_schema = f.plan.schema();
     let p1_schema = p1.schema();
     let p2_schema = p2.schema();
+    // The first field of each id, as `Schema::field_by_id` finds it.
+    let mut fused_fields: HashMap<ColumnId, &Field> = HashMap::new();
+    for ff in fused_schema.fields() {
+        fused_fields.entry(ff.id).or_insert(ff);
+    }
 
     // 1. M total and type-preserving over P2's schema.
     for f2 in p2_schema.fields() {
         let target = f.mapped_id(f2.id);
-        match fused_schema.field_by_id(target) {
+        match fused_fields.get(&target) {
             None => v.push(Violation::new(
                 AnalysisCode::MappingNotTotal,
                 format!(
@@ -68,7 +89,7 @@ pub fn check_fuse_contract(p1: &LogicalPlan, p2: &LogicalPlan, f: &Fused) -> Vec
 
     // 2. P1's columns survive under their own identities.
     for f1 in p1_schema.fields() {
-        match fused_schema.field_by_id(f1.id) {
+        match fused_fields.get(&f1.id) {
             None => v.push(Violation::new(
                 AnalysisCode::ReconstructLeft,
                 format!(
@@ -92,7 +113,7 @@ pub fn check_fuse_contract(p1: &LogicalPlan, p2: &LogicalPlan, f: &Fused) -> Vec
     // 3. L and R reference only P's outputs and are boolean.
     for (side, comp) in [("L", &f.left), ("R", &f.right)] {
         for c in comp.columns() {
-            if !fused_schema.contains(c) {
+            if !fused_fields.contains_key(&c) {
                 v.push(Violation::new(
                     AnalysisCode::CompensationRefs,
                     format!(
@@ -111,7 +132,7 @@ pub fn check_fuse_contract(p1: &LogicalPlan, p2: &LogicalPlan, f: &Fused) -> Vec
             // Unknown-column type errors are already reported above; an
             // otherwise untypable compensation is still a violation.
             Err(e) => {
-                if comp.columns().iter().all(|c| fused_schema.contains(*c)) {
+                if comp.columns().iter().all(|c| fused_fields.contains_key(c)) {
                     v.push(Violation::new(
                         AnalysisCode::CompensationType,
                         format!("compensation {side} does not type-check: {e}"),
@@ -125,10 +146,11 @@ pub fn check_fuse_contract(p1: &LogicalPlan, p2: &LogicalPlan, f: &Fused) -> Vec
     //     M(C2) ⊑ R ∧ P.predicate.
     if let LogicalPlan::Filter(pf) = &f.plan {
         if let LogicalPlan::Filter(f1) = p1 {
-            check_direction("L", &f1.predicate, &f.left, &pf.predicate, &mut v);
+            check_direction("L", &f1.predicate, &f.left, &pf.predicate, &mut v, memo);
         }
         if let LogicalPlan::Filter(f2) = p2 {
-            check_direction("R", &f.map(&f2.predicate), &f.right, &pf.predicate, &mut v);
+            let mapped = f.map(&f2.predicate);
+            check_direction("R", &mapped, &f.right, &pf.predicate, &mut v, memo);
         }
     }
 
@@ -136,10 +158,10 @@ pub fn check_fuse_contract(p1: &LogicalPlan, p2: &LogicalPlan, f: &Fused) -> Vec
     //     mask discipline.
     if let LogicalPlan::Aggregate(ga) = &f.plan {
         if let LogicalPlan::Aggregate(g1) = p1 {
-            check_aggregate_side("P1", g1, None, ga, &mut v);
+            check_aggregate_side("P1", g1, None, ga, &mut v, memo);
         }
         if let LogicalPlan::Aggregate(g2) = p2 {
-            check_aggregate_side("P2", g2, Some(f), ga, &mut v);
+            check_aggregate_side("P2", g2, Some(f), ga, &mut v, memo);
         }
     }
 
@@ -151,36 +173,10 @@ pub(crate) fn types_compatible(a: DataType, b: DataType) -> bool {
     a == b || (a.is_numeric() && b.is_numeric())
 }
 
-/// The normalized, non-trivial conjuncts of a filter-position predicate.
-/// `None` means the predicate is provably FALSE (the side selects no rows,
-/// so any reconstruction obligation is vacuous).
-pub(crate) fn conjunct_exprs(e: &Expr) -> Option<Vec<Expr>> {
-    let n = normalize(&simplify_filter(e));
-    if n.is_false_literal() {
-        return None;
-    }
-    Some(
-        split_conjuncts(&n)
-            .into_iter()
-            .filter(|c| !c.is_true_literal())
-            .collect(),
-    )
-}
-
-/// Whether `available ⊨ target` under the approximations the simplifier
-/// itself uses: exact membership, or (absorption) the target is a
-/// disjunction one of whose disjuncts is fully available.
-pub(crate) fn implied(target: &Expr, available: &BTreeSet<String>) -> bool {
-    if available.contains(&target.to_string()) {
-        return true;
-    }
-    let disjuncts = split_disjuncts(target);
-    disjuncts.len() >= 2
-        && disjuncts.iter().any(|d| {
-            split_conjuncts(d)
-                .iter()
-                .all(|dc| available.contains(&dc.to_string()))
-        })
+/// Whether a normalized conjunct set holds a conjunct rendered as `text`
+/// (the available sides are a few conjuncts, so a scan beats a set).
+pub(crate) fn holds(set: &[Conjunct], text: &str) -> bool {
+    set.iter().any(|c| &*c.text == text)
 }
 
 /// Require every conjunct of `original` to be implied by
@@ -191,21 +187,22 @@ pub(crate) fn check_direction(
     comp: &Expr,
     fused_pred: &Expr,
     v: &mut Vec<Violation>,
+    memo: &ExprMemo,
 ) {
-    let Some(targets) = conjunct_exprs(original) else {
+    let Some(targets) = memo.conjuncts(original) else {
         return; // original side provably empty
     };
-    let Some(avail_exprs) = conjunct_exprs(&comp.clone().and(fused_pred.clone())) else {
+    let Some(available) = memo.conjuncts(&comp.clone().and(fused_pred.clone())) else {
         return; // compensated side provably empty: selects ⊆ ∅ trivially
     };
-    let available: BTreeSet<String> = avail_exprs.iter().map(|c| c.to_string()).collect();
-    for t in targets {
-        if !implied(&t, &available) {
+    for t in targets.iter() {
+        if !t.implied(&|s| holds(&available, s)) {
             v.push(Violation::new(
                 AnalysisCode::Direction,
                 format!(
                     "compensation {side} does not reconstruct the original filter: \
-                     conjunct `{t}` is not implied by `{comp} AND {fused_pred}`"
+                     conjunct `{}` is not implied by `{comp} AND {fused_pred}`",
+                    t.text
                 ),
             ));
         }
@@ -222,8 +219,9 @@ pub(crate) fn check_aggregate_side(
     map_through: Option<&Fused>,
     fused: &fusion_plan::Aggregate,
     v: &mut Vec<Violation>,
+    memo: &ExprMemo,
 ) {
-    let fused_groups: BTreeSet<_> = fused.group_by.iter().copied().collect();
+    let fused_groups: std::collections::HashSet<_> = fused.group_by.iter().copied().collect();
     let remap = |id| match map_through {
         Some(fu) => fu.mapped_id(id),
         None => id,
@@ -254,19 +252,21 @@ pub(crate) fn check_aggregate_side(
     // Conjuncts of the filter (if any) directly under the fused GroupBy:
     // an original filter conjunct may be discharged there instead of in
     // the masks.
-    let spine: BTreeSet<String> = match fused.input.as_ref() {
-        LogicalPlan::Filter(ff) => conjunct_exprs(&ff.predicate)
-            .unwrap_or_default()
-            .iter()
-            .map(|c| c.to_string())
-            .collect(),
-        _ => BTreeSet::new(),
+    let spine = match fused.input.as_ref() {
+        LogicalPlan::Filter(ff) => memo.conjuncts(&ff.predicate),
+        _ => None,
     };
+    let on_spine = |s: &str| spine.as_deref().is_some_and(|cs| holds(cs, s));
 
-    let mut mask_sets: Vec<BTreeSet<String>> = Vec::new();
+    // The first aggregate of each id, as a scan in order finds it.
+    let mut fused_aggs = HashMap::new();
+    for fa in &fused.aggregates {
+        fused_aggs.entry(fa.id).or_insert(fa);
+    }
+    let mut mask_sets = Vec::new();
     for a in &orig.aggregates {
         let target_id = remap(a.id);
-        let Some(fa) = fused.aggregates.iter().find(|fa| fa.id == target_id) else {
+        let Some(fa) = fused_aggs.get(&target_id) else {
             // Missing output ids are already reported by the schema
             // reconstruction checks.
             continue;
@@ -295,7 +295,7 @@ pub(crate) fn check_aggregate_side(
         });
         match (&orig_arg, &fa.agg.arg) {
             (None, None) => {}
-            (Some(oa), Some(na)) if fusion_expr::equiv(oa, na) => {}
+            (Some(oa), Some(na)) if memo.equiv(oa, na) => {}
             _ => v.push(Violation::new(
                 AnalysisCode::Aggregate,
                 format!(
@@ -310,19 +310,17 @@ pub(crate) fn check_aggregate_side(
             Some(fu) => fu.map(&a.agg.mask),
             None => a.agg.mask.clone(),
         };
-        if let (Some(targets), Some(avail_exprs)) =
-            (conjunct_exprs(&orig_mask), conjunct_exprs(&fa.agg.mask))
+        if let (Some(targets), Some(available)) =
+            (memo.conjuncts(&orig_mask), memo.conjuncts(&fa.agg.mask))
         {
-            let available: BTreeSet<String> =
-                avail_exprs.iter().map(|c| c.to_string()).collect();
-            for t in targets {
-                if !implied(&t, &available) {
+            for t in targets.iter() {
+                if !t.implied(&|s| holds(&available, s)) {
                     v.push(Violation::new(
                         AnalysisCode::Mask,
                         format!(
-                            "{side} aggregate {}#{} lost mask conjunct `{t}` \
+                            "{side} aggregate {}#{} lost mask conjunct `{}` \
                              (fused mask `{}`)",
-                            a.name, a.id.0, fa.agg.mask
+                            a.name, a.id.0, t.text, fa.agg.mask
                         ),
                     ));
                 }
@@ -345,21 +343,20 @@ pub(crate) fn check_aggregate_side(
                 Some(fu) => fu.map(&of.predicate),
                 None => of.predicate.clone(),
             };
-            if let Some(targets) = conjunct_exprs(&orig_pred) {
-                for t in targets {
-                    let absorbed = spine.contains(&t.to_string())
-                        || mask_sets.iter().all(|m| {
-                            let avail: BTreeSet<String> =
-                                spine.union(m).cloned().collect();
-                            implied(&t, &avail)
-                        });
+            if let Some(targets) = memo.conjuncts(&orig_pred) {
+                for t in targets.iter() {
+                    let absorbed = on_spine(&t.text)
+                        || mask_sets
+                            .iter()
+                            .all(|m| t.implied(&|s| on_spine(s) || holds(m, s)));
                     if !absorbed {
                         v.push(Violation::new(
                             AnalysisCode::Mask,
                             format!(
-                                "{side} scalar-aggregate filter conjunct `{t}` was \
+                                "{side} scalar-aggregate filter conjunct `{}` was \
                                  absorbed neither by the fused filter spine nor by \
-                                 every derived aggregate mask"
+                                 every derived aggregate mask",
+                                t.text
                             ),
                         ));
                     }

@@ -496,6 +496,7 @@ fn rewrite_filters(plan: &LogicalPlan, f: &dyn Fn(&Expr) -> Option<Expr>) -> Log
             None
         }
     })
+    .unwrap_or_else(|| plan.clone())
 }
 
 /// Replace the first `col = from` equality with `col = to`.
@@ -509,7 +510,7 @@ fn replace_tag_literal(pred: &Expr, from: i64, to: i64) -> Option<Expr> {
             op: BinaryOp::Eq,
             left,
             right,
-        } = &e
+        } = e
         {
             if let (Expr::Column(id), Expr::Literal(Value::Int64(k))) =
                 (left.as_ref(), right.as_ref())

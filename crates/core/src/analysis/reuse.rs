@@ -46,7 +46,7 @@
 //! ([`AnalysisCode::ReuseSplice`] and friends) so EXPLAIN traces, the
 //! mutation self-test, and CI can match on the family that fired.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use fusion_common::{ColumnId, DataType};
 use fusion_expr::{AggFunc, Expr};
@@ -55,7 +55,8 @@ use fusion_plan::LogicalPlan;
 use super::canon::{
     self, canonical_form, position_map, rendered_conjuncts, resolve_of,
 };
-use super::contract::{check_aggregate_side, check_direction, conjunct_exprs, implied, types_compatible};
+use super::contract::{check_aggregate_side, check_direction, holds, types_compatible};
+use crate::fuse::ExprMemo;
 use super::lattice::props;
 use super::{AnalysisCode, Violation};
 use crate::fuse::Fused;
@@ -324,28 +325,29 @@ pub fn certify_fused_splice(
 
     // 4. Bidirectional residual equality for filter-rooted members.
     let mut residual_conjuncts = 0usize;
+    let memo = ExprMemo::default();
     if let (LogicalPlan::Filter(cf), LogicalPlan::Filter(sf)) = (consumer, shared) {
         let mapped_pred = cf.predicate.map_columns(mapping);
         let before = v.len();
-        check_direction("reuse", &mapped_pred, comp, &sf.predicate, &mut v);
+        check_direction("reuse", &mapped_pred, comp, &sf.predicate, &mut v, &memo);
         let forward_ok = v.len() == before;
         if forward_ok {
-            residual_conjuncts = conjunct_exprs(&mapped_pred).map(|c| c.len()).unwrap_or(0);
+            residual_conjuncts = memo.conjuncts(&mapped_pred).map(|c| c.len()).unwrap_or(0);
         }
         // Reverse: comp must not filter harder than the consumer asked.
-        if let (Some(targets), Some(avail)) = (
-            conjunct_exprs(comp),
-            conjunct_exprs(&mapped_pred.clone().and(sf.predicate.clone())),
+        if let (Some(targets), Some(available)) = (
+            memo.conjuncts(comp),
+            memo.conjuncts(&mapped_pred.clone().and(sf.predicate.clone())),
         ) {
-            let available: BTreeSet<String> = avail.iter().map(|c| c.to_string()).collect();
-            for t in targets {
-                if !implied(&t, &available) {
+            for t in targets.iter() {
+                if !t.implied(&|s| holds(&available, s)) {
                     v.push(Violation::new(
                         AnalysisCode::ReuseSplice,
                         format!(
-                            "compensation conjunct `{t}` is not implied by the \
+                            "compensation conjunct `{}` is not implied by the \
                              consumer's own predicate over the shared rows; \
-                             the splice would drop rows the consumer expects"
+                             the splice would drop rows the consumer expects",
+                            t.text
                         ),
                     ));
                 }
@@ -363,7 +365,7 @@ pub fn certify_fused_splice(
             right: comp.clone(),
         };
         let before = v.len();
-        check_aggregate_side("consumer", ca, Some(&synthetic), sa, &mut v);
+        check_aggregate_side("consumer", ca, Some(&synthetic), sa, &mut v, &memo);
         // Re-code the contract-layer violations under the reuse family so
         // rejection notes carry FUSION_ANALYSIS_REUSE_SPLICE.
         for viol in v.iter_mut().skip(before) {

@@ -3,10 +3,10 @@
 use std::collections::HashSet;
 
 use fusion_common::ColumnId;
-use fusion_expr::{equiv, AggFunc, AggregateExpr, Expr};
+use fusion_expr::{AggFunc, AggregateExpr, Expr};
 use fusion_plan::{AggAssign, Aggregate, LogicalPlan};
 
-use super::{simp, FuseContext, Fused};
+use super::{FuseContext, Fused};
 
 /// `Fuse(GroupBy_{K1,A1}(P1), GroupBy_{K2,A2}(P2))`.
 ///
@@ -38,11 +38,21 @@ pub fn fuse_aggregates(g1: &Aggregate, g2: &Aggregate, ctx: &FuseContext) -> Opt
     let mut mapping = fused.mapping.clone();
     let mut new_aggs: Vec<AggAssign> = Vec::with_capacity(g1.aggregates.len());
 
+    // Aggregates share masks (a fused side's aggregates all carry its
+    // filter), so each distinct mask is tightened once.
+    let mut tightened: Vec<(&Expr, Expr)> = Vec::new();
     for a in &g1.aggregates {
         if a.agg.distinct && !fused.left.is_true_literal() {
             return None;
         }
-        let mask = simp(a.agg.mask.clone().and(fused.left.clone()));
+        let mask = match tightened.iter().find(|(m, _)| m.identical(&a.agg.mask)) {
+            Some((_, t)) => t.clone(),
+            None => {
+                let t = ctx.simp(a.agg.mask.clone().and(fused.left.clone()));
+                tightened.push((&a.agg.mask, t.clone()));
+                t
+            }
+        };
         new_aggs.push(AggAssign::new(
             a.id,
             a.name.clone(),
@@ -60,7 +70,7 @@ pub fn fuse_aggregates(g1: &Aggregate, g2: &Aggregate, ctx: &FuseContext) -> Opt
             return None;
         }
         let mapped_arg = a.agg.arg.as_ref().map(|e| fused.map(e));
-        let mask = simp(fused.map(&a.agg.mask).and(fused.right.clone()));
+        let mask = ctx.simp(fused.map(&a.agg.mask).and(fused.right.clone()));
         let candidate = AggregateExpr {
             func: a.agg.func,
             arg: mapped_arg,
@@ -70,8 +80,8 @@ pub fn fuse_aggregates(g1: &Aggregate, g2: &Aggregate, ctx: &FuseContext) -> Opt
         match new_aggs.iter().find(|existing| {
             existing.agg.func == candidate.agg_func()
                 && existing.agg.distinct == candidate.distinct
-                && args_equiv(&existing.agg.arg, &candidate.arg)
-                && equiv(&existing.agg.mask, &candidate.mask)
+                && args_equiv(ctx, &existing.agg.arg, &candidate.arg)
+                && ctx.equiv(&existing.agg.mask, &candidate.mask)
         }) {
             Some(existing) => {
                 mapping.insert(a.id, existing.id);
@@ -108,10 +118,10 @@ impl AggFuncOf for AggregateExpr {
     }
 }
 
-fn args_equiv(a: &Option<Expr>, b: &Option<Expr>) -> bool {
+fn args_equiv(ctx: &FuseContext, a: &Option<Expr>, b: &Option<Expr>) -> bool {
     match (a, b) {
         (None, None) => true,
-        (Some(x), Some(y)) => equiv(x, y),
+        (Some(x), Some(y)) => ctx.equiv(x, y),
         _ => false,
     }
 }
@@ -129,7 +139,7 @@ fn compensation(
         return Expr::boolean(true);
     }
     let count_id = match aggs.iter().find(|a| {
-        a.agg.func == AggFunc::CountStar && !a.agg.distinct && equiv(&a.agg.mask, comp)
+        a.agg.func == AggFunc::CountStar && !a.agg.distinct && ctx.equiv(&a.agg.mask, comp)
     }) {
         Some(existing) => existing.id,
         None => {

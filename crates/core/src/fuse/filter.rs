@@ -1,9 +1,8 @@
 //! Fusing filters (§III.B).
 
-use fusion_expr::equiv;
 use fusion_plan::{Filter, LogicalPlan};
 
-use super::{simp, FuseContext, Fused};
+use super::{FuseContext, Fused};
 
 /// `Fuse(Filter_C1(P1), Filter_C2(P2))`: recursively fuse the inputs, then
 /// either keep a single equivalent condition, or take the disjunction and
@@ -16,7 +15,7 @@ pub fn fuse_filters(f1: &Filter, f2: &Filter, ctx: &FuseContext) -> Option<Fused
     let fused = super::fuse(&f1.input, &f2.input, ctx)?;
     let c1 = f1.predicate.clone();
     let c2m = fused.map(&f2.predicate);
-    if equiv(&c1, &c2m) {
+    if ctx.equiv(&c1, &c2m) {
         return Some(Fused {
             plan: LogicalPlan::Filter(Filter {
                 input: Box::new(fused.plan),
@@ -27,9 +26,9 @@ pub fn fuse_filters(f1: &Filter, f2: &Filter, ctx: &FuseContext) -> Option<Fused
             right: fused.right,
         });
     }
-    let predicate = simp(c1.clone().or(c2m.clone()));
-    let left = simp(fused.left.and(c1));
-    let right = simp(fused.right.and(c2m));
+    let predicate = ctx.simp(c1.clone().or(c2m.clone()));
+    let left = ctx.simp(fused.left.and(c1));
+    let right = ctx.simp(fused.right.and(c2m));
     Some(Fused {
         plan: LogicalPlan::Filter(Filter {
             input: Box::new(fused.plan),

@@ -1,9 +1,9 @@
 //! Fusing joins (§III.D).
 
-use fusion_expr::{equiv_mod, Expr};
+use fusion_expr::Expr;
 use fusion_plan::{Join, JoinType, LogicalPlan};
 
-use super::{simp, FuseContext, Fused};
+use super::{FuseContext, Fused};
 
 /// `Fuse(JL1 ⨝_C1 JR1, JL2 ⨝_C2 JR2)`: pairwise fuse the two sides,
 /// union the (non-overlapping) mappings, and require the join conditions
@@ -44,12 +44,12 @@ pub fn fuse_joins(j1: &Join, j2: &Join, ctx: &FuseContext) -> Option<Fused> {
 
     let mut mapping = fl.mapping.clone();
     mapping.extend(fr.mapping.iter().map(|(k, v)| (*k, *v)));
-    if !equiv_mod(&j1.condition, &j2.condition, &mapping) {
+    if !ctx.equiv(&j1.condition, &j2.condition.map_columns(&mapping)) {
         return None;
     }
 
-    let left = simp(fl.left.and(fr.left));
-    let right = simp(fl.right.and(fr.right));
+    let left = ctx.simp(fl.left.and(fr.left));
+    let right = ctx.simp(fl.right.and(fr.right));
     // Cross joins must carry the canonical literal TRUE: keeping
     // `j1.condition` verbatim would let a residual like `TRUE AND TRUE`
     // through, which strict per-rewrite validation rejects before the

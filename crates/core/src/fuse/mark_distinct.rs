@@ -2,7 +2,7 @@
 
 use fusion_plan::{LogicalPlan, MarkDistinct};
 
-use super::{simp, FuseContext, Fused};
+use super::{FuseContext, Fused};
 
 /// `Fuse(MarkDistinct_{d1,D1}(P1), MarkDistinct_{d2,D2}(P2))`.
 ///
@@ -25,7 +25,7 @@ pub fn fuse_mark_distinct(
     // (mapped) native masks with the compensating filters. With trivial
     // compensations this is a no-op — the paper's "skip the extra
     // columns" optimization falls out of simplification.
-    let mask2 = simp(fused.map(&m2.mask).and(fused.right.clone()));
+    let mask2 = ctx.simp(fused.map(&m2.mask).and(fused.right.clone()));
     let inner_md = LogicalPlan::MarkDistinct(MarkDistinct {
         input: Box::new(fused.plan.clone()),
         columns: d2_mapped,
@@ -34,7 +34,7 @@ pub fn fuse_mark_distinct(
         mask: mask2,
     });
 
-    let mask1 = simp(m1.mask.clone().and(fused.left.clone()));
+    let mask1 = ctx.simp(m1.mask.clone().and(fused.left.clone()));
     let outer_md = LogicalPlan::MarkDistinct(MarkDistinct {
         input: Box::new(inner_md),
         columns: m1.columns.clone(),

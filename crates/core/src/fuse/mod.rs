@@ -13,6 +13,7 @@ pub mod aggregate;
 pub mod filter;
 pub mod join;
 pub mod mark_distinct;
+pub mod memo;
 pub mod project;
 pub mod scan;
 
@@ -22,13 +23,17 @@ use fusion_common::{IdGen, Schema};
 use fusion_expr::{ColumnMap, Expr};
 use fusion_plan::{EnforceSingleRow, LogicalPlan, MarkDistinct, Project, ProjExpr};
 
+pub use memo::ExprMemo;
+
 /// Shared context for fusion: the session id generator, used to mint
-/// compensating columns (counts, masks), plus the trace sink recording
-/// every `Fuse` attempt for the optimizer trace.
+/// compensating columns (counts, masks), the trace sink recording every
+/// `Fuse` attempt for the optimizer trace, and the expression memo every
+/// equivalence test, simplification and contract check reads through.
 #[derive(Debug, Clone)]
 pub struct FuseContext {
     pub gen: IdGen,
     pub trace: Arc<FuseTrace>,
+    pub memo: Arc<ExprMemo>,
 }
 
 impl FuseContext {
@@ -36,7 +41,21 @@ impl FuseContext {
         FuseContext {
             gen,
             trace: Arc::new(FuseTrace::default()),
+            memo: Arc::new(ExprMemo::default()),
         }
+    }
+
+    /// Simplify a predicate and return it. Every caller feeds this a
+    /// filter-position expression (compensating filters, masks,
+    /// join/dispatch conditions), so the NULL≡FALSE folding of
+    /// `simplify_filter` is sound here.
+    pub(crate) fn simp(&self, e: Expr) -> Expr {
+        Expr::clone(&self.memo.simplify_filter(&e))
+    }
+
+    /// Are two expressions equivalent (best-effort, sound)?
+    pub(crate) fn equiv(&self, a: &Expr, b: &Expr) -> bool {
+        self.memo.equiv(a, b)
     }
 }
 
@@ -62,29 +81,40 @@ pub struct FuseEvent {
 /// even if a panicking thread held the lock.
 #[derive(Debug, Default)]
 pub struct FuseTrace {
-    events: Mutex<Vec<FuseEvent>>,
+    recorded: Mutex<FuseEvents>,
+}
+
+/// The fuse events of one `optimize` call.
+#[derive(Debug, Clone, Default)]
+pub struct FuseEvents {
+    /// The first [`FUSE_TRACE_CAP`] events, in call order.
+    pub events: Vec<FuseEvent>,
+    /// How many events came after the cap and were counted, not kept.
+    pub dropped: usize,
 }
 
 /// Cap on recorded events so a pathological plan cannot balloon the
-/// report; past the cap the trace silently stops growing.
-const FUSE_TRACE_CAP: usize = 512;
+/// report; past the cap events are only counted.
+pub const FUSE_TRACE_CAP: usize = 512;
 
 impl FuseTrace {
     pub(crate) fn record(&self, event: FuseEvent) {
-        let mut events = self
-            .events
+        let mut recorded = self
+            .recorded
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        if events.len() < FUSE_TRACE_CAP {
-            events.push(event);
+        if recorded.events.len() < FUSE_TRACE_CAP {
+            recorded.events.push(event);
+        } else {
+            recorded.dropped += 1;
         }
     }
 
     /// Drain all recorded events, leaving the trace empty.
-    pub fn take(&self) -> Vec<FuseEvent> {
+    pub fn take(&self) -> FuseEvents {
         std::mem::take(
             &mut *self
-                .events
+                .recorded
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner),
         )
@@ -160,7 +190,7 @@ pub fn fuse(p1: &LogicalPlan, p2: &LogicalPlan, ctx: &FuseContext) -> Option<Fus
     // back into ⊥ so the calling rule simply does not fire. The rejection
     // reason lands in the fuse trace (and therefore EXPLAIN).
     if let Some(f) = &result {
-        let violations = crate::analysis::check_fuse_contract(p1, p2, f);
+        let violations = crate::analysis::contract::check(p1, p2, f, &ctx.memo);
         if !violations.is_empty() {
             ctx.trace.record(FuseEvent {
                 left: left.into(),
@@ -329,18 +359,18 @@ fn fuse_enforce_single_row(
 /// compensating filter is exposed as a projected boolean column and added
 /// to the distinct key — the same device §III.F uses for same-root
 /// MarkDistinct fusion.
-fn readd_mark_distinct(m: &MarkDistinct, f: Fused, left_side: bool, _ctx: &FuseContext) -> Fused {
+fn readd_mark_distinct(m: &MarkDistinct, f: Fused, left_side: bool, ctx: &FuseContext) -> Fused {
     let comp = if left_side {
         f.left.clone()
     } else {
         f.right.clone()
     };
     let (columns, mask): (Vec<_>, Expr) = if left_side {
-        (m.columns.clone(), simp(m.mask.clone().and(comp)))
+        (m.columns.clone(), ctx.simp(m.mask.clone().and(comp)))
     } else {
         (
             m.columns.iter().map(|c| f.mapped_id(*c)).collect(),
-            simp(f.map(&m.mask).and(comp)),
+            ctx.simp(f.map(&m.mask).and(comp)),
         )
     };
     Fused {
@@ -365,14 +395,6 @@ pub fn identity_projection(plan: &LogicalPlan) -> LogicalPlan {
         input: Box::new(plan.clone()),
         exprs: schema.fields().iter().map(ProjExpr::passthrough).collect(),
     })
-}
-
-/// Utility shared by submodules: simplify a predicate and return it.
-/// Every caller feeds this a filter-position expression (compensating
-/// filters, masks, join/dispatch conditions), so the NULL≡FALSE folding
-/// of `simplify_filter` is sound here.
-pub(crate) fn simp(e: Expr) -> Expr {
-    fusion_expr::simplify_filter(&e)
 }
 
 /// Utility: the set of columns two compensating filters reference.

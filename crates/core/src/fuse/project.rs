@@ -1,6 +1,5 @@
 //! Fusing projections (§III.C).
 
-use fusion_expr::equiv;
 use fusion_plan::{LogicalPlan, Project, ProjExpr};
 
 use super::{comp_columns, FuseContext, Fused};
@@ -22,7 +21,7 @@ pub fn fuse_projects(p1: &Project, p2: &Project, ctx: &FuseContext) -> Option<Fu
 
     for pe2 in &p2.exprs {
         let mapped = fused.map(&pe2.expr);
-        match exprs.iter().find(|pe| equiv(&pe.expr, &mapped)) {
+        match exprs.iter().find(|pe| ctx.equiv(&pe.expr, &mapped)) {
             Some(existing) => {
                 mapping.insert(pe2.id, existing.id);
             }

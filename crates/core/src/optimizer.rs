@@ -9,7 +9,7 @@
 use fusion_common::IdGen;
 use fusion_plan::LogicalPlan;
 
-use crate::fuse::{FuseContext, FuseEvent};
+use crate::fuse::{ExprMemo, FuseContext, FuseEvent, FUSE_TRACE_CAP};
 use crate::rules::join_on_keys::JoinOnKeys;
 use crate::rules::normalize::{
     MergeFilters, MergeProjections, RemoveTrivialProjections, SimplifyExpressions,
@@ -120,8 +120,10 @@ pub struct OptimizerTrace {
     /// Rule attempts in driver order.
     pub attempts: Vec<RuleAttempt>,
     /// `Fuse` primitive attempts (fired and bailed) recorded by the
-    /// fusion rules, in call order.
+    /// fusion rules, in call order, up to the trace cap.
     pub fuse_events: Vec<FuseEvent>,
+    /// Attempts after the cap, counted but not recorded.
+    pub fuse_events_dropped: usize,
 }
 
 impl OptimizerTrace {
@@ -154,6 +156,12 @@ impl OptimizerTrace {
                 e.right,
                 if e.fused { "fused" } else { "⊥" },
                 e.detail
+            ));
+        }
+        if self.fuse_events_dropped > 0 {
+            out.push_str(&format!(
+                "[fuse] … {} more events not recorded (cap {FUSE_TRACE_CAP})\n",
+                self.fuse_events_dropped
             ));
         }
         out
@@ -198,6 +206,12 @@ impl Optimizer {
         }
     }
 
+    /// The expression memo, holding what the last `optimize` call
+    /// derived (each call starts it empty).
+    pub fn memo(&self) -> &ExprMemo {
+        &self.ctx.memo
+    }
+
     pub fn config(&self) -> &OptimizerConfig {
         &self.config
     }
@@ -207,8 +221,10 @@ impl Optimizer {
         let mut report = OptimizerReport::default();
         let mut current = plan.clone();
         // Drop any fuse events a previous optimize() on this context left
-        // behind so the trace describes this call only.
+        // behind so the trace describes this call only, and start the
+        // expression memo empty.
         self.ctx.trace.take();
+        self.ctx.memo.clear();
 
         // Phase 1: normalization.
         current = self.run_phase(
@@ -283,7 +299,9 @@ impl Optimizer {
                 }
             }
         }
-        report.trace.fuse_events = self.ctx.trace.take();
+        let fuse = self.ctx.trace.take();
+        report.trace.fuse_events = fuse.events;
+        report.trace.fuse_events_dropped = fuse.dropped;
         (current, report)
     }
 
@@ -533,6 +551,38 @@ mod tests {
         assert!(!report.fusion_applied);
         assert_eq!(report.rejected.len(), 1);
         assert_eq!(report.rejected[0].rule, "BrokenRule");
+    }
+
+    /// Past the cap the trace counts events instead of silently dropping
+    /// them, and the rendering says how many are missing.
+    #[test]
+    fn fuse_trace_past_the_cap_reports_what_it_dropped() {
+        let trace = crate::fuse::FuseTrace::default();
+        for i in 0..FUSE_TRACE_CAP + 7 {
+            trace.record(FuseEvent {
+                left: "Scan".into(),
+                right: "Scan".into(),
+                fused: i % 2 == 0,
+                detail: format!("attempt {i}"),
+            });
+        }
+        let recorded = trace.take();
+        assert_eq!(recorded.events.len(), FUSE_TRACE_CAP);
+        assert_eq!(recorded.dropped, 7);
+        assert_eq!(recorded.events.last().unwrap().detail, "attempt 511");
+        let rendered = OptimizerTrace {
+            attempts: Vec::new(),
+            fuse_events: recorded.events,
+            fuse_events_dropped: recorded.dropped,
+        }
+        .render();
+        assert_eq!(rendered.lines().count(), FUSE_TRACE_CAP + 1);
+        assert!(
+            rendered.ends_with("[fuse] … 7 more events not recorded (cap 512)\n"),
+            "{rendered}"
+        );
+        // Draining resets the count for the next optimize call.
+        assert_eq!(trace.take().dropped, 0);
     }
 
     #[test]

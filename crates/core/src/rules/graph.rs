@@ -10,18 +10,22 @@
 //! placing each conjunct at the lowest point where its columns are
 //! available, and restores the original root's output columns with a
 //! final projection.
+//!
+//! Inputs are borrowed from the flattened plan until a rule replaces one,
+//! so flattening a join tree that no rule rewrites copies no subplan.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
-use fusion_common::{ColumnId, Field};
+use fusion_common::{ColumnId, Field, Schema};
 use fusion_expr::{conjoin, split_conjuncts, Expr};
 use fusion_plan::{Filter, Join, JoinType, LogicalPlan, Project, ProjExpr};
 
 /// A flattened inner-join tree.
-#[derive(Debug, Clone)]
-pub struct JoinGraph {
+#[derive(Debug, Clone, PartialEq)]
+pub struct JoinGraph<'a> {
     /// Atomic inputs (not inner/cross joins, filters, or bare projects).
-    pub inputs: Vec<LogicalPlan>,
+    pub inputs: Vec<Cow<'a, LogicalPlan>>,
     /// Conjunctive predicate pool (join conditions + filter predicates),
     /// already rewritten through the flattening substitution.
     pub conjuncts: Vec<Expr>,
@@ -30,54 +34,144 @@ pub struct JoinGraph {
     pub output: Vec<(Field, ColumnId)>,
 }
 
-impl JoinGraph {
+impl<'a> JoinGraph<'a> {
     /// Flatten `plan` if its root participates in an inner-join tree.
     /// The root may be the join itself or a chain of filters / bare-column
     /// projections above one — SQL planning leaves WHERE conjuncts (and
     /// thus the join's key equalities) in a filter above the join tree.
     /// Returns `None` for plans that are not join-like at the root.
-    pub fn from_plan(plan: &LogicalPlan) -> Option<JoinGraph> {
-        let mut probe = plan;
-        loop {
-            match probe {
-                LogicalPlan::Join(Join {
-                    join_type: JoinType::Inner | JoinType::Cross,
-                    ..
-                }) => break,
-                LogicalPlan::Filter(f) => probe = &f.input,
-                LogicalPlan::Project(p) if all_bare_columns(p) => probe = &p.input,
-                _ => return None,
+    pub fn from_plan(plan: &'a LogicalPlan) -> Option<JoinGraph<'a>> {
+        if !joins_at_root(plan) {
+            return None;
+        }
+        let output = plan.schema().fields().to_vec();
+        Some(Self::flattened(
+            vec![Cow::Borrowed(plan)],
+            Vec::new(),
+            HashMap::new(),
+            output,
+        ))
+    }
+
+    /// The atomic inputs [`JoinGraph::from_plan`] would flatten `plan`
+    /// into, found without building the graph: what a rule reads to
+    /// decline before paying for one.
+    pub fn atoms(plan: &LogicalPlan) -> Option<Vec<&LogicalPlan>> {
+        fn walk<'p>(p: &'p LogicalPlan, out: &mut Vec<&'p LogicalPlan>) {
+            if flattened(p) {
+                for c in p.children() {
+                    walk(c, out);
+                }
+            } else {
+                out.push(p);
             }
         }
+        if !joins_at_root(plan) {
+            return None;
+        }
+        let mut out = Vec::new();
+        walk(plan, &mut out);
+        Some(out)
+    }
+
+    /// The graph [`JoinGraph::from_plan`] returns for this graph's
+    /// [`JoinGraph::rebuild`], computed without building the plan; its
+    /// inputs are borrowed from this graph. A rule that keeps rewriting
+    /// after it replaced a pair looks for the next pair here — exactly
+    /// where applying it again to its own output would look. Only
+    /// meaningful with at least two inputs (fewer rebuild to no join).
+    pub fn reflattened(&self) -> JoinGraph<'_> {
+        let parts = self.inputs.iter().map(|p| Cow::Borrowed(p.as_ref())).collect();
+        let (fields, subst) = self.rebuilt_root();
+        JoinGraph::flattened(parts, self.conjuncts.clone(), subst, fields)
+    }
+
+    /// Let `pick` look at [`JoinGraph::reflattened`]. If it picks, that
+    /// graph is returned owning its inputs — this graph's, flattened by
+    /// value — together with the pick; otherwise this graph comes back.
+    pub fn reflatten_with<T>(
+        self,
+        pick: impl FnOnce(&JoinGraph<'_>) -> Option<T>,
+    ) -> Result<(JoinGraph<'a>, T), JoinGraph<'a>> {
+        let view = self.reflattened();
+        let picked = pick(&view);
+        let JoinGraph {
+            inputs: borrowed,
+            conjuncts,
+            output,
+        } = view;
+        drop(borrowed);
+        let Some(picked) = picked else {
+            return Err(self);
+        };
+        // The view's pool and output already hold what flattening the
+        // inputs adds to them.
         let mut inputs = Vec::new();
-        let mut conjuncts = Vec::new();
-        let mut subst: HashMap<ColumnId, ColumnId> = HashMap::new();
-        flatten(plan, &mut inputs, &mut conjuncts, &mut subst);
-
-        // Rewrite conjuncts through the final substitution, and order the
-        // pool canonically so rebuild() is a deterministic fixpoint.
-        let subst_map: fusion_expr::ColumnMap = subst.clone();
-        let mut conjuncts: Vec<Expr> = conjuncts
-            .into_iter()
-            .map(|c| c.map_columns(&subst_map))
-            .collect();
-        conjuncts.sort_by_key(|c| c.to_string());
-        conjuncts.dedup();
-
-        let output = plan
-            .schema()
-            .fields()
-            .iter()
-            .map(|f| {
-                let src = resolve(&subst, f.id);
-                (f.clone(), src)
-            })
-            .collect();
-        Some(JoinGraph {
+        for part in self.inputs {
+            flatten(part, &mut inputs, &mut Vec::new(), &mut HashMap::new());
+        }
+        let graph = JoinGraph {
             inputs,
             conjuncts,
             output,
-        })
+        };
+        Ok((graph, picked))
+    }
+
+    /// Flatten `parts` (left to right) on top of an existing conjunct pool
+    /// and substitution, then rewrite the pool through the substitution,
+    /// order it canonically (so rebuild() is a deterministic fixpoint) and
+    /// resolve each output field to the column carrying it.
+    fn flattened(
+        parts: Vec<Cow<'a, LogicalPlan>>,
+        mut conjuncts: Vec<Expr>,
+        mut subst: HashMap<ColumnId, ColumnId>,
+        output: Vec<Field>,
+    ) -> JoinGraph<'a> {
+        let mut inputs = Vec::new();
+        for part in parts {
+            flatten(part, &mut inputs, &mut conjuncts, &mut subst);
+        }
+        let mut conjuncts: Vec<Expr> = conjuncts.iter().map(|c| c.map_columns(&subst)).collect();
+        conjuncts.sort_by_cached_key(|c| c.to_string());
+        conjuncts.dedup();
+        let output = output
+            .into_iter()
+            .map(|f| {
+                let src = resolve(&subst, f.id);
+                (f, src)
+            })
+            .collect();
+        JoinGraph {
+            inputs,
+            conjuncts,
+            output,
+        }
+    }
+
+    /// The root fields of the rebuilt plan, and the substitution its
+    /// output projection contributes when flattened (none when the join
+    /// tree already produces the output and no projection is built).
+    fn rebuilt_root(&self) -> (Vec<Field>, HashMap<ColumnId, ColumnId>) {
+        let tree = Schema::new(
+            self.inputs
+                .iter()
+                .flat_map(|p| p.schema().fields().to_vec())
+                .collect(),
+        );
+        if is_identity(&self.output, tree.fields()) {
+            return (tree.fields().to_vec(), HashMap::new());
+        }
+        let fields = Project::schema_over(&restore(&self.output), &tree)
+            .fields()
+            .to_vec();
+        let subst = self
+            .output
+            .iter()
+            .filter(|(f, src)| f.id != *src)
+            .map(|(f, src)| (f.id, *src))
+            .collect();
+        (fields, subst)
     }
 
     /// Column equivalence classes induced by `a = b` conjuncts.
@@ -133,115 +227,195 @@ impl JoinGraph {
     /// placed at the lowest point where their columns are available, and a
     /// final projection restoring the original output fields.
     pub fn rebuild(self) -> LogicalPlan {
-        let JoinGraph {
-            inputs,
-            conjuncts,
-            output,
-        } = self;
-        let mut remaining: Vec<Expr> = conjuncts;
-        let mut iter = inputs.into_iter();
-        let mut acc = iter.next().expect("join graph must have inputs");
-        acc = attach_local(acc, &mut remaining);
+        self.layout().build(self.inputs)
+    }
 
-        for next in iter {
-            let next = attach_local(next, &mut remaining);
-            let combined = acc.schema().join(&next.schema());
-            let (now, later): (Vec<Expr>, Vec<Expr>) = remaining
-                .into_iter()
-                .partition(|c| c.columns().iter().all(|id| combined.contains(*id)));
-            remaining = later;
+    /// Where [`JoinGraph::rebuild`] puts each conjunct, decided from the
+    /// inputs' schemas alone.
+    fn layout(&self) -> Layout {
+        let mut remaining = self.conjuncts.clone();
+        let mut local = Vec::with_capacity(self.inputs.len());
+        let mut joins = Vec::new();
+        let mut tree: Vec<Field> = Vec::new();
+        let mut tree_ids: HashSet<ColumnId> = HashSet::new();
+        for (k, input) in self.inputs.iter().enumerate() {
+            let schema = input.schema();
+            // The conjuncts this input's own columns cover filter it.
+            let own: HashSet<ColumnId> = schema.fields().iter().map(|f| f.id).collect();
+            local.push(take_covered(&mut remaining, &own).map(conjoin));
+            tree_ids.extend(&own);
+            tree.extend(schema.fields().iter().cloned());
+            if k == 0 {
+                continue;
+            }
             // Defensive: literal-TRUE residuals (e.g. from a scalar-join
             // elimination) must collapse to a canonical cross join, not an
             // inner join with a degenerate condition.
-            let now: Vec<Expr> = now.into_iter().filter(|c| !c.is_true_literal()).collect();
-            let (join_type, condition) = if now.is_empty() {
+            let now: Vec<Expr> = take_covered(&mut remaining, &tree_ids)
+                .unwrap_or_default()
+                .into_iter()
+                .filter(|c| !c.is_true_literal())
+                .collect();
+            joins.push(if now.is_empty() {
                 (JoinType::Cross, Expr::boolean(true))
             } else {
                 (JoinType::Inner, conjoin(now))
-            };
+            });
+        }
+        let residual = (!remaining.is_empty()).then(|| conjoin(remaining));
+        // Restore the original output columns (identity where possible).
+        let project = (!is_identity(&self.output, &tree)).then(|| restore(&self.output));
+        Layout {
+            local,
+            joins,
+            residual,
+            project,
+        }
+    }
+}
+
+/// The plan [`JoinGraph::rebuild`] builds, minus its inputs.
+struct Layout {
+    /// Per input: the filter over it holding the conjuncts its own
+    /// columns cover.
+    local: Vec<Option<Expr>>,
+    /// Per input after the first: the join adding it to the tree.
+    joins: Vec<(JoinType, Expr)>,
+    /// A filter over the whole tree for conjuncts no join covers.
+    residual: Option<Expr>,
+    /// The projection restoring the original output; `None` when the
+    /// tree already produces it.
+    project: Option<Vec<ProjExpr>>,
+}
+
+impl Layout {
+    fn build(self, inputs: Vec<Cow<'_, LogicalPlan>>) -> LogicalPlan {
+        let filtered = |input: Cow<'_, LogicalPlan>, local: Option<Expr>| {
+            let input = input.into_owned();
+            match local {
+                Some(predicate) => LogicalPlan::Filter(Filter {
+                    input: Box::new(input),
+                    predicate,
+                }),
+                None => input,
+            }
+        };
+        let mut parts = inputs.into_iter().zip(self.local);
+        let (first, local) = parts.next().expect("join graph must have inputs");
+        let mut acc = filtered(first, local);
+        for ((input, local), (join_type, condition)) in parts.zip(self.joins) {
             acc = LogicalPlan::Join(Join {
                 left: Box::new(acc),
-                right: Box::new(next),
+                right: Box::new(filtered(input, local)),
                 join_type,
                 condition,
             });
         }
-        if !remaining.is_empty() {
+        if let Some(predicate) = self.residual {
             acc = LogicalPlan::Filter(Filter {
                 input: Box::new(acc),
-                predicate: conjoin(remaining),
+                predicate,
             });
         }
-
-        // Restore the original output columns (identity where possible).
-        let acc_schema = acc.schema();
-        let identity = output.len() == acc_schema.len()
-            && output
-                .iter()
-                .zip(acc_schema.fields())
-                .all(|((f, src), af)| f.id == *src && af.id == f.id);
-        if identity {
-            return acc;
+        match self.project {
+            Some(exprs) => LogicalPlan::Project(Project {
+                input: Box::new(acc),
+                exprs,
+            }),
+            None => acc,
         }
-        let exprs = output
-            .into_iter()
-            .map(|(f, src)| ProjExpr::new(f.id, f.name, Expr::Column(src)))
-            .collect();
-        LogicalPlan::Project(Project {
-            input: Box::new(acc),
-            exprs,
-        })
+    }
+
+    /// Whether `plan` already is the plan [`Layout::build`] would build
+    /// over `inputs` — decided without building it. Inputs borrowed from
+    /// `plan` itself compare by address.
+    fn matches(&self, plan: &LogicalPlan, inputs: &[Cow<'_, LogicalPlan>]) -> bool {
+        let filtered = |node: &LogicalPlan, input: &LogicalPlan, local: &Option<Expr>| {
+            let node = match (node, local) {
+                (LogicalPlan::Filter(f), Some(predicate)) if f.predicate == *predicate => &*f.input,
+                (_, Some(_)) => return false,
+                (node, None) => node,
+            };
+            std::ptr::eq(node, input) || node == input
+        };
+        let mut node = plan;
+        if let Some(exprs) = &self.project {
+            match node {
+                LogicalPlan::Project(p) if p.exprs == *exprs => node = &p.input,
+                _ => return false,
+            }
+        }
+        if let Some(predicate) = &self.residual {
+            match node {
+                LogicalPlan::Filter(f) if f.predicate == *predicate => node = &f.input,
+                _ => return false,
+            }
+        }
+        for k in (1..inputs.len()).rev() {
+            let (join_type, condition) = &self.joins[k - 1];
+            match node {
+                LogicalPlan::Join(j)
+                    if j.join_type == *join_type
+                        && j.condition == *condition
+                        && filtered(&j.right, &inputs[k], &self.local[k]) =>
+                {
+                    node = &j.left
+                }
+                _ => return false,
+            }
+        }
+        filtered(node, &inputs[0], &self.local[0])
     }
 }
 
-/// Wrap `input` in a filter holding every remaining conjunct that is
-/// fully covered by its own schema.
-fn attach_local(input: LogicalPlan, remaining: &mut Vec<Expr>) -> LogicalPlan {
-    let schema = input.schema();
-    let (local, rest): (Vec<Expr>, Vec<Expr>) = std::mem::take(remaining)
+/// Remove from `remaining` the conjuncts whose columns all lie in `ids`;
+/// `None` when there are none.
+fn take_covered(remaining: &mut Vec<Expr>, ids: &HashSet<ColumnId>) -> Option<Vec<Expr>> {
+    let (covered, rest): (Vec<Expr>, Vec<Expr>) = std::mem::take(remaining)
         .into_iter()
-        .partition(|c| c.columns().iter().all(|id| schema.contains(*id)));
+        .partition(|c| c.columns().iter().all(|id| ids.contains(id)));
     *remaining = rest;
-    if local.is_empty() {
-        input
-    } else {
-        LogicalPlan::Filter(Filter {
-            input: Box::new(input),
-            predicate: conjoin(local),
-        })
-    }
+    (!covered.is_empty()).then_some(covered)
 }
 
-fn flatten(
-    plan: &LogicalPlan,
-    inputs: &mut Vec<LogicalPlan>,
+/// The projection restoring `output` from the columns carrying it.
+fn restore(output: &[(Field, ColumnId)]) -> Vec<ProjExpr> {
+    output
+        .iter()
+        .map(|(f, src)| ProjExpr::new(f.id, f.name.clone(), Expr::Column(*src)))
+        .collect()
+}
+
+/// Whether the join tree's own columns (`tree`) already are the output.
+fn is_identity(output: &[(Field, ColumnId)], tree: &[Field]) -> bool {
+    output.len() == tree.len()
+        && output
+            .iter()
+            .zip(tree)
+            .all(|((f, src), tf)| f.id == *src && tf.id == f.id)
+}
+
+/// Flatten one part of a join tree: inner/cross joins and filters add
+/// their conjuncts, bare projections their renames, and anything else is
+/// an atomic input. Owned parts are taken apart; borrowed ones stay
+/// borrowed.
+fn flatten<'a>(
+    plan: Cow<'a, LogicalPlan>,
+    inputs: &mut Vec<Cow<'a, LogicalPlan>>,
     conjuncts: &mut Vec<Expr>,
     subst: &mut HashMap<ColumnId, ColumnId>,
 ) {
-    match plan {
-        LogicalPlan::Join(Join {
-            left,
-            right,
-            join_type: JoinType::Inner | JoinType::Cross,
-            condition,
-        }) => {
-            conjuncts.extend(
-                split_conjuncts(condition)
-                    .into_iter()
-                    .filter(|c| !c.is_true_literal()),
-            );
-            flatten(left, inputs, conjuncts, subst);
-            flatten(right, inputs, conjuncts, subst);
-        }
-        LogicalPlan::Filter(f) => {
-            conjuncts.extend(
-                split_conjuncts(&f.predicate)
-                    .into_iter()
-                    .filter(|c| !c.is_true_literal()),
-            );
-            flatten(&f.input, inputs, conjuncts, subst);
-        }
-        LogicalPlan::Project(p) if all_bare_columns(p) => {
+    if !flattened(&plan) {
+        inputs.push(plan);
+        return;
+    }
+    let mut push_conjuncts = |e: &Expr| {
+        conjuncts.extend(split_conjuncts(e).into_iter().filter(|c| !c.is_true_literal()));
+    };
+    match plan.as_ref() {
+        LogicalPlan::Join(j) => push_conjuncts(&j.condition),
+        LogicalPlan::Filter(f) => push_conjuncts(&f.predicate),
+        LogicalPlan::Project(p) => {
             for pe in &p.exprs {
                 if let Expr::Column(src) = pe.expr {
                     if pe.id != src {
@@ -249,16 +423,42 @@ fn flatten(
                     }
                 }
             }
-            flatten(&p.input, inputs, conjuncts, subst);
         }
-        other => inputs.push(other.clone()),
+        _ => {}
+    }
+    let children: Vec<Cow<'a, LogicalPlan>> = match plan {
+        Cow::Borrowed(p) => p.children().into_iter().map(Cow::Borrowed).collect(),
+        Cow::Owned(p) => p.into_children().into_iter().map(Cow::Owned).collect(),
+    };
+    for child in children {
+        flatten(child, inputs, conjuncts, subst);
     }
 }
 
-fn all_bare_columns(p: &Project) -> bool {
-    p.exprs
-        .iter()
-        .all(|pe| matches!(pe.expr, Expr::Column(_)))
+/// Whether flattening looks through this node: an inner or cross join,
+/// a filter, or a projection of bare columns.
+fn flattened(p: &LogicalPlan) -> bool {
+    match p {
+        LogicalPlan::Join(j) => matches!(j.join_type, JoinType::Inner | JoinType::Cross),
+        LogicalPlan::Filter(_) => true,
+        LogicalPlan::Project(p) => p.exprs.iter().all(|pe| matches!(pe.expr, Expr::Column(_))),
+        _ => false,
+    }
+}
+
+/// Whether `plan` is an inner/cross join, or a chain of filters and bare
+/// projections over one — the roots [`JoinGraph::from_plan`] flattens.
+fn joins_at_root(plan: &LogicalPlan) -> bool {
+    let mut probe = plan;
+    while flattened(probe) {
+        match probe {
+            LogicalPlan::Join(_) => return true,
+            LogicalPlan::Filter(Filter { input, .. })
+            | LogicalPlan::Project(Project { input, .. }) => probe = input,
+            _ => return false,
+        }
+    }
+    false
 }
 
 /// Cleanup rule: flatten a join tree (absorbing the filters above and
@@ -279,8 +479,8 @@ impl super::Rule for FormJoins {
         _ctx: &crate::fuse::FuseContext,
     ) -> Option<LogicalPlan> {
         let graph = JoinGraph::from_plan(plan)?;
-        let rebuilt = graph.rebuild();
-        (rebuilt != *plan).then_some(rebuilt)
+        let layout = graph.layout();
+        (!layout.matches(plan, &graph.inputs)).then(|| layout.build(graph.inputs))
     }
 }
 
@@ -400,7 +600,7 @@ mod tests {
             .build();
         let g = JoinGraph::from_plan(&plan).unwrap();
         assert_eq!(g.inputs.len(), 2);
-        assert!(matches!(g.inputs[0], LogicalPlan::Join(_)));
+        assert!(matches!(*g.inputs[0], LogicalPlan::Join(_)));
     }
 
     #[test]

@@ -20,6 +20,10 @@
 //! they degenerate to `k = k`, which is exactly the
 //! `cl IS NOT NULL` compensation of the paper (SQL equality rejects NULL).
 
+use std::borrow::Cow;
+use std::collections::HashSet;
+
+use fusion_common::ColumnId;
 use fusion_plan::{Aggregate, Filter, LogicalPlan, Project, ProjExpr};
 
 use super::graph::JoinGraph;
@@ -33,30 +37,60 @@ impl Rule for JoinOnKeys {
         "JoinOnKeys"
     }
 
+    /// Fuses pair after pair on one graph and rebuilds the plan once. After
+    /// each pair the next one is looked for in the graph the rebuilt plan
+    /// would flatten to, scanning from the first pair again — exactly the
+    /// pairs, in exactly the order, that re-applying the rule to its own
+    /// output tried when it fused one pair per application.
     fn apply(&self, plan: &LogicalPlan, ctx: &FuseContext) -> Option<LogicalPlan> {
-        let graph = JoinGraph::from_plan(plan)?;
-        let n = graph.inputs.len();
-        if n < 2 {
+        // A pair needs two keyed GroupBys or two single-row inputs.
+        let atoms = JoinGraph::atoms(plan)?;
+        let keyed = |p: &&&LogicalPlan| as_groupby(p).is_some_and(|g| !g.group_by.is_empty());
+        let single = |p: &&&LogicalPlan| is_single_row(p);
+        if atoms.iter().filter(keyed).count() < 2 && atoms.iter().filter(single).count() < 2 {
             return None;
         }
-        // Quadratic pairwise attempts (§IV.E).
-        for i in 0..n {
-            for j in 0..n {
-                if i == j {
-                    continue;
+        let mut graph = JoinGraph::from_plan(plan)?;
+        let (i, j, replacement) = first_fusing_pair(&graph, ctx)?;
+        graph.inputs[i] = Cow::Owned(replacement);
+        graph.inputs.remove(j);
+        loop {
+            match graph.reflatten_with(|next| first_fusing_pair(next, ctx)) {
+                Ok((next, (i, j, replacement))) => {
+                    graph = next;
+                    graph.inputs[i] = Cow::Owned(replacement);
+                    graph.inputs.remove(j);
                 }
-                let replacement = try_keyed_groupbys(&graph, i, j, ctx)
-                    .or_else(|| try_scalar_singletons(&graph, i, j, ctx));
-                if let Some(replacement) = replacement {
-                    let mut g = graph.clone();
-                    g.inputs[i] = replacement;
-                    g.inputs.remove(j);
-                    return Some(g.rebuild());
-                }
+                Err(done) => return Some(done.rebuild()),
             }
         }
-        None
     }
+
+    fn runs_to_fixpoint(&self) -> bool {
+        true
+    }
+}
+
+/// The first pair `(i, j)` in quadratic order (§IV.E) whose inputs fuse,
+/// with the plan replacing input `i` (input `j` is dropped).
+fn first_fusing_pair(graph: &JoinGraph, ctx: &FuseContext) -> Option<(usize, usize, LogicalPlan)> {
+    let n = graph.inputs.len();
+    if n < 2 {
+        return None;
+    }
+    for i in 0..n {
+        for j in 0..n {
+            if i == j {
+                continue;
+            }
+            let replacement = try_keyed_groupbys(graph, i, j, ctx)
+                .or_else(|| try_scalar_singletons(graph, i, j, ctx));
+            if let Some(replacement) = replacement {
+                return Some((i, j, replacement));
+            }
+        }
+    }
+    None
 }
 
 /// Keyed-GroupBy variant: both inputs are non-scalar GroupBys, their keys
@@ -88,10 +122,7 @@ fn try_keyed_groupbys(
             return None;
         }
     }
-    Some(build_replacement(
-        &fused,
-        &graph.inputs[j].schema(),
-    ))
+    Some(build_replacement(fused, &graph.inputs[j].schema(), ctx))
 }
 
 /// Scalar variant: both inputs are single-row relations; the (implicit)
@@ -120,10 +151,7 @@ fn try_scalar_singletons(
     if !fused.trivial() {
         return None;
     }
-    Some(build_replacement(
-        &fused,
-        &graph.inputs[j].schema(),
-    ))
+    Some(build_replacement(fused, &graph.inputs[j].schema(), ctx))
 }
 
 fn as_groupby(plan: &LogicalPlan) -> Option<&Aggregate> {
@@ -146,13 +174,18 @@ fn is_single_row(plan: &LogicalPlan) -> bool {
 /// Filter by the compensations, then restore the removed input's output
 /// identities on top of the fused plan (everything else passes through so
 /// the remaining conjuncts keep resolving).
-fn build_replacement(fused: &Fused, removed_schema: &fusion_common::Schema) -> LogicalPlan {
-    let comp = crate::fuse::simp(fused.left.clone().and(fused.right.clone()));
+fn build_replacement(
+    fused: Fused,
+    removed_schema: &fusion_common::Schema,
+    ctx: &FuseContext,
+) -> LogicalPlan {
+    let comp = ctx.simp(fused.left.clone().and(fused.right.clone()));
+    let mapped: Vec<_> = removed_schema.fields().iter().map(|f| fused.mapped_id(f.id)).collect();
     let filtered = if comp.is_true_literal() {
-        fused.plan.clone()
+        fused.plan
     } else {
         LogicalPlan::Filter(Filter {
-            input: Box::new(fused.plan.clone()),
+            input: Box::new(fused.plan),
             predicate: comp,
         })
     };
@@ -162,11 +195,11 @@ fn build_replacement(fused: &Fused, removed_schema: &fusion_common::Schema) -> L
         .iter()
         .map(ProjExpr::passthrough)
         .collect();
-    for field in removed_schema.fields() {
-        if exprs.iter().any(|pe| pe.id == field.id) {
+    let mut present: HashSet<ColumnId> = exprs.iter().map(|pe| pe.id).collect();
+    for (field, src) in removed_schema.fields().iter().zip(mapped) {
+        if !present.insert(field.id) {
             continue;
         }
-        let src = fused.mapped_id(field.id);
         exprs.push(ProjExpr::new(
             field.id,
             field.name.clone(),
@@ -360,6 +393,57 @@ mod tests {
         assert_eq!(base.sorted_rows(), opt.sorted_rows());
         // NULL store rows are dropped by the join in both plans.
         assert_eq!(base.rows.len(), 4);
+    }
+
+    /// The rule keeps fusing on its own graph: after each pair, the graph
+    /// it scans next is exactly the one flattening the rebuilt plan gives
+    /// — here under a renaming projection and a filter that keep the
+    /// output and the conjunct pool non-trivial.
+    #[test]
+    fn reflattening_matches_flattening_the_rebuilt_plan() {
+        let gen = IdGen::new();
+        let ctx = FuseContext::new(gen.clone());
+        let mk = |lo: i64, hi: i64| {
+            let t = PlanBuilder::scan(&gen, "sales", &sales_cols());
+            let (q, p) = (t.col("qty").unwrap(), t.col("profit").unwrap());
+            t.filter(col(q).gt_eq(lit(lo)).and(col(q).lt_eq(lit(hi))))
+                .aggregate(
+                    vec![],
+                    vec![
+                        ("cnt", AggregateExpr::count_star()),
+                        ("avg_p", AggregateExpr::avg(col(p))),
+                    ],
+                )
+                .build()
+        };
+        let (b1, b2, b3) = (mk(1, 20), mk(21, 40), mk(1, 20));
+        let (c1, c3) = (b1.schema().field(0).id, b3.schema().field(1).id);
+        let joined = PlanBuilder::from_plan(&gen, b1).cross_join(b2).cross_join(b3);
+        let plan = joined
+            .filter(col(c1).gt(lit(0i64)))
+            .project(vec![("n", col(c1)), ("avg", col(c3))])
+            .build();
+
+        let mut graph = JoinGraph::from_plan(&plan).unwrap();
+        let mut pairs = 0;
+        while let Some((i, j, replacement)) = first_fusing_pair(&graph, &ctx) {
+            graph.inputs[i] = Cow::Owned(replacement);
+            graph.inputs.remove(j);
+            pairs += 1;
+            let rebuilt = graph.clone().rebuild();
+            match JoinGraph::from_plan(&rebuilt) {
+                Some(flattened) => assert_eq!(graph.reflattened(), flattened),
+                None => assert_eq!(graph.inputs.len(), 1),
+            }
+            graph = match graph.reflatten_with(|_| Some(())) {
+                Ok((next, ())) => next,
+                Err(_) => unreachable!("the pick always picks"),
+            };
+            if let Some(flattened) = JoinGraph::from_plan(&rebuilt) {
+                assert_eq!(graph, flattened);
+            }
+        }
+        assert_eq!(pairs, 2);
     }
 
     #[test]

@@ -22,10 +22,20 @@ use crate::fuse::FuseContext;
 
 /// A rewrite rule. `apply` inspects one node (the rule may look arbitrarily
 /// deep below it) and returns a replacement, or `None` if it does not
-/// match. The driver walks the tree and re-applies to fixpoint.
+/// match. The optimizer walks the tree and re-applies to fixpoint. A rule
+/// that declines should decide so by reading the plan, without building
+/// anything.
 pub trait Rule {
     fn name(&self) -> &'static str;
     fn apply(&self, plan: &LogicalPlan, ctx: &FuseContext) -> Option<LogicalPlan>;
+
+    /// Whether `apply` already rewrites the node it matched to the rule's
+    /// own fixpoint, so that applying it again to the replacement could
+    /// only decline. [`apply_everywhere`] then skips that second
+    /// application (it still walks the replacement's children).
+    fn runs_to_fixpoint(&self) -> bool {
+        false
+    }
 }
 
 /// Apply a rule across the whole tree, top-down, returning `Some` if
@@ -47,13 +57,17 @@ pub fn apply_everywhere_traced(
     ctx: &FuseContext,
 ) -> (Option<LogicalPlan>, Vec<String>) {
     let mut fired_at = Vec::new();
-    let rewritten = plan.transform_down(&mut |node| match rule.apply(node, ctx) {
-        Some(new) => {
-            fired_at.push(node.node_label());
-            Some(new)
+    // `transform_down` re-offers a replacement to the rule at the same node
+    // right after it fired; a rule that runs to its fixpoint declines it.
+    let mut just_fired = false;
+    let rewritten = plan.transform_down(&mut |node| {
+        if std::mem::take(&mut just_fired) && rule.runs_to_fixpoint() {
+            return None;
         }
-        None => None,
+        let new = rule.apply(node, ctx)?;
+        fired_at.push(node.node_label());
+        just_fired = true;
+        Some(new)
     });
-    let changed = !fired_at.is_empty();
-    (changed.then_some(rewritten), fired_at)
+    (rewritten, fired_at)
 }

@@ -7,8 +7,10 @@
 //! fusion-specific code — the composability property the paper claims
 //! over Blitz/Resin.
 
-use fusion_expr::{simplify, simplify_filter};
-use fusion_plan::{Aggregate, Filter, LogicalPlan, Project, Scan, Sort, Window};
+use std::sync::Arc;
+
+use fusion_expr::{simplify_memo, Expr};
+use fusion_plan::{Filter, LogicalPlan, Project};
 
 use super::Rule;
 use crate::fuse::FuseContext;
@@ -21,92 +23,76 @@ impl Rule for SimplifyExpressions {
         "SimplifyExpressions"
     }
 
-    fn apply(&self, plan: &LogicalPlan, _ctx: &FuseContext) -> Option<LogicalPlan> {
-        let new = simplify_node(plan);
-        (new != *plan).then_some(new)
-    }
-}
-
-fn simplify_node(plan: &LogicalPlan) -> LogicalPlan {
-    match plan {
+    /// Fires when some expression of this node simplifies to something
+    /// else; the comparison is per expression, never over the subtree.
+    fn apply(&self, plan: &LogicalPlan, ctx: &FuseContext) -> Option<LogicalPlan> {
         // Filter predicates, join conditions, masks and scan filters sit in
         // null-rejecting positions, so the stronger contradiction-folding
         // variant applies; projection/sort/argument expressions must keep
         // exact Kleene semantics and get the strict one.
-        LogicalPlan::Filter(f) => LogicalPlan::Filter(Filter {
-            input: f.input.clone(),
-            predicate: simplify_filter(&f.predicate),
-        }),
-        LogicalPlan::Project(p) => LogicalPlan::Project(Project {
-            input: p.input.clone(),
-            exprs: p
-                .exprs
-                .iter()
-                .map(|pe| fusion_plan::ProjExpr::new(pe.id, pe.name.clone(), simplify(&pe.expr)))
-                .collect(),
-        }),
-        LogicalPlan::Join(j) => LogicalPlan::Join(fusion_plan::Join {
-            left: j.left.clone(),
-            right: j.right.clone(),
-            join_type: j.join_type,
-            condition: simplify_filter(&j.condition),
-        }),
-        LogicalPlan::Aggregate(a) => LogicalPlan::Aggregate(Aggregate {
-            input: a.input.clone(),
-            group_by: a.group_by.clone(),
-            aggregates: a
-                .aggregates
-                .iter()
-                .map(|assign| {
-                    let mut agg = assign.agg.clone();
-                    agg.mask = simplify_filter(&agg.mask);
-                    agg.arg = agg.arg.as_ref().map(simplify);
-                    fusion_plan::AggAssign::new(assign.id, assign.name.clone(), agg)
-                })
-                .collect(),
-        }),
-        LogicalPlan::Window(w) => LogicalPlan::Window(Window {
-            input: w.input.clone(),
-            exprs: w
-                .exprs
-                .iter()
-                .map(|assign| {
-                    let mut win = assign.window.clone();
-                    win.arg = win.arg.as_ref().map(simplify);
-                    fusion_plan::WindowAssign {
-                        id: assign.id,
-                        name: assign.name.clone(),
-                        window: win,
-                    }
-                })
-                .collect(),
-        }),
-        LogicalPlan::Sort(s) => LogicalPlan::Sort(Sort {
-            input: s.input.clone(),
-            keys: s
-                .keys
-                .iter()
-                .map(|k| fusion_plan::SortKey {
-                    expr: simplify(&k.expr),
-                    asc: k.asc,
-                    nulls_first: k.nulls_first,
-                })
-                .collect(),
-        }),
-        LogicalPlan::MarkDistinct(m) => LogicalPlan::MarkDistinct(fusion_plan::MarkDistinct {
-            input: m.input.clone(),
-            columns: m.columns.clone(),
-            mark_id: m.mark_id,
-            mark_name: m.mark_name.clone(),
-            mask: simplify_filter(&m.mask),
-        }),
-        LogicalPlan::Scan(s) => LogicalPlan::Scan(Scan {
-            table: s.table.clone(),
-            fields: s.fields.clone(),
-            column_indices: s.column_indices.clone(),
-            filters: s.filters.iter().map(simplify_filter).collect(),
-        }),
-        other => other.clone(),
+        let exprs = node_exprs(plan);
+        let simplified: Vec<Arc<Expr>> = exprs
+            .iter()
+            .map(|&(e, filter_position)| match filter_position {
+                true => ctx.memo.simplify_filter(e),
+                false => Arc::new(simplify_memo(e, &*ctx.memo)),
+            })
+            .collect();
+        if exprs.iter().zip(&simplified).all(|((e, _), s)| **s == **e) {
+            return None;
+        }
+        let mut node = plan.clone();
+        for (slot, s) in node_exprs_mut(&mut node).into_iter().zip(simplified) {
+            *slot = Expr::clone(&s);
+        }
+        Some(node)
+    }
+}
+
+/// The expressions `SimplifyExpressions` rewrites in one node, each with
+/// whether it sits in a filter position.
+fn node_exprs(plan: &LogicalPlan) -> Vec<(&Expr, bool)> {
+    match plan {
+        LogicalPlan::Filter(f) => vec![(&f.predicate, true)],
+        LogicalPlan::Project(p) => p.exprs.iter().map(|pe| (&pe.expr, false)).collect(),
+        LogicalPlan::Join(j) => vec![(&j.condition, true)],
+        LogicalPlan::Aggregate(a) => a
+            .aggregates
+            .iter()
+            .flat_map(|x| {
+                let arg = x.agg.arg.iter().map(|e| (e, false));
+                std::iter::once((&x.agg.mask, true)).chain(arg)
+            })
+            .collect(),
+        LogicalPlan::Window(w) => {
+            let args = w.exprs.iter().filter_map(|x| x.window.arg.as_ref());
+            args.map(|e| (e, false)).collect()
+        }
+        LogicalPlan::Sort(s) => s.keys.iter().map(|k| (&k.expr, false)).collect(),
+        LogicalPlan::MarkDistinct(m) => vec![(&m.mask, true)],
+        LogicalPlan::Scan(s) => s.filters.iter().map(|e| (e, true)).collect(),
+        _ => Vec::new(),
+    }
+}
+
+/// [`node_exprs`], mutably and in the same order.
+fn node_exprs_mut(plan: &mut LogicalPlan) -> Vec<&mut Expr> {
+    match plan {
+        LogicalPlan::Filter(f) => vec![&mut f.predicate],
+        LogicalPlan::Project(p) => p.exprs.iter_mut().map(|pe| &mut pe.expr).collect(),
+        LogicalPlan::Join(j) => vec![&mut j.condition],
+        LogicalPlan::Aggregate(a) => a
+            .aggregates
+            .iter_mut()
+            .flat_map(|x| std::iter::once(&mut x.agg.mask).chain(x.agg.arg.as_mut()))
+            .collect(),
+        LogicalPlan::Window(w) => {
+            w.exprs.iter_mut().filter_map(|x| x.window.arg.as_mut()).collect()
+        }
+        LogicalPlan::Sort(s) => s.keys.iter_mut().map(|k| &mut k.expr).collect(),
+        LogicalPlan::MarkDistinct(m) => vec![&mut m.mask],
+        LogicalPlan::Scan(s) => s.filters.iter_mut().collect(),
+        _ => Vec::new(),
     }
 }
 
@@ -118,7 +104,7 @@ impl Rule for MergeFilters {
         "MergeFilters"
     }
 
-    fn apply(&self, plan: &LogicalPlan, _ctx: &FuseContext) -> Option<LogicalPlan> {
+    fn apply(&self, plan: &LogicalPlan, ctx: &FuseContext) -> Option<LogicalPlan> {
         let f = match plan {
             LogicalPlan::Filter(f) => f,
             _ => return None,
@@ -129,7 +115,7 @@ impl Rule for MergeFilters {
         if let LogicalPlan::Filter(inner) = f.input.as_ref() {
             return Some(LogicalPlan::Filter(Filter {
                 input: inner.input.clone(),
-                predicate: simplify_filter(&f.predicate.clone().and(inner.predicate.clone())),
+                predicate: ctx.simp(f.predicate.clone().and(inner.predicate.clone())),
             }));
         }
         None
@@ -149,6 +135,11 @@ impl Rule for RemoveTrivialProjections {
             LogicalPlan::Project(p) => p,
             _ => return None,
         };
+        // Only a projection of each column onto itself can be an identity;
+        // decide that before deriving the input's schema.
+        if !p.exprs.iter().all(|pe| pe.expr == fusion_expr::col(pe.id)) {
+            return None;
+        }
         let input_schema = p.input.schema();
         if p.exprs.len() != input_schema.len() {
             return None;

@@ -21,7 +21,7 @@ use fusion_plan::{
 };
 
 use super::Rule;
-use crate::fuse::{fuse, simp, FuseContext};
+use crate::fuse::{fuse, FuseContext};
 
 pub struct UnionAllFusion;
 
@@ -55,7 +55,7 @@ impl Rule for UnionAllFusion {
             // The fused plan keeps the previous plan's columns, but every
             // earlier branch is now further gated by the new L.
             for b in &mut branches {
-                b.comp = simp(b.comp.clone().and(f.left.clone()));
+                b.comp = ctx.simp(b.comp.clone().and(f.left.clone()));
             }
             branches.push(Branch {
                 comp: f.right.clone(),
@@ -80,7 +80,7 @@ fn build_replacement(
     if n == 2 && is_contradiction(&branches[0].comp.clone().and(branches[1].comp.clone())) {
         let filtered = LogicalPlan::Filter(Filter {
             input: Box::new(fused_plan),
-            predicate: simp(branches[0].comp.clone().or(branches[1].comp.clone())),
+            predicate: ctx.simp(branches[0].comp.clone().or(branches[1].comp.clone())),
         });
         let exprs = union
             .fields
@@ -121,7 +121,7 @@ fn build_replacement(
         join_type: JoinType::Cross,
         condition: Expr::boolean(true),
     });
-    let predicate = simp(disjoin(branches.iter().enumerate().map(|(i, b)| {
+    let predicate = ctx.simp(disjoin(branches.iter().enumerate().map(|(i, b)| {
         fusion_expr::col(tag_id)
             .eq_to(fusion_expr::lit(i as i64 + 1))
             .and(b.comp.clone())

@@ -21,7 +21,7 @@ use fusion_expr::{conjoin, split_conjuncts, BinaryOp, Expr};
 use fusion_plan::{Filter, Join, JoinType, LogicalPlan, Project, ProjExpr, UnionAll};
 
 use super::Rule;
-use crate::fuse::{fuse, root_name, simp, FuseContext, FuseEvent};
+use crate::fuse::{fuse, root_name, FuseContext, FuseEvent};
 
 pub struct UnionAllOnJoin;
 
@@ -305,7 +305,7 @@ fn try_pair(
             .or(fusion_expr::col(tag_col)
                 .eq_to(fusion_expr::lit(2i64))
                 .and(fused.right.clone()));
-        conds.push(simp(dispatch));
+        conds.push(ctx.simp(dispatch));
     }
 
     let joined = LogicalPlan::Join(Join {

@@ -16,6 +16,8 @@
 //! is not TRUE) provide exactly the `IS NOT NULL` compensation the paper
 //! prescribes.
 
+use std::borrow::Cow;
+
 use fusion_expr::WindowExpr;
 use fusion_plan::{Aggregate, LogicalPlan, Project, ProjExpr, Window};
 
@@ -31,13 +33,21 @@ impl Rule for GroupByJoinToWindow {
     }
 
     fn apply(&self, plan: &LogicalPlan, ctx: &FuseContext) -> Option<LogicalPlan> {
+        let atoms = JoinGraph::atoms(plan)?;
+        let candidate = |p: &&LogicalPlan| match p {
+            LogicalPlan::Aggregate(a) => !a.group_by.is_empty() && window_expressible(a),
+            _ => false,
+        };
+        if atoms.len() < 2 || !atoms.iter().any(candidate) {
+            return None;
+        }
         let graph = JoinGraph::from_plan(plan)?;
         let n = graph.inputs.len();
         if n < 2 {
             return None;
         }
         for j in 0..n {
-            let agg = match &graph.inputs[j] {
+            let agg = match graph.inputs[j].as_ref() {
                 LogicalPlan::Aggregate(a) if !a.group_by.is_empty() => a,
                 _ => continue,
             };
@@ -49,10 +59,10 @@ impl Rule for GroupByJoinToWindow {
                     continue;
                 }
                 if let Some(replacement) =
-                    try_pair(&graph, &graph.inputs[i], agg, ctx)
+                    try_pair(&graph, &graph.inputs[i], &graph.inputs[j], agg, ctx)
                 {
                     let mut g = graph.clone();
-                    g.inputs[i] = replacement;
+                    g.inputs[i] = Cow::Owned(replacement);
                     g.inputs.remove(j);
                     return Some(g.rebuild());
                 }
@@ -67,9 +77,11 @@ fn window_expressible(agg: &Aggregate) -> bool {
     !agg.aggregates.is_empty() && agg.aggregates.iter().all(|a| !a.agg.distinct)
 }
 
+/// Try `p1` against `agg_plan`, the GroupBy `agg`.
 fn try_pair(
     graph: &JoinGraph,
     p1: &LogicalPlan,
+    agg_plan: &LogicalPlan,
     agg: &Aggregate,
     ctx: &FuseContext,
 ) -> Option<LogicalPlan> {
@@ -77,8 +89,7 @@ fn try_pair(
     // discharged via the property lattice so a malformed aggregate (or a
     // future rule emitting one) cannot smuggle a row-multiplying join
     // into the window rewrite.
-    let agg_plan = LogicalPlan::Aggregate(agg.clone());
-    if !crate::analysis::plan_has_key(&agg_plan, &agg.group_by) {
+    if !crate::analysis::plan_has_key(agg_plan, &agg.group_by) {
         return None;
     }
 
@@ -103,7 +114,7 @@ fn try_pair(
         .iter()
         .map(|a| {
             let w_id = ctx.gen.fresh();
-            let mask = crate::fuse::simp(fused.map(&a.agg.mask).and(fused.right.clone()));
+            let mask = ctx.simp(fused.map(&a.agg.mask).and(fused.right.clone()));
             (
                 a.id,
                 fusion_plan::WindowAssign {
@@ -161,7 +172,7 @@ fn try_pair(
         .iter()
         .map(ProjExpr::passthrough)
         .collect();
-    let agg_schema = LogicalPlan::Aggregate(agg.clone()).schema();
+    let agg_schema = agg_plan.schema();
     for field in agg_schema.fields() {
         if exprs.iter().any(|pe| pe.id == field.id) {
             continue; // identity-mapped group column already exposed

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use fusion_common::{ColumnId, FusionError, Result, Schema, Value};
-use fusion_expr::{AggFunc, AggregateExpr, ColumnBatch, Expr, HashedKey, WindowExpr};
+use fusion_expr::{AggFunc, AggregateExpr, Expr, HashedKey, WindowExpr};
 
 use crate::context::{BudgetedReservation, ExecContext, IntoContext};
 use crate::ops::exchange::collect_morsels;
@@ -192,7 +192,9 @@ pub(crate) struct AggSpec {
     int_sums: Vec<bool>,
     /// The distinct mask expressions. Aggregates frequently share masks
     /// after fusion (e.g. the three Q09 aggregates of one quantity
-    /// bucket), so each is evaluated once per row, not once per aggregate.
+    /// bucket), so each is evaluated once — per row on the row path, into
+    /// one selection per morsel on the columnar path — not once per
+    /// aggregate.
     masks: Vec<Expr>,
     /// Per aggregate: its slot in `masks`, `None` when unmasked.
     mask_slot: Vec<Option<usize>>,
@@ -284,12 +286,12 @@ impl GroupState {
         }
     }
 
-    /// Fold one input row into the group — the only place an aggregate's
-    /// mask check (§III.E), DISTINCT handling and accumulator update are
-    /// written. `accepted(slot)` reads the row's value of a distinct mask;
-    /// `arg(i)` yields aggregate `i`'s argument for the row and is called
-    /// only when the mask accepts it, so data-dependent argument errors
-    /// surface for mask-accepted rows alone.
+    /// Fold one input row into the group, row-major: each aggregate
+    /// whose mask accepts the row is fed its argument. `accepted(slot)`
+    /// reads the row's value of a distinct mask; `arg(i)` yields aggregate
+    /// `i`'s argument for the row and is called only when the mask accepts
+    /// it, so data-dependent argument errors surface for mask-accepted
+    /// rows alone.
     fn update(
         &mut self,
         spec: &AggSpec,
@@ -302,23 +304,30 @@ impl GroupState {
                 continue;
             }
             let arg_value = arg(i)?;
-            if let Some(seen) = &mut self.distinct_seen[i] {
-                match &arg_value {
-                    // Deferred DISTINCT records the value only: the
-                    // accumulator is rebuilt from the merged seen-set at
-                    // finish time — updating it here would double-count
-                    // values that also appear in other partitions.
-                    Some(v) if !v.is_null() => {
-                        if !seen.insert(v.clone()) || !inline_distinct {
-                            continue;
-                        }
-                    }
-                    _ => continue,
-                }
-            }
-            self.accs[i].update(arg_value.as_ref());
+            self.feed(i, inline_distinct, arg_value.as_ref());
         }
         Ok(())
+    }
+
+    /// Feed aggregate `i` one mask-accepted value (`None` for `COUNT(*)`)
+    /// — the only place DISTINCT handling and the accumulator update are
+    /// written, for both fold orders.
+    fn feed(&mut self, i: usize, inline_distinct: bool, v: Option<&Value>) {
+        if let Some(seen) = &mut self.distinct_seen[i] {
+            match v {
+                // Deferred DISTINCT records the value only: the
+                // accumulator is rebuilt from the merged seen-set at
+                // finish time — updating it here would double-count
+                // values that also appear in other partitions.
+                Some(v) if !v.is_null() => {
+                    if !seen.insert(v.clone()) || !inline_distinct {
+                        return;
+                    }
+                }
+                _ => return,
+            }
+        }
+        self.accs[i].update(v);
     }
 
     /// Merge a partial from another partition into this one. Distinct
@@ -351,7 +360,9 @@ impl GroupState {
 ///   [`finish`](GroupTable::finish).
 pub(crate) struct GroupTable<'a> {
     spec: &'a AggSpec,
-    groups: HashMap<HashedKey, GroupState>,
+    /// Group key → the group's slot in `states`.
+    slots: HashMap<HashedKey, usize>,
+    states: Vec<GroupState>,
     inline_distinct: bool,
     /// Grown once per `accumulate_*` call, so an enforced budget aborts as
     /// soon as it is crossed — per chunk or morsel on a driver's table,
@@ -378,7 +389,8 @@ impl<'a> GroupTable<'a> {
         }
         Ok(GroupTable {
             spec,
-            groups: HashMap::new(),
+            slots: HashMap::new(),
+            states: Vec::new(),
             inline_distinct,
             reservation,
             merged: Vec::new(),
@@ -387,18 +399,15 @@ impl<'a> GroupTable<'a> {
         })
     }
 
-    /// The key's group, created (and its bytes counted) on first sight.
-    fn state<'g>(
-        groups: &'g mut HashMap<HashedKey, GroupState>,
-        spec: &AggSpec,
-        key: HashedKey,
-        new_bytes: &mut i64,
-    ) -> &'g mut GroupState {
-        match groups.entry(key) {
-            Entry::Occupied(e) => e.into_mut(),
+    /// The key's group slot, the group created (and its bytes counted)
+    /// on first sight.
+    fn slot(&mut self, key: HashedKey, new_bytes: &mut i64) -> usize {
+        match self.slots.entry(key) {
+            Entry::Occupied(e) => *e.get(),
             Entry::Vacant(e) => {
-                *new_bytes += row_bytes(&e.key().key) + 64 * spec.aggregates.len() as i64;
-                e.insert(GroupState::new(spec))
+                *new_bytes += row_bytes(&e.key().key) + 64 * self.spec.aggregates.len() as i64;
+                self.states.push(GroupState::new(self.spec));
+                *e.insert(self.states.len() - 1)
             }
         }
     }
@@ -424,7 +433,8 @@ impl<'a> GroupTable<'a> {
                 *value = spec.input_index.eval_pred(mask, row)?;
             }
             let key = HashedKey::new(spec.group_positions.iter().map(|&p| row[p].clone()).collect());
-            Self::state(&mut self.groups, spec, key, &mut new_bytes).update(
+            let slot = self.slot(key, &mut new_bytes);
+            self.states[slot].update(
                 spec,
                 self.inline_distinct,
                 |slot| mask_values[slot],
@@ -437,79 +447,78 @@ impl<'a> GroupTable<'a> {
         self.account(new_bytes, start)
     }
 
-    /// Fold one morsel's surviving rows, row-major in selection order.
-    /// Masks and arguments are evaluated vectorized — arguments only over
-    /// the rows their mask accepts, so data-dependent errors surface
-    /// exactly where [`Self::accumulate_rows`] evaluates.
+    /// Fold one morsel's surviving rows, aggregate-major: each distinct
+    /// mask becomes the rows it accepts once (the selection kernel), each
+    /// aggregate's argument is evaluated over its mask's rows (a column
+    /// argument is read in place), and then each aggregate folds its rows
+    /// in row order — so float sums and DISTINCT seen-sets match
+    /// [`Self::accumulate_rows`] bit for bit, and data-dependent errors
+    /// surface exactly where it evaluates. A grouped row's group slot is
+    /// found once and shared by every aggregate; a scalar aggregate folds
+    /// straight into its one group.
     pub(crate) fn accumulate_morsel(&mut self, morsel: &ColumnarMorsel) -> Result<()> {
         let start = Instant::now();
         let spec = self.spec;
         let metrics = self.ctx.metrics();
         let sel = &morsel.selection;
-        let mut batch = ColumnBatch::new();
-        for (id, col) in spec.input_ids.iter().zip(&morsel.columns) {
-            batch.push(*id, col.as_slice());
-        }
+        let batch = morsel.batch(&spec.input_ids);
 
-        let mut mask_vals: Vec<Vec<bool>> = Vec::with_capacity(spec.masks.len());
+        // Each distinct mask's rows, through the selection kernel.
+        let mut accepted: Vec<Vec<usize>> = Vec::with_capacity(spec.masks.len());
         for m in &spec.masks {
             metrics.add_rows_evaluated_vectorized(sel.len() as u64);
-            let vs = batch.eval(m, sel)?;
-            mask_vals.push(vs.iter().map(|v| v.as_bool() == Some(true)).collect());
+            accepted.push(batch.filter(m, sel)?);
         }
-
-        // One value per mask-accepted row, consumed in row order below.
-        let mut arg_vals: Vec<Option<std::vec::IntoIter<Value>>> =
-            Vec::with_capacity(spec.aggregates.len());
-        for (a, slot) in spec.aggregates.iter().zip(&spec.mask_slot) {
-            let Some(e) = &a.arg else {
-                arg_vals.push(None);
-                continue;
-            };
-            let masked_rows: Vec<usize>;
-            let rows: &[usize] = match slot {
+        let rows_of = |i: usize| -> &[usize] {
+            match spec.mask_slot[i] {
                 None => sel,
-                Some(slot) => {
-                    masked_rows = sel
-                        .iter()
-                        .zip(&mask_vals[*slot])
-                        .filter(|(_, accepted)| **accepted)
-                        .map(|(&r, _)| r)
-                        .collect();
-                    &masked_rows
+                Some(slot) => &accepted[slot],
+            }
+        };
+        let mut args: Vec<Arg> = Vec::with_capacity(spec.aggregates.len());
+        for (i, a) in spec.aggregates.iter().enumerate() {
+            args.push(match &a.arg {
+                None => Arg::Star,
+                Some(e) => {
+                    metrics.add_rows_evaluated_vectorized(rows_of(i).len() as u64);
+                    match e {
+                        Expr::Column(id) => Arg::Column(batch.column(*id)?),
+                        e => Arg::Values(batch.eval(e, rows_of(i))?),
+                    }
                 }
-            };
-            metrics.add_rows_evaluated_vectorized(rows.len() as u64);
-            arg_vals.push(Some(batch.eval(e, rows)?.into_iter()));
+            });
         }
 
-        let inline_distinct = self.inline_distinct;
-        let mut fold = |state: &mut GroupState, j: usize| {
-            state.update(
-                spec,
-                inline_distinct,
-                |slot| mask_vals[slot][j],
-                |i| Ok(arg_vals[i].as_mut().and_then(Iterator::next)),
-            )
-        };
         let mut new_bytes = 0i64;
-        if spec.group_positions.is_empty() {
-            // Scalar aggregates share one group: hoist the table lookup
-            // out of the row loop entirely.
-            let key = HashedKey::new(Vec::new());
-            let state = Self::state(&mut self.groups, spec, key, &mut new_bytes);
-            for j in 0..sel.len() {
-                fold(state, j)?;
-            }
+        // Group slots, indexed by row; a scalar aggregate has one group.
+        let scalar = spec.group_positions.is_empty();
+        let slots: Vec<usize> = if scalar {
+            vec![self.slot(HashedKey::new(Vec::new()), &mut new_bytes)]
         } else {
-            for (j, &r) in sel.iter().enumerate() {
+            let mut slots = vec![0; sel.iter().max().map_or(0, |&r| r + 1)];
+            for &r in sel {
                 let key = HashedKey::new(
                     spec.group_positions
                         .iter()
                         .map(|&p| morsel.columns[p][r].clone())
                         .collect(),
                 );
-                fold(Self::state(&mut self.groups, spec, key, &mut new_bytes), j)?;
+                slots[r] = self.slot(key, &mut new_bytes);
+            }
+            slots
+        };
+        let inline_distinct = self.inline_distinct;
+        for (i, arg) in args.iter().enumerate() {
+            let rows = rows_of(i);
+            if scalar {
+                let state = &mut self.states[slots[0]];
+                for (j, &r) in rows.iter().enumerate() {
+                    state.feed(i, inline_distinct, arg.at(j, r));
+                }
+            } else {
+                for (j, &r) in rows.iter().enumerate() {
+                    self.states[slots[r]].feed(i, inline_distinct, arg.at(j, r));
+                }
             }
         }
         self.account(new_bytes, start)
@@ -521,11 +530,16 @@ impl<'a> GroupTable<'a> {
     pub(crate) fn merge(&mut self, other: GroupTable<'a>) {
         self.merged.push(other.reservation);
         self.merged.extend(other.merged);
-        for (key, state) in other.groups {
-            match self.groups.entry(key) {
-                Entry::Occupied(mut e) => e.get_mut().merge(state),
+        let mut states: Vec<Option<GroupState>> = other.states.into_iter().map(Some).collect();
+        for (key, slot) in other.slots {
+            let Some(state) = states[slot].take() else {
+                continue;
+            };
+            match self.slots.entry(key) {
+                Entry::Occupied(e) => self.states[*e.get()].merge(state),
                 Entry::Vacant(e) => {
-                    e.insert(state);
+                    self.states.push(state);
+                    e.insert(self.states.len() - 1);
                 }
             }
         }
@@ -537,14 +551,15 @@ impl<'a> GroupTable<'a> {
     /// merged seen-sets in sorted order.
     pub(crate) fn finish(self) -> Vec<Row> {
         let spec = self.spec;
-        if spec.group_positions.is_empty() && self.groups.is_empty() {
+        if spec.group_positions.is_empty() && self.states.is_empty() {
             return vec![GroupState::new(spec).accs.iter().map(Acc::finish).collect()];
         }
-        let mut groups: Vec<(HashedKey, GroupState)> = self.groups.into_iter().collect();
+        let mut groups: Vec<(HashedKey, usize)> = self.slots.into_iter().collect();
         groups.sort_by(|(a, _), (b, _)| a.key.cmp(&b.key));
         groups
             .into_iter()
-            .map(|(key, state)| {
+            .map(|(key, slot)| {
+                let state = &self.states[slot];
                 let mut row = key.key;
                 for (i, acc) in state.accs.iter().enumerate() {
                     row.push(match &state.distinct_seen[i] {
@@ -563,6 +578,27 @@ impl<'a> GroupTable<'a> {
                 row
             })
             .collect()
+    }
+}
+
+/// One aggregate's argument over a morsel.
+enum Arg<'m> {
+    /// `COUNT(*)`: no argument.
+    Star,
+    /// A column, read in place at each accepted row.
+    Column(&'m [Value]),
+    /// An evaluated expression, one value per accepted row in order.
+    Values(Vec<Value>),
+}
+
+impl Arg<'_> {
+    /// The value for the `j`-th accepted row, row `r` of the morsel.
+    fn at(&self, j: usize, r: usize) -> Option<&Value> {
+        match self {
+            Arg::Star => None,
+            Arg::Column(col) => Some(&col[r]),
+            Arg::Values(vs) => Some(&vs[j]),
+        }
     }
 }
 
@@ -1406,7 +1442,8 @@ mod group_table_tests {
     }
 
     /// An argument that fails on one row's data surfaces only if that
-    /// row's mask accepts it — on both accumulate paths.
+    /// row's mask accepts it — on every accumulate path, grouped or
+    /// scalar, however many aggregates share the mask.
     #[test]
     fn argument_errors_surface_only_for_mask_accepted_rows() {
         // `i + 1` cannot be applied to the string smuggled into row 1.
@@ -1416,21 +1453,71 @@ mod group_table_tests {
             vec![Value::Int64(2), Value::Int64(3), Value::Float64(2.0)],
         ];
         let arg = col(I).add(lit(1i64));
-        let rejecting = AggSpec::new(
-            vec![0],
-            vec![AggregateExpr::sum(arg.clone()).with_mask(col(F).gt(lit(0.0)))],
-            &schema(),
-        );
-        let [a, b, c] = three_ways(&rejecting, &rows).map(Result::unwrap);
-        let expected = vec![
-            vec![Value::Int64(1), Value::Int64(2)],
-            vec![Value::Int64(2), Value::Int64(4)],
+        let positive = col(F).gt(lit(0.0));
+        let masked = vec![
+            AggregateExpr::sum(arg.clone()).with_mask(positive.clone()),
+            AggregateExpr::max(arg.clone()).with_mask(positive),
         ];
-        assert_eq!([&a, &b, &c], [&expected; 3]);
+        for (group_positions, expected) in [
+            (
+                vec![0],
+                vec![
+                    vec![Value::Int64(1), Value::Int64(2), Value::Int64(2)],
+                    vec![Value::Int64(2), Value::Int64(4), Value::Int64(4)],
+                ],
+            ),
+            (vec![], vec![vec![Value::Int64(6), Value::Int64(4)]]),
+        ] {
+            let rejecting = AggSpec::new(group_positions.clone(), masked.clone(), &schema());
+            let [a, b, c] = three_ways(&rejecting, &rows).map(Result::unwrap);
+            assert_eq!([&a, &b, &c], [&expected; 3]);
 
-        let accepting = AggSpec::new(vec![0], vec![AggregateExpr::sum(arg)], &schema());
-        for out in three_ways(&accepting, &rows) {
-            assert!(matches!(out, Err(FusionError::Type(_))), "{out:?}");
+            let accepting =
+                AggSpec::new(group_positions, vec![AggregateExpr::sum(arg.clone())], &schema());
+            for out in three_ways(&accepting, &rows) {
+                assert!(matches!(out, Err(FusionError::Type(_))), "{out:?}");
+            }
+        }
+    }
+
+    /// Fused aggregates: several sharing one mask, DISTINCT under a mask,
+    /// masks that are NULL on NULL inputs. Row-major and aggregate-major
+    /// folds feed each accumulator the same values in the same order, so
+    /// float sums agree bit for bit.
+    #[test]
+    fn masked_aggregates_fold_identically_in_both_orders() {
+        let low = col(I).lt(lit(5i64));
+        let positive = col(F).gt(lit(0.3));
+        let aggregates = vec![
+            AggregateExpr::sum(col(F)).with_mask(low.clone()),
+            AggregateExpr::avg(col(F)).with_mask(low.clone()),
+            AggregateExpr::count(col(F)).with_mask(low.clone()),
+            AggregateExpr::max(col(I)).with_mask(low.clone()),
+            AggregateExpr::count(col(I)).with_distinct(true).with_mask(positive.clone()),
+            AggregateExpr::sum(col(F))
+                .with_distinct(true)
+                .with_mask(low.and(positive.clone())),
+            AggregateExpr::sum(col(F).mul(lit(1.5))).with_mask(positive.or(col(I).is_null())),
+        ];
+        let bits = |rows: &[Row]| -> Vec<Vec<String>> {
+            rows.iter()
+                .map(|r| {
+                    r.iter()
+                        .map(|v| match v {
+                            Value::Float64(f) => format!("f{:x}", f.to_bits()),
+                            v => format!("{v:?}"),
+                        })
+                        .collect()
+                })
+                .collect()
+        };
+        let rows = seeded_rows(500);
+        for group_positions in [vec![0], vec![]] {
+            let spec = AggSpec::new(group_positions, aggregates.clone(), &schema());
+            assert_eq!(spec.masks.len(), 4, "the first four aggregates share `low`");
+            let [a, b, c] = three_ways(&spec, &rows).map(Result::unwrap);
+            assert_eq!(bits(&a), bits(&b));
+            assert_same_up_to_float_order(&a, &c);
         }
     }
 }

@@ -17,7 +17,7 @@ use std::cmp::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use fusion_common::{FusionError, Result, Schema, Value};
+use fusion_common::{ColumnId, FusionError, Result, Schema, Value};
 use fusion_expr::{BinaryOp, ColumnBatch, Expr};
 
 use crate::context::{ExecContext, IntoContext};
@@ -53,6 +53,16 @@ pub struct ColumnarMorsel {
 }
 
 impl ColumnarMorsel {
+    /// The columns as the kernels address them: `ids[i]` names
+    /// `columns[i]`.
+    pub fn batch(&self, ids: &[ColumnId]) -> ColumnBatch<'_> {
+        let mut batch = ColumnBatch::new();
+        for (id, col) in ids.iter().zip(&self.columns) {
+            batch.push(*id, col.as_slice());
+        }
+        batch
+    }
+
     /// Materialize the selected rows (the batch-at-a-time path).
     pub fn gather_rows(&self) -> Vec<Row> {
         self.selection

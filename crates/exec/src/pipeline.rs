@@ -20,7 +20,7 @@
 //!
 //! Determinism contract (`FUSION_PIPELINES=0/1` must be bit-identical):
 //!
-//! * Expression evaluation uses the [`ColumnBatch`] kernels, which
+//! * Expression evaluation uses the [`fusion_expr::ColumnBatch`] kernels, which
 //!   reproduce the scalar evaluator's three-valued logic, short-circuit
 //!   row subsets, and error sites (see `fusion_expr::vector`).
 //! * The aggregate folds into the same `GroupTable` as the pull
@@ -45,7 +45,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use fusion_common::{ColumnId, Result, Schema, Value};
-use fusion_expr::{ColumnBatch, Expr};
+use fusion_expr::Expr;
 use fusion_plan::LogicalPlan;
 
 use crate::context::{BudgetedReservation, ExecContext};
@@ -62,7 +62,7 @@ use crate::{Chunk, Row, CHUNK_SIZE};
 struct Stage {
     kind: StageKind,
     /// Field ids of the stage's input schema, parallel to the incoming
-    /// column vector; registered into the per-morsel [`ColumnBatch`].
+    /// column vector; registered into the per-morsel [`fusion_expr::ColumnBatch`].
     input_ids: Vec<ColumnId>,
     /// The plan node's profiling span. Interior stages meter their own
     /// `rows_out` per morsel; the chain's top node is metered by the
@@ -110,12 +110,8 @@ fn apply_stage(
     let metrics = ctx.metrics();
     match &stage.kind {
         StageKind::Filter(pred) => {
-            let mut batch = ColumnBatch::new();
-            for (id, col) in stage.input_ids.iter().zip(&m.columns) {
-                batch.push(*id, col.as_slice());
-            }
             metrics.add_rows_evaluated_vectorized(m.selection.len() as u64);
-            m.selection = batch.filter(pred, &m.selection)?;
+            m.selection = m.batch(&stage.input_ids).filter(pred, &m.selection)?;
         }
         StageKind::Project(cols) => {
             if cols.iter().all(|c| matches!(c, ProjectedCol::Pass(_))) {
@@ -131,10 +127,7 @@ fn apply_stage(
                     })
                     .collect();
             } else {
-                let mut batch = ColumnBatch::new();
-                for (id, col) in stage.input_ids.iter().zip(&m.columns) {
-                    batch.push(*id, col.as_slice());
-                }
+                let batch = m.batch(&stage.input_ids);
                 let n = m.selection.len();
                 let new_cols = cols
                     .iter()
@@ -162,28 +155,20 @@ fn apply_stage(
             slot,
         } => {
             let state = &mut mark_states[*slot];
-            let mask_vals: Option<Vec<bool>> = match mask {
+            // The rows the mask accepts (all of them without one).
+            let accepted = match mask {
                 None => None,
                 Some(e) => {
-                    let mut batch = ColumnBatch::new();
-                    for (id, col) in stage.input_ids.iter().zip(&m.columns) {
-                        batch.push(*id, col.as_slice());
-                    }
                     metrics.add_rows_evaluated_vectorized(m.selection.len() as u64);
-                    let vs = batch.eval(e, &m.selection)?;
-                    Some(vs.iter().map(|v| v.as_bool() == Some(true)).collect())
+                    Some(m.batch(&stage.input_ids).filter(e, &m.selection)?)
                 }
             };
             // The flag column is full-length so it aligns with the
             // morsel's other arrays; unselected rows never materialize.
             let n = m.columns.first().map(|c| c.len()).unwrap_or(0);
             let mut marks = vec![Value::Boolean(false); n];
-            for (j, &r) in m.selection.iter().enumerate() {
-                if let Some(mv) = &mask_vals {
-                    if !mv[j] {
-                        continue; // masked out: stays FALSE, not tracked
-                    }
-                }
+            for &r in accepted.as_ref().unwrap_or(&m.selection) {
+                // Masked-out rows stay FALSE and are not tracked.
                 let key: Vec<Value> = positions.iter().map(|&p| m.columns[p][r].clone()).collect();
                 if state.seen.contains(&key) {
                     continue; // stays FALSE

@@ -1,19 +1,24 @@
-//! Structural equivalence of expressions, optionally modulo a column map.
+//! Structural equivalence of expressions.
 //!
-//! `Fuse` repeatedly asks "is `C1` equivalent to `M(C2)`?" (join
-//! conditions, grouping keys, aggregate pairs, filter conditions). We
+//! `Fuse` repeatedly asks "is `C1` equivalent to `M(C2)`?" — `C2` with
+//! its columns rewritten through the fused mapping — of join conditions,
+//! grouping keys, aggregate pairs and filter conditions. We
 //! answer with a normalization-based test: simplify, canonically order
 //! commutative operands and AND/OR chains, then compare structurally.
 //! This is sound (never claims equivalence wrongly) but incomplete, the
 //! same engineering trade-off production rewriters make.
 
-use crate::expr::{conjoin, disjoin, split_conjuncts, split_disjuncts, BinaryOp, ColumnMap, Expr};
-use crate::simplify::{order_operands, simplify};
+use crate::expr::{conjoin, disjoin, operands, BinaryOp, Expr};
+use crate::simplify::{order_operands, simplify_memo, NoMemo, SimplifyMemo};
 
 /// Normalize an expression to a canonical form for comparison.
 pub fn normalize(expr: &Expr) -> Expr {
-    let simplified = simplify(expr);
-    canon(&simplified)
+    normalize_memo(expr, &NoMemo)
+}
+
+/// [`normalize`], simplifying through `memo`.
+pub fn normalize_memo(expr: &Expr, memo: &dyn SimplifyMemo) -> Expr {
+    canon(&simplify_memo(expr, memo))
 }
 
 fn canon(e: &Expr) -> Expr {
@@ -24,7 +29,7 @@ fn canon(e: &Expr) -> Expr {
             // `simplify` already orders raw conjuncts; re-sort here
             // because canonizing children (operand commuting below) can
             // change their rendered form, and with it the sort key.
-            let mut cs: Vec<Expr> = split_conjuncts(e).iter().map(canon).collect();
+            let mut cs: Vec<Expr> = operands(e, BinaryOp::And).into_iter().map(canon).collect();
             order_operands(&mut cs);
             cs.dedup();
             conjoin(cs)
@@ -32,7 +37,7 @@ fn canon(e: &Expr) -> Expr {
         Expr::Binary {
             op: BinaryOp::Or, ..
         } => {
-            let mut ds: Vec<Expr> = split_disjuncts(e).iter().map(canon).collect();
+            let mut ds: Vec<Expr> = operands(e, BinaryOp::Or).into_iter().map(canon).collect();
             order_operands(&mut ds);
             ds.dedup();
             disjoin(ds)
@@ -77,7 +82,7 @@ fn canon(e: &Expr) -> Expr {
             negated,
         } => {
             let mut items: Vec<Expr> = list.iter().map(canon).collect();
-            items.sort_by_key(|i| i.to_string());
+            items.sort_by_cached_key(|i| i.to_string());
             items.dedup();
             Expr::InList {
                 expr: Box::new(canon(expr)),
@@ -102,16 +107,10 @@ pub fn equiv(a: &Expr, b: &Expr) -> bool {
     normalize(a) == normalize(b)
 }
 
-/// Is `a` equivalent to `M(b)` — i.e. `b` with its columns rewritten
-/// through the fused mapping?
-pub fn equiv_mod(a: &Expr, b: &Expr, m: &ColumnMap) -> bool {
-    equiv(a, &b.map_columns(m))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::{col, lit};
+    use crate::expr::{col, lit, ColumnMap};
     use fusion_common::ColumnId;
 
     fn c(i: u32) -> Expr {
@@ -139,8 +138,9 @@ mod tests {
         m.insert(ColumnId(20), ColumnId(2));
         let a = c(1).eq_to(c(2));
         let b = c(10).eq_to(c(20));
-        assert!(equiv_mod(&a, &b, &m));
-        assert!(!equiv_mod(&a, &b, &ColumnMap::new()));
+        // `Fuse` compares `C1` with `M(C2)`: `b` rewritten through `M`.
+        assert!(equiv(&a, &b.map_columns(&m)));
+        assert!(!equiv(&a, &b));
     }
 
     #[test]

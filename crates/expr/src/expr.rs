@@ -228,6 +228,78 @@ impl Expr {
         Expr::IsNotNull(Box::new(self))
     }
 
+    /// Exact structural identity: `==`, except that literals must also
+    /// agree in type and bits — `Value`'s equality treats `1` and `1.0`
+    /// (and `0.0` and `-0.0`) as equal, which renders and types apart.
+    pub fn identical(&self, other: &Expr) -> bool {
+        let all = |a: &[Expr], b: &[Expr]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.identical(y))
+        };
+        match (self, other) {
+            (Expr::Column(a), Expr::Column(b)) => a == b,
+            (Expr::Literal(a), Expr::Literal(b)) => match (a, b) {
+                (Value::Float64(x), Value::Float64(y)) => x.to_bits() == y.to_bits(),
+                _ => std::mem::discriminant(a) == std::mem::discriminant(b) && a == b,
+            },
+            (
+                Expr::Binary { op, left, right },
+                Expr::Binary {
+                    op: op2,
+                    left: left2,
+                    right: right2,
+                },
+            ) => op == op2 && left.identical(left2) && right.identical(right2),
+            (Expr::Not(a), Expr::Not(b))
+            | (Expr::Negate(a), Expr::Negate(b))
+            | (Expr::IsNull(a), Expr::IsNull(b))
+            | (Expr::IsNotNull(a), Expr::IsNotNull(b)) => a.identical(b),
+            (
+                Expr::Case {
+                    branches,
+                    else_expr,
+                },
+                Expr::Case {
+                    branches: branches2,
+                    else_expr: else2,
+                },
+            ) => {
+                branches.len() == branches2.len()
+                    && branches
+                        .iter()
+                        .zip(branches2)
+                        .all(|((c, v), (c2, v2))| c.identical(c2) && v.identical(v2))
+                    && match (else_expr, else2) {
+                        (Some(a), Some(b)) => a.identical(b),
+                        (None, None) => true,
+                        _ => false,
+                    }
+            }
+            (
+                Expr::InList {
+                    expr,
+                    list,
+                    negated,
+                },
+                Expr::InList {
+                    expr: expr2,
+                    list: list2,
+                    negated: negated2,
+                },
+            ) => negated == negated2 && expr.identical(expr2) && all(list, list2),
+            (Expr::Cast { expr, to }, Expr::Cast { expr: expr2, to: to2 }) => {
+                to == to2 && expr.identical(expr2)
+            }
+            (
+                Expr::ScalarFunction { func, args },
+                Expr::ScalarFunction {
+                    func: func2,
+                    args: args2,
+                },
+            ) => func == func2 && all(args, args2),
+            _ => false,
+        }
+    }
+
     /// Collect the column ids referenced by this expression.
     pub fn columns(&self) -> HashSet<ColumnId> {
         let mut out = HashSet::new();
@@ -280,7 +352,7 @@ impl Expr {
     /// fused result). Columns not present in the map are left unchanged.
     pub fn map_columns(&self, m: &ColumnMap) -> Expr {
         self.transform(&|e| match e {
-            Expr::Column(id) => m.get(&id).map(|new| Expr::Column(*new)),
+            Expr::Column(id) => m.get(id).map(|new| Expr::Column(*new)),
             _ => None,
         })
     }
@@ -288,7 +360,7 @@ impl Expr {
     /// Rewrite column references through a column→expression map (used to
     /// inline projections).
     pub fn substitute(&self, m: &HashMap<ColumnId, Expr>) -> Expr {
-        self.transform(&|e| match &e {
+        self.transform(&|e| match e {
             Expr::Column(id) => m.get(id).cloned(),
             _ => None,
         })
@@ -296,47 +368,50 @@ impl Expr {
 
     /// Bottom-up transformation: `f` returns `Some(replacement)` to rewrite
     /// a node (children already rewritten) or `None` to keep it.
-    pub fn transform(&self, f: &dyn Fn(Expr) -> Option<Expr>) -> Expr {
-        let rebuilt = match self {
+    pub fn transform(&self, f: &dyn Fn(&Expr) -> Option<Expr>) -> Expr {
+        let rebuilt = self.map_children(&mut |c| c.transform(f));
+        f(&rebuilt).unwrap_or(rebuilt)
+    }
+
+    /// This node over `f` of each child, children visited in order (left
+    /// before right, each CASE condition before its value).
+    pub fn map_children(&self, f: &mut dyn FnMut(&Expr) -> Expr) -> Expr {
+        match self {
             Expr::Column(_) | Expr::Literal(_) => self.clone(),
             Expr::Binary { op, left, right } => Expr::Binary {
                 op: *op,
-                left: Box::new(left.transform(f)),
-                right: Box::new(right.transform(f)),
+                left: Box::new(f(left)),
+                right: Box::new(f(right)),
             },
-            Expr::Not(e) => Expr::Not(Box::new(e.transform(f))),
-            Expr::Negate(e) => Expr::Negate(Box::new(e.transform(f))),
-            Expr::IsNull(e) => Expr::IsNull(Box::new(e.transform(f))),
-            Expr::IsNotNull(e) => Expr::IsNotNull(Box::new(e.transform(f))),
+            Expr::Not(e) => Expr::Not(Box::new(f(e))),
+            Expr::Negate(e) => Expr::Negate(Box::new(f(e))),
+            Expr::IsNull(e) => Expr::IsNull(Box::new(f(e))),
+            Expr::IsNotNull(e) => Expr::IsNotNull(Box::new(f(e))),
             Expr::Case {
                 branches,
                 else_expr,
             } => Expr::Case {
-                branches: branches
-                    .iter()
-                    .map(|(c, v)| (c.transform(f), v.transform(f)))
-                    .collect(),
-                else_expr: else_expr.as_ref().map(|e| Box::new(e.transform(f))),
+                branches: branches.iter().map(|(c, v)| (f(c), f(v))).collect(),
+                else_expr: else_expr.as_ref().map(|e| Box::new(f(e))),
             },
             Expr::InList {
                 expr,
                 list,
                 negated,
             } => Expr::InList {
-                expr: Box::new(expr.transform(f)),
-                list: list.iter().map(|e| e.transform(f)).collect(),
+                expr: Box::new(f(expr)),
+                list: list.iter().map(&mut *f).collect(),
                 negated: *negated,
             },
             Expr::Cast { expr, to } => Expr::Cast {
-                expr: Box::new(expr.transform(f)),
+                expr: Box::new(f(expr)),
                 to: *to,
             },
             Expr::ScalarFunction { func, args } => Expr::ScalarFunction {
                 func: *func,
-                args: args.iter().map(|a| a.transform(f)).collect(),
+                args: args.iter().map(f).collect(),
             },
-        };
-        f(rebuilt.clone()).unwrap_or(rebuilt)
+        }
     }
 
     /// Infer the result type against a schema.
@@ -448,41 +523,32 @@ impl Expr {
 
 /// Split a predicate into its top-level conjuncts (flattening nested ANDs).
 pub fn split_conjuncts(expr: &Expr) -> Vec<Expr> {
-    let mut out = Vec::new();
-    fn walk(e: &Expr, out: &mut Vec<Expr>) {
-        match e {
-            Expr::Binary {
-                op: BinaryOp::And,
-                left,
-                right,
-            } => {
-                walk(left, out);
-                walk(right, out);
-            }
-            other => out.push(other.clone()),
-        }
-    }
-    walk(expr, &mut out);
-    out
+    operands(expr, BinaryOp::And).into_iter().cloned().collect()
 }
 
 /// Split a predicate into its top-level disjuncts (flattening nested ORs).
 pub fn split_disjuncts(expr: &Expr) -> Vec<Expr> {
-    let mut out = Vec::new();
-    fn walk(e: &Expr, out: &mut Vec<Expr>) {
+    operands(expr, BinaryOp::Or).into_iter().cloned().collect()
+}
+
+/// The operands of `e`'s chain of `op` (AND or OR), borrowed and
+/// flattened left to right.
+pub(crate) fn operands(e: &Expr, op: BinaryOp) -> Vec<&Expr> {
+    fn walk<'e>(e: &'e Expr, op: BinaryOp, out: &mut Vec<&'e Expr>) {
         match e {
             Expr::Binary {
-                op: BinaryOp::Or,
+                op: o,
                 left,
                 right,
-            } => {
-                walk(left, out);
-                walk(right, out);
+            } if *o == op => {
+                walk(left, op, out);
+                walk(right, op, out);
             }
-            other => out.push(other.clone()),
+            other => out.push(other),
         }
     }
-    walk(expr, &mut out);
+    let mut out = Vec::new();
+    walk(e, op, &mut out);
     out
 }
 

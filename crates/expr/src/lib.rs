@@ -25,10 +25,12 @@ pub mod vector;
 
 pub use agg::{AggFunc, AggregateExpr, WindowExpr};
 pub use eval::{eval, eval_cow, eval_predicate, Resolver};
-pub use equiv::{equiv, equiv_mod, normalize};
+pub use equiv::{equiv, normalize, normalize_memo};
 pub use expr::{
     col, conjoin, disjoin, lit, split_conjuncts, split_disjuncts, BinaryOp, ColumnMap, Expr,
     ScalarFunc,
 };
-pub use simplify::{is_contradiction, simplify, simplify_filter};
+pub use simplify::{
+    is_contradiction, simplify, simplify_filter, simplify_filter_memo, simplify_memo, SimplifyMemo,
+};
 pub use vector::{hash_columns, hash_key, hash_value, ColumnBatch, HashedKey};

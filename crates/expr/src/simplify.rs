@@ -11,7 +11,7 @@ use std::cmp::Ordering;
 use fusion_common::Value;
 
 use crate::eval;
-use crate::expr::{conjoin, disjoin, split_conjuncts, split_disjuncts, BinaryOp, Expr};
+use crate::expr::{conjoin, disjoin, operands, split_conjuncts, BinaryOp, Expr};
 
 /// Simplify an expression: constant folding, boolean algebra
 /// (TRUE/FALSE/duplicate elimination in AND/OR chains), double negation,
@@ -26,7 +26,50 @@ use crate::expr::{conjoin, disjoin, split_conjuncts, split_disjuncts, BinaryOp, 
 /// (`x > 5 AND x < 3` is NULL, not FALSE, when `x` is NULL); use
 /// [`simplify_filter`] for predicates in null-rejecting positions.
 pub fn simplify(expr: &Expr) -> Expr {
-    expr.transform(&simplify_node)
+    simplify_memo(expr, &NoMemo)
+}
+
+/// A cache of [`simplify`] results, keyed by the expression simplified.
+/// Simplification is bottom-up, so an AND/OR chain is re-simplified level
+/// by level wherever it appears; a memo that remembers the chain answers
+/// every later expression containing it in one lookup.
+pub trait SimplifyMemo {
+    fn lookup(&self, e: &Expr) -> Option<Expr>;
+    fn record(&self, e: &Expr, simplified: &Expr);
+}
+
+/// The memo that remembers nothing: [`simplify`] itself.
+pub(crate) struct NoMemo;
+
+impl SimplifyMemo for NoMemo {
+    fn lookup(&self, _: &Expr) -> Option<Expr> {
+        None
+    }
+
+    fn record(&self, _: &Expr, _: &Expr) {}
+}
+
+/// [`simplify`], bottom-up, consulting `memo` at every AND/OR node (where
+/// simplification does its work).
+pub fn simplify_memo(expr: &Expr, memo: &dyn SimplifyMemo) -> Expr {
+    let chain = matches!(
+        expr,
+        Expr::Binary {
+            op: BinaryOp::And | BinaryOp::Or,
+            ..
+        }
+    );
+    if chain {
+        if let Some(hit) = memo.lookup(expr) {
+            return hit;
+        }
+    }
+    let rebuilt = expr.map_children(&mut |c| simplify_memo(c, memo));
+    let out = simplify_node(&rebuilt).unwrap_or(rebuilt);
+    if chain {
+        memo.record(expr, &out);
+    }
+    out
 }
 
 /// Simplify a predicate used where NULL and FALSE coincide — filter
@@ -35,7 +78,12 @@ pub fn simplify(expr: &Expr) -> Expr {
 /// predicate (never under NOT or inside comparisons, where the NULL≡FALSE
 /// equivalence stops holding).
 pub fn simplify_filter(expr: &Expr) -> Expr {
-    fold_null_rejecting(&simplify(expr))
+    simplify_filter_memo(expr, &NoMemo)
+}
+
+/// [`simplify_filter`] over [`simplify_memo`].
+pub fn simplify_filter_memo(expr: &Expr, memo: &dyn SimplifyMemo) -> Expr {
+    fold_null_rejecting(&simplify_memo(expr, memo))
 }
 
 /// Top-down contradiction folding, restricted to positions reachable
@@ -47,7 +95,10 @@ fn fold_null_rejecting(e: &Expr) -> Expr {
         Expr::Binary {
             op: BinaryOp::And, ..
         } => {
-            let conjuncts: Vec<Expr> = split_conjuncts(e).iter().map(fold_null_rejecting).collect();
+            let conjuncts: Vec<Expr> = operands(e, BinaryOp::And)
+                .into_iter()
+                .map(fold_null_rejecting)
+                .collect();
             if conjuncts.iter().any(Expr::is_false_literal) || conjuncts_contradict(&conjuncts) {
                 return Expr::boolean(false);
             }
@@ -56,8 +107,8 @@ fn fold_null_rejecting(e: &Expr) -> Expr {
         Expr::Binary {
             op: BinaryOp::Or, ..
         } => {
-            let disjuncts: Vec<Expr> = split_disjuncts(e)
-                .iter()
+            let disjuncts: Vec<Expr> = operands(e, BinaryOp::Or)
+                .into_iter()
                 .map(fold_null_rejecting)
                 .filter(|d| !d.is_false_literal())
                 .collect();
@@ -67,11 +118,11 @@ fn fold_null_rejecting(e: &Expr) -> Expr {
     }
 }
 
-fn simplify_node(e: Expr) -> Option<Expr> {
-    match &e {
+fn simplify_node(e: &Expr) -> Option<Expr> {
+    match e {
         Expr::Binary { op, left, right } => match op {
-            BinaryOp::And => Some(simplify_and(&e)),
-            BinaryOp::Or => Some(simplify_or(&e)),
+            BinaryOp::And => Some(simplify_and(e)),
+            BinaryOp::Or => Some(simplify_or(e)),
             _ => fold_binary(*op, left, right),
         },
         Expr::Not(inner) => match inner.as_ref() {
@@ -125,13 +176,13 @@ fn fold_binary(op: BinaryOp, left: &Expr, right: &Expr) -> Option<Expr> {
 /// fingerprinting and the `out.contains` dedup above rely on. The
 /// rendered form is a faithful serialization (ids, ops and literals all
 /// print), so ties only occur between structurally equal expressions.
-pub(crate) fn order_operands(ops: &mut [Expr]) {
-    ops.sort_by_key(|e| e.to_string());
+pub(crate) fn order_operands<E: std::borrow::Borrow<Expr>>(ops: &mut [E]) {
+    ops.sort_by_cached_key(|e| e.borrow().to_string());
 }
 
 fn simplify_and(e: &Expr) -> Expr {
-    let mut out: Vec<Expr> = Vec::new();
-    for c in split_conjuncts(e) {
+    let mut out: Vec<&Expr> = Vec::new();
+    for c in operands(e, BinaryOp::And) {
         if c.is_true_literal() {
             continue;
         }
@@ -147,32 +198,33 @@ fn simplify_and(e: &Expr) -> Expr {
     // fusion fold produces exactly these shapes when it repeatedly ANDs a
     // branch's filter with the growing disjunction of all branches.
     let snapshot = out.clone();
-    out.retain(|c| {
+    out.retain(|&c| {
         if let Expr::Binary {
             op: BinaryOp::Or, ..
         } = c
         {
-            let disjuncts = split_disjuncts(c);
+            let disjuncts = operands(c, BinaryOp::Or);
             // Drop `c` if some other conjunct is one of its disjuncts or
             // implies one of them (conjunction subset).
-            !snapshot.iter().any(|other| {
+            !snapshot.iter().any(|&other| {
                 other != c
-                    && disjuncts.iter().any(|d| {
-                        d == other || split_conjuncts(d).iter().all(|dc| {
-                            snapshot.iter().any(|o2| o2 != c && o2 == dc)
-                        })
+                    && disjuncts.iter().any(|&d| {
+                        d == other
+                            || operands(d, BinaryOp::And)
+                                .iter()
+                                .all(|&dc| snapshot.iter().any(|&o2| o2 != c && o2 == dc))
                     })
             })
         } else {
             true
         }
     });
-    conjoin(out)
+    conjoin(out.into_iter().cloned())
 }
 
 fn simplify_or(e: &Expr) -> Expr {
-    let mut out: Vec<Expr> = Vec::new();
-    for d in split_disjuncts(e) {
+    let mut out: Vec<&Expr> = Vec::new();
+    for d in operands(e, BinaryOp::Or) {
         if d.is_false_literal() {
             continue;
         }
@@ -191,49 +243,40 @@ fn simplify_or(e: &Expr) -> Expr {
 /// three-valued logic (distributivity holds). Fusion produces exactly
 /// this shape when disjoining per-branch filters that share predicates;
 /// factoring lets the shared part push down to the scans.
-fn factor_common_conjuncts(disjuncts: Vec<Expr>) -> Expr {
+fn factor_common_conjuncts(disjuncts: Vec<&Expr>) -> Expr {
     if disjuncts.len() < 2 {
-        return disjoin(disjuncts);
+        return disjoin(disjuncts.into_iter().cloned());
     }
-    let per_disjunct: Vec<Vec<Expr>> = disjuncts.iter().map(split_conjuncts).collect();
-    let mut common: Vec<Expr> = per_disjunct[0].clone();
+    let per_disjunct: Vec<Vec<&Expr>> =
+        disjuncts.iter().map(|d| operands(d, BinaryOp::And)).collect();
+    let mut common: Vec<&Expr> = per_disjunct[0].clone();
     for cs in &per_disjunct[1..] {
         common.retain(|c| cs.contains(c));
     }
     if common.is_empty() {
-        return disjoin(disjuncts);
+        return disjoin(disjuncts.into_iter().cloned());
     }
     let remainders: Vec<Expr> = per_disjunct
         .into_iter()
-        .map(|cs| {
-            conjoin(
-                cs.into_iter()
-                    .filter(|c| !common.contains(c))
-                    .collect::<Vec<_>>(),
-            )
-        })
+        .map(|cs| conjoin(cs.into_iter().filter(|c| !common.contains(c)).cloned()))
         .collect();
+    let mut common: Vec<Expr> = common.into_iter().cloned().collect();
     // TRUE remainder means one disjunct was exactly the common part:
     // absorption collapses the whole disjunction to it.
-    let rest = if remainders.iter().any(|r| r.is_true_literal()) {
-        Expr::boolean(true)
-    } else {
+    if !remainders.iter().any(|r| r.is_true_literal()) {
         let mut unique = Vec::new();
         for r in remainders {
             if !unique.contains(&r) {
                 unique.push(r);
             }
         }
-        disjoin(unique)
-    };
-    if rest.is_true_literal() {
-        order_operands(&mut common);
-        conjoin(common)
-    } else {
-        common.push(rest);
-        order_operands(&mut common);
-        conjoin(common)
+        let rest = disjoin(unique);
+        if !rest.is_true_literal() {
+            common.push(rest);
+        }
     }
+    order_operands(&mut common);
+    conjoin(common)
 }
 
 fn simplify_case(branches: &[(Expr, Expr)], else_expr: Option<&Expr>) -> Option<Expr> {

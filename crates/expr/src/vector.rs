@@ -16,6 +16,15 @@
 //! would never touch with a sub-expression is never touched here either,
 //! so data-dependent type errors surface identically on both paths.
 //!
+//! Predicates — filters, aggregate masks, and every AND/OR/NOT, comparison
+//! and NULL test [`ColumnBatch::eval`] meets — go through one selection
+//! kernel: it splits a selection into the rows where the predicate is
+//! TRUE and where it is NULL as bit sets over the rows, combining
+//! AND/OR/NOT with word operations and reading columns compared against
+//! literals in place, so no value array is built per node.
+//! [`ColumnBatch::filter`] keeps the TRUE rows; `eval` turns the two sets
+//! back into values.
+//!
 //! The module also hosts the deterministic hash-key kernels shared by the
 //! hash-join probe and hash-aggregate grouping: [`hash_key`] (row-wise)
 //! and [`hash_columns`] (column-wise) compute the **same** function, and
@@ -57,15 +66,17 @@ impl<'a> ColumnBatch<'a> {
         }
     }
 
-    fn column(&self, id: ColumnId) -> Result<&'a [Value]> {
+    /// The array registered for `id`.
+    pub fn column(&self, id: ColumnId) -> Result<&'a [Value]> {
         self.positions
             .get(&id)
             .map(|&p| self.columns[p])
             .ok_or_else(|| FusionError::Execution(format!("no column {id}")))
     }
 
-    /// Evaluate `expr` for every row in `sel`; the result is aligned with
-    /// `sel` (`out[i]` is the value for row `sel[i]`).
+    /// Evaluate `expr` for every row in `sel` (ascending, as every
+    /// selection vector is); the result is aligned with `sel` (`out[i]` is
+    /// the value for row `sel[i]`).
     pub fn eval(&self, expr: &Expr, sel: &[usize]) -> Result<Vec<Value>> {
         match expr {
             Expr::Column(id) => {
@@ -73,74 +84,10 @@ impl<'a> ColumnBatch<'a> {
                 Ok(sel.iter().map(|&r| col[r].clone()).collect())
             }
             Expr::Literal(v) => Ok(vec![v.clone(); sel.len()]),
-            Expr::Binary { op, left, right } if *op == BinaryOp::And => {
-                let lv = self.eval(left, sel)?;
-                // Scalar AND skips the right side only when the left is
-                // FALSE; NULL rows still evaluate it.
-                let rest: Vec<usize> = sel
-                    .iter()
-                    .zip(&lv)
-                    .filter(|(_, l)| l.as_bool() != Some(false))
-                    .map(|(&r, _)| r)
-                    .collect();
-                let rv = self.eval(right, &rest)?;
-                let mut rv = rv.into_iter();
-                Ok(lv
-                    .into_iter()
-                    .map(|l| {
-                        if l.as_bool() == Some(false) {
-                            return Value::Boolean(false);
-                        }
-                        let r = rv.next().unwrap_or(Value::Null);
-                        match (l.as_bool(), r.as_bool()) {
-                            (_, Some(false)) => Value::Boolean(false),
-                            (Some(true), Some(true)) => Value::Boolean(true),
-                            _ => Value::Null,
-                        }
-                    })
-                    .collect())
-            }
-            Expr::Binary { op, left, right } if *op == BinaryOp::Or => {
-                let lv = self.eval(left, sel)?;
-                let rest: Vec<usize> = sel
-                    .iter()
-                    .zip(&lv)
-                    .filter(|(_, l)| l.as_bool() != Some(true))
-                    .map(|(&r, _)| r)
-                    .collect();
-                let rv = self.eval(right, &rest)?;
-                let mut rv = rv.into_iter();
-                Ok(lv
-                    .into_iter()
-                    .map(|l| {
-                        if l.as_bool() == Some(true) {
-                            return Value::Boolean(true);
-                        }
-                        let r = rv.next().unwrap_or(Value::Null);
-                        match (l.as_bool(), r.as_bool()) {
-                            (_, Some(true)) => Value::Boolean(true),
-                            (Some(false), Some(false)) => Value::Boolean(false),
-                            _ => Value::Null,
-                        }
-                    })
-                    .collect())
-            }
-            Expr::Binary { op, left, right } if op.is_comparison() => {
-                let lv = self.eval(left, sel)?;
-                let rv = self.eval(right, sel)?;
-                lv.into_iter()
-                    .zip(rv)
-                    .map(|(l, r)| {
-                        if l.is_null() || r.is_null() {
-                            return Ok(Value::Null);
-                        }
-                        let ord = l.sql_cmp(&r).ok_or_else(|| {
-                            FusionError::Type(format!("cannot compare {l} with {r}"))
-                        })?;
-                        Ok(Value::Boolean(compare(*op, ord)))
-                    })
-                    .collect()
-            }
+            // Three-valued logic has one implementation, the selection
+            // kernel; here its TRUE/NULL rows become values.
+            Expr::IsNull(_) | Expr::IsNotNull(_) => self.truth_values(expr, sel),
+            e if three_valued(e) => self.truth_values(e, sel),
             Expr::Binary { op, left, right } => {
                 let lv = self.eval(left, sel)?;
                 let rv = self.eval(right, sel)?;
@@ -173,16 +120,6 @@ impl<'a> ColumnBatch<'a> {
                     v => Err(FusionError::Type(format!("negation applied to {v}"))),
                 })
                 .collect(),
-            Expr::IsNull(e) => Ok(self
-                .eval(e, sel)?
-                .into_iter()
-                .map(|v| Value::Boolean(v.is_null()))
-                .collect()),
-            Expr::IsNotNull(e) => Ok(self
-                .eval(e, sel)?
-                .into_iter()
-                .map(|v| Value::Boolean(!v.is_null()))
-                .collect()),
             Expr::Case {
                 branches,
                 else_expr,
@@ -318,19 +255,324 @@ impl<'a> ColumnBatch<'a> {
         }
     }
 
-    /// Narrow `sel` to the rows where `expr` is TRUE (SQL filter
-    /// semantics: NULL drops the row). Short-circuiting lives in
-    /// [`ColumnBatch::eval`], so the evaluation sites match the scalar
-    /// path exactly.
-    pub fn filter(&self, expr: &Expr, sel: &[usize]) -> Result<Vec<usize>> {
-        let vals = self.eval(expr, sel)?;
+    /// [`ColumnBatch::eval`] of a predicate the selection kernel
+    /// combines: its TRUE and NULL rows as values, FALSE elsewhere.
+    fn truth_values(&self, expr: &Expr, sel: &[usize]) -> Result<Vec<Value>> {
+        let s = self.select_rows(expr, &RowSet::of(sel))?;
         Ok(sel
             .iter()
-            .zip(vals)
-            .filter(|(_, v)| v.as_bool() == Some(true))
-            .map(|(&r, _)| r)
+            .map(|&r| match (s.truth.contains(r), s.null.contains(r)) {
+                (true, _) => Value::Boolean(true),
+                (_, true) => Value::Null,
+                _ => Value::Boolean(false),
+            })
             .collect())
     }
+
+    /// Narrow `sel` (ascending) to the rows where `expr` is TRUE (SQL
+    /// filter semantics: NULL drops the row).
+    pub fn filter(&self, expr: &Expr, sel: &[usize]) -> Result<Vec<usize>> {
+        Ok(self.select_rows(expr, &RowSet::of(sel))?.truth.to_vec())
+    }
+
+    /// The three-valued selection kernel: split `sel` into the rows where
+    /// the predicate `expr` is TRUE and where it is NULL (the rest are
+    /// FALSE) without building a value per row and node. AND narrows, OR
+    /// unions, NOT swaps TRUE and FALSE — word operations on row sets —
+    /// and comparisons of columns and literals read the column arrays in
+    /// place.
+    ///
+    /// Evaluation sites are the scalar evaluator's: the right side of AND
+    /// is evaluated only for rows whose left side is TRUE or NULL, the
+    /// right side of OR only where the left is FALSE or NULL, every row in
+    /// ascending order, so a data-dependent error surfaces exactly where
+    /// it does row by row. Sub-expressions that are not predicates go
+    /// through [`ColumnBatch::eval`]; a value that is not a boolean counts
+    /// as NULL, as it does to scalar AND/OR.
+    fn select_rows(&self, expr: &Expr, sel: &RowSet) -> Result<Tri> {
+        match expr {
+            Expr::Binary { op, left, right } if *op == BinaryOp::And => {
+                let l = self.select_rows(left, sel)?;
+                let r = self.select_rows(right, &l.truth.or(&l.null))?;
+                // TRUE needs both sides TRUE; NULL is a NULL right side, or
+                // a TRUE right side under a NULL left.
+                Ok(Tri {
+                    truth: l.truth.and(&r.truth),
+                    null: r.null.or(&l.null.and(&r.truth)),
+                })
+            }
+            Expr::Binary { op, left, right } if *op == BinaryOp::Or => {
+                let l = self.select_rows(left, sel)?;
+                let r = self.select_rows(right, &sel.and_not(&l.truth))?;
+                // TRUE on either side is TRUE; NULL is a NULL right side, or
+                // a NULL left under a right side that is not TRUE.
+                Ok(Tri {
+                    truth: l.truth.or(&r.truth),
+                    null: r.null.or(&l.null.and_not(&r.truth)),
+                })
+            }
+            Expr::Binary { op, left, right } if op.is_comparison() => {
+                match (self.operand(left)?, self.operand(right)?) {
+                    (Some(l), Some(r)) => compare_in_place(*op, &l, &r, sel),
+                    _ => {
+                        let rows = sel.to_vec();
+                        let (lv, rv) = (self.eval(left, &rows)?, self.eval(right, &rows)?);
+                        let mut pairs = lv.iter().zip(&rv);
+                        Tri::classify(sel, |_| match pairs.next() {
+                            Some((l, r)) => compare_values(*op, l, r),
+                            None => Ok(None),
+                        })
+                    }
+                }
+            }
+            // NOT of a predicate swaps TRUE and FALSE; NOT of anything else
+            // must reject non-boolean values, which `eval` does.
+            Expr::Not(e) if is_predicate(e) => {
+                let s = self.select_rows(e, sel)?;
+                Ok(Tri {
+                    truth: sel.and_not(&s.truth).and_not(&s.null),
+                    null: s.null,
+                })
+            }
+            Expr::IsNull(e) | Expr::IsNotNull(e) => {
+                let want_null = matches!(expr, Expr::IsNull(_));
+                match e.as_ref() {
+                    Expr::Column(id) => {
+                        let col = self.column(*id)?;
+                        Tri::classify(sel, |row| Ok(Some(col[row].is_null() == want_null)))
+                    }
+                    e => {
+                        let vals = self.eval(e, &sel.to_vec())?;
+                        let mut vals = vals.iter();
+                        Tri::classify(sel, |_| Ok(vals.next().map(|v| v.is_null() == want_null)))
+                    }
+                }
+            }
+            Expr::Literal(v) => Ok(Tri::uniform(v.as_bool(), sel)),
+            Expr::Column(id) => {
+                let col = self.column(*id)?;
+                Tri::classify(sel, |row| Ok(col[row].as_bool()))
+            }
+            _ => {
+                let vals = self.eval(expr, &sel.to_vec())?;
+                let mut vals = vals.iter();
+                Tri::classify(sel, |_| Ok(vals.next().and_then(Value::as_bool)))
+            }
+        }
+    }
+
+    /// A comparison operand the kernel reads without evaluating: a
+    /// column's array or a literal.
+    fn operand<'e>(&self, e: &'e Expr) -> Result<Option<Operand<'a, 'e>>> {
+        Ok(match e {
+            Expr::Column(id) => Some(Operand::Column(self.column(*id)?)),
+            Expr::Literal(v) => Some(Operand::Literal(v)),
+            _ => None,
+        })
+    }
+}
+
+/// A set of row indices, one bit per row of the batch.
+#[derive(Debug, Clone)]
+struct RowSet(Vec<u64>);
+
+impl RowSet {
+    /// The set of `rows`.
+    fn of(rows: &[usize]) -> Self {
+        let mut set = RowSet(vec![0; rows.iter().max().map_or(0, |&r| r / 64 + 1)]);
+        for &r in rows {
+            set.0[r / 64] |= 1 << (r % 64);
+        }
+        set
+    }
+
+    fn zip(&self, other: &RowSet, f: impl Fn(u64, u64) -> u64) -> RowSet {
+        RowSet(self.0.iter().zip(&other.0).map(|(&a, &b)| f(a, b)).collect())
+    }
+
+    fn and(&self, other: &RowSet) -> RowSet {
+        self.zip(other, |a, b| a & b)
+    }
+
+    fn or(&self, other: &RowSet) -> RowSet {
+        self.zip(other, |a, b| a | b)
+    }
+
+    fn and_not(&self, other: &RowSet) -> RowSet {
+        self.zip(other, |a, b| a & !b)
+    }
+
+    fn contains(&self, row: usize) -> bool {
+        self.0.get(row / 64).is_some_and(|w| w & (1 << (row % 64)) != 0)
+    }
+
+    /// The rows, ascending.
+    fn to_vec(&self) -> Vec<usize> {
+        let mut rows = Vec::with_capacity(self.0.iter().map(|w| w.count_ones() as usize).sum());
+        for (w, &word) in self.0.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                rows.push(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+        rows
+    }
+}
+
+/// A selection split by a predicate: its TRUE rows and its NULL rows.
+struct Tri {
+    truth: RowSet,
+    null: RowSet,
+}
+
+impl Tri {
+    /// Every row of `sel` TRUE, FALSE or (for `None`) NULL.
+    fn uniform(value: Option<bool>, sel: &RowSet) -> Self {
+        let none = RowSet(vec![0; sel.0.len()]);
+        match value {
+            Some(true) => Tri {
+                truth: sel.clone(),
+                null: none,
+            },
+            Some(false) => Tri {
+                truth: none.clone(),
+                null: none,
+            },
+            None => Tri {
+                truth: none,
+                null: sel.clone(),
+            },
+        }
+    }
+
+    /// Split `sel` by `value(row)` for each row in ascending order,
+    /// stopping at the first error.
+    #[inline]
+    fn classify(
+        sel: &RowSet,
+        mut value: impl FnMut(usize) -> Result<Option<bool>>,
+    ) -> Result<Self> {
+        let mut truth = Vec::with_capacity(sel.0.len());
+        let mut null = Vec::with_capacity(sel.0.len());
+        for (w, &word) in sel.0.iter().enumerate() {
+            let (mut t, mut n, mut bits) = (0u64, 0u64, word);
+            while bits != 0 {
+                let b = bits.trailing_zeros();
+                bits &= bits - 1;
+                match value(w * 64 + b as usize)? {
+                    Some(true) => t |= 1 << b,
+                    Some(false) => {}
+                    None => n |= 1 << b,
+                }
+            }
+            truth.push(t);
+            null.push(n);
+        }
+        Ok(Tri {
+            truth: RowSet(truth),
+            null: RowSet(null),
+        })
+    }
+}
+
+/// Whether the selection kernel combines `e` itself — AND, OR,
+/// comparisons, NOT of a predicate, NULL tests — rather than handing it
+/// to [`ColumnBatch::eval`]; `eval` answers exactly these through it.
+fn three_valued(e: &Expr) -> bool {
+    match e {
+        Expr::Binary { op, .. } => {
+            matches!(op, BinaryOp::And | BinaryOp::Or) || op.is_comparison()
+        }
+        Expr::Not(inner) => is_predicate(inner),
+        Expr::IsNull(_) | Expr::IsNotNull(_) => true,
+        _ => false,
+    }
+}
+
+/// Whether `e` evaluates to a boolean or NULL on every row (or fails),
+/// so NOT over it can swap TRUE and FALSE instead of checking values.
+fn is_predicate(e: &Expr) -> bool {
+    three_valued(e)
+        || matches!(
+            e,
+            Expr::InList { .. } | Expr::Literal(Value::Boolean(_) | Value::Null)
+        )
+}
+
+enum Operand<'a, 'e> {
+    Column(&'a [Value]),
+    Literal(&'e Value),
+}
+
+impl Operand<'_, '_> {
+    fn at(&self, row: usize) -> &Value {
+        match self {
+            Operand::Column(col) => &col[row],
+            Operand::Literal(v) => v,
+        }
+    }
+}
+
+/// A comparison of two in-place operands over `sel`.
+fn compare_in_place(op: BinaryOp, l: &Operand, r: &Operand, sel: &RowSet) -> Result<Tri> {
+    match (l, r) {
+        (Operand::Literal(v), _) | (_, Operand::Literal(v)) if v.is_null() => {
+            Ok(Tri::uniform(None, sel))
+        }
+        // One instance per operator, so the comparison's test is not a
+        // branch inside the row loop.
+        (Operand::Column(col), Operand::Literal(v))
+        | (Operand::Literal(v), Operand::Column(col)) => {
+            let left = matches!(l, Operand::Literal(_));
+            match op {
+                BinaryOp::Eq => compare_column(col, v, left, Ordering::is_eq, sel),
+                BinaryOp::NotEq => compare_column(col, v, left, Ordering::is_ne, sel),
+                BinaryOp::Lt => compare_column(col, v, left, Ordering::is_lt, sel),
+                BinaryOp::LtEq => compare_column(col, v, left, Ordering::is_le, sel),
+                BinaryOp::Gt => compare_column(col, v, left, Ordering::is_gt, sel),
+                _ => compare_column(col, v, left, Ordering::is_ge, sel),
+            }
+        }
+        _ => Tri::classify(sel, |row| compare_values(op, l.at(row), r.at(row))),
+    }
+}
+
+/// `col <op> literal` (or `literal <op> col`) over `sel`, reading the
+/// column in place; `keep` is the operator's test on the ordering of the
+/// left operand against the right.
+fn compare_column(
+    col: &[Value],
+    literal: &Value,
+    literal_left: bool,
+    keep: impl Fn(Ordering) -> bool,
+    sel: &RowSet,
+) -> Result<Tri> {
+    Tri::classify(sel, |row| {
+        let v = &col[row];
+        let ord = match (v, literal) {
+            (Value::Int64(a), Value::Int64(b)) if !literal_left => a.cmp(b),
+            (Value::Null, _) => return Ok(None),
+            _ => {
+                let (l, r) = if literal_left { (literal, v) } else { (v, literal) };
+                l.sql_cmp(r)
+                    .ok_or_else(|| FusionError::Type(format!("cannot compare {l} with {r}")))?
+            }
+        };
+        Ok(Some(keep(ord)))
+    })
+}
+
+/// Scalar comparison semantics: NULL if either side is NULL, a type error
+/// if the two cannot be compared.
+fn compare_values(op: BinaryOp, l: &Value, r: &Value) -> Result<Option<bool>> {
+    if l.is_null() || r.is_null() {
+        return Ok(None);
+    }
+    let ord = l
+        .sql_cmp(r)
+        .ok_or_else(|| FusionError::Type(format!("cannot compare {l} with {r}")))?;
+    Ok(Some(compare(op, ord)))
 }
 
 /// FNV-1a offset basis / prime for key-hash folding.

@@ -80,6 +80,21 @@ pub struct Project {
     pub exprs: Vec<ProjExpr>,
 }
 
+impl Project {
+    /// The schema `exprs` project over an input of schema `input`.
+    pub fn schema_over(exprs: &[ProjExpr], input: &Schema) -> Schema {
+        Schema::new(
+            exprs
+                .iter()
+                .map(|pe| {
+                    let dt = pe.expr.data_type(input).unwrap_or(DataType::Boolean);
+                    Field::new(pe.id, pe.name.clone(), dt, pe.expr.nullable(input))
+                })
+                .collect(),
+        )
+    }
+}
+
 /// Join variants. `Semi` is a left semi-join (output = left columns).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JoinType {
@@ -402,38 +417,54 @@ impl LogicalPlan {
     /// Compute the output schema of this node.
     pub fn schema(&self) -> Schema {
         match self {
-            LogicalPlan::Scan(s) => Schema::new(s.fields.clone()),
-            LogicalPlan::Filter(f) => f.input.schema(),
-            LogicalPlan::Project(p) => {
-                let input = p.input.schema();
-                Schema::new(
-                    p.exprs
-                        .iter()
-                        .map(|pe| {
-                            let dt = pe
-                                .expr
-                                .data_type(&input)
-                                .unwrap_or(DataType::Boolean);
-                            Field::new(pe.id, pe.name.clone(), dt, pe.expr.nullable(&input))
-                        })
-                        .collect(),
-                )
+            // Nodes whose schema is one input's, or reads no input.
+            LogicalPlan::Filter(Filter { input, .. })
+            | LogicalPlan::EnforceSingleRow(EnforceSingleRow { input })
+            | LogicalPlan::Sort(Sort { input, .. })
+            | LogicalPlan::Limit(Limit { input, .. }) => input.schema(),
+            LogicalPlan::Join(Join {
+                left,
+                join_type: JoinType::Semi,
+                ..
+            }) => left.schema(),
+            LogicalPlan::UnionAll(u) => Schema::new(u.fields.clone()),
+            _ => {
+                let inputs: Vec<Schema> = self.children().into_iter().map(Self::schema).collect();
+                self.schema_over(&inputs)
             }
-            LogicalPlan::Join(j) => match j.join_type {
-                JoinType::Semi => j.left.schema(),
-                JoinType::Left => {
-                    let mut fields = j.left.schema().fields().to_vec();
-                    // Right side becomes nullable under a left join.
-                    fields.extend(j.right.schema().fields().iter().map(|f| Field {
-                        nullable: true,
-                        ..f.clone()
-                    }));
-                    Schema::new(fields)
+        }
+    }
+
+    /// This node's output schema over its children's output schemas
+    /// (`inputs`, in the order of [`LogicalPlan::children`]) — one level
+    /// of [`LogicalPlan::schema`], for walks that already hold them.
+    pub fn schema_over(&self, inputs: &[Schema]) -> Schema {
+        let input = || &inputs[0];
+        match self {
+            LogicalPlan::Scan(s) => Schema::new(s.fields.clone()),
+            LogicalPlan::Filter(_)
+            | LogicalPlan::EnforceSingleRow(_)
+            | LogicalPlan::Sort(_)
+            | LogicalPlan::Limit(_) => input().clone(),
+            LogicalPlan::Project(p) => Project::schema_over(&p.exprs, input()),
+            LogicalPlan::Join(j) => {
+                let (left, right) = (&inputs[0], &inputs[1]);
+                match j.join_type {
+                    JoinType::Semi => left.clone(),
+                    JoinType::Left => {
+                        let mut fields = left.fields().to_vec();
+                        // Right side becomes nullable under a left join.
+                        fields.extend(right.fields().iter().map(|f| Field {
+                            nullable: true,
+                            ..f.clone()
+                        }));
+                        Schema::new(fields)
+                    }
+                    JoinType::Inner | JoinType::Cross => left.join(right),
                 }
-                JoinType::Inner | JoinType::Cross => j.left.schema().join(&j.right.schema()),
-            },
+            }
             LogicalPlan::Aggregate(a) => {
-                let input = a.input.schema();
+                let input = input();
                 let mut fields: Vec<Field> = a
                     .group_by
                     .iter()
@@ -442,7 +473,7 @@ impl LogicalPlan {
                 for assign in &a.aggregates {
                     let dt = assign
                         .agg
-                        .output_type(&input)
+                        .output_type(input)
                         .unwrap_or(DataType::Float64);
                     fields.push(Field::new(
                         assign.id,
@@ -454,19 +485,19 @@ impl LogicalPlan {
                 Schema::new(fields)
             }
             LogicalPlan::Window(w) => {
-                let input = w.input.schema();
+                let input = input();
                 let mut fields = input.fields().to_vec();
                 for assign in &w.exprs {
                     let dt = assign
                         .window
-                        .output_type(&input)
+                        .output_type(input)
                         .unwrap_or(DataType::Float64);
                     fields.push(Field::new(assign.id, assign.name.clone(), dt, true));
                 }
                 Schema::new(fields)
             }
             LogicalPlan::MarkDistinct(m) => {
-                let mut fields = m.input.schema().fields().to_vec();
+                let mut fields = input().fields().to_vec();
                 fields.push(Field::new(
                     m.mark_id,
                     m.mark_name.clone(),
@@ -477,9 +508,6 @@ impl LogicalPlan {
             }
             LogicalPlan::UnionAll(u) => Schema::new(u.fields.clone()),
             LogicalPlan::ConstantTable(c) => Schema::new(c.fields.to_vec()),
-            LogicalPlan::EnforceSingleRow(e) => e.input.schema(),
-            LogicalPlan::Sort(s) => s.input.schema(),
-            LogicalPlan::Limit(l) => l.input.schema(),
         }
     }
 
@@ -497,6 +525,42 @@ impl LogicalPlan {
             LogicalPlan::EnforceSingleRow(e) => vec![&e.input],
             LogicalPlan::Sort(s) => vec![&s.input],
             LogicalPlan::Limit(l) => vec![&l.input],
+        }
+    }
+
+    /// Immediate children, mutably, in the order of
+    /// [`LogicalPlan::children`].
+    pub fn children_mut(&mut self) -> Vec<&mut LogicalPlan> {
+        match self {
+            LogicalPlan::Scan(_) | LogicalPlan::ConstantTable(_) => vec![],
+            LogicalPlan::Filter(f) => vec![&mut f.input],
+            LogicalPlan::Project(p) => vec![&mut p.input],
+            LogicalPlan::Join(j) => vec![&mut j.left, &mut j.right],
+            LogicalPlan::Aggregate(a) => vec![&mut a.input],
+            LogicalPlan::Window(w) => vec![&mut w.input],
+            LogicalPlan::MarkDistinct(m) => vec![&mut m.input],
+            LogicalPlan::UnionAll(u) => u.inputs.iter_mut().collect(),
+            LogicalPlan::EnforceSingleRow(e) => vec![&mut e.input],
+            LogicalPlan::Sort(s) => vec![&mut s.input],
+            LogicalPlan::Limit(l) => vec![&mut l.input],
+        }
+    }
+
+    /// Take the immediate children out of this node, in the order of
+    /// [`LogicalPlan::children`]; the node itself is dropped.
+    pub fn into_children(self) -> Vec<LogicalPlan> {
+        match self {
+            LogicalPlan::Scan(_) | LogicalPlan::ConstantTable(_) => vec![],
+            LogicalPlan::Filter(Filter { input, .. })
+            | LogicalPlan::Project(Project { input, .. })
+            | LogicalPlan::Aggregate(Aggregate { input, .. })
+            | LogicalPlan::Window(Window { input, .. })
+            | LogicalPlan::MarkDistinct(MarkDistinct { input, .. })
+            | LogicalPlan::EnforceSingleRow(EnforceSingleRow { input })
+            | LogicalPlan::Sort(Sort { input, .. })
+            | LogicalPlan::Limit(Limit { input, .. }) => vec![*input],
+            LogicalPlan::Join(j) => vec![*j.left, *j.right],
+            LogicalPlan::UnionAll(u) => u.inputs,
         }
     }
 

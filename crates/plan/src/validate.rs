@@ -20,24 +20,33 @@ impl LogicalPlan {
     /// * join conditions and filter predicates are boolean;
     /// * aggregate group-by ids exist in the input.
     pub fn validate(&self) -> Result<()> {
-        for child in self.children() {
-            child.validate()?;
-        }
-        let schema = self.schema();
+        self.validated().map(|_| ())
+    }
+
+    /// Validate the tree bottom-up, returning this node's schema: each
+    /// node's schema is derived once, from its children's.
+    fn validated(&self) -> Result<Schema> {
+        let inputs = self
+            .children()
+            .into_iter()
+            .map(LogicalPlan::validated)
+            .collect::<Result<Vec<Schema>>>()?;
+        let schema = self.schema_over(&inputs);
         schema.check_unique_ids()?;
+        // Every node but a join has at most one input.
+        let input = inputs.first().unwrap_or(&schema);
+        let visible = Visible::of(&inputs);
 
         match self {
             LogicalPlan::Filter(f) => {
-                let input = f.input.schema();
-                check_refs("Filter", &f.predicate, &[&input])?;
-                check_boolean("Filter", &f.predicate, &input)?;
+                visible.check("Filter", &f.predicate)?;
+                check_boolean("Filter", &f.predicate, input)?;
             }
             LogicalPlan::Project(p) => {
-                let input = p.input.schema();
                 let mut names = HashSet::new();
                 for pe in &p.exprs {
-                    check_refs("Project", &pe.expr, &[&input])?;
-                    pe.expr.data_type(&input).map_err(|e| {
+                    visible.check("Project", &pe.expr)?;
+                    pe.expr.data_type(input).map_err(|e| {
                         FusionError::Plan(format!("Project expr {}: {e}", pe.name))
                     })?;
                     // Duplicate *internal* output names (not just ids) are
@@ -54,10 +63,8 @@ impl LogicalPlan {
                 }
             }
             LogicalPlan::Join(j) => {
-                let l = j.left.schema();
-                let r = j.right.schema();
-                check_refs("Join", &j.condition, &[&l, &r])?;
-                let combined = l.join(&r);
+                visible.check("Join", &j.condition)?;
+                let combined = inputs[0].join(&inputs[1]);
                 check_boolean("Join", &j.condition, &combined)?;
                 if j.join_type == JoinType::Cross && !j.condition.is_true_literal() {
                     return Err(FusionError::Plan(
@@ -66,7 +73,6 @@ impl LogicalPlan {
                 }
             }
             LogicalPlan::Aggregate(a) => {
-                let input = a.input.schema();
                 for g in &a.group_by {
                     if !input.contains(*g) {
                         return Err(FusionError::Plan(format!(
@@ -76,20 +82,19 @@ impl LogicalPlan {
                 }
                 for assign in &a.aggregates {
                     if let Some(arg) = &assign.agg.arg {
-                        check_refs("Aggregate arg", arg, &[&input])?;
+                        visible.check("Aggregate arg", arg)?;
                     }
-                    check_refs("Aggregate mask", &assign.agg.mask, &[&input])?;
-                    check_boolean("Aggregate mask", &assign.agg.mask, &input)?;
+                    visible.check("Aggregate mask", &assign.agg.mask)?;
+                    check_boolean("Aggregate mask", &assign.agg.mask, input)?;
                 }
             }
             LogicalPlan::Window(w) => {
-                let input = w.input.schema();
                 for assign in &w.exprs {
                     if let Some(arg) = &assign.window.arg {
-                        check_refs("Window arg", arg, &[&input])?;
+                        visible.check("Window arg", arg)?;
                     }
-                    check_refs("Window mask", &assign.window.mask, &[&input])?;
-                    check_boolean("Window mask", &assign.window.mask, &input)?;
+                    visible.check("Window mask", &assign.window.mask)?;
+                    check_boolean("Window mask", &assign.window.mask, input)?;
                     for pc in &assign.window.partition_by {
                         if !input.contains(*pc) {
                             return Err(FusionError::Plan(format!(
@@ -100,7 +105,6 @@ impl LogicalPlan {
                 }
             }
             LogicalPlan::MarkDistinct(m) => {
-                let input = m.input.schema();
                 for c in &m.columns {
                     if !input.contains(*c) {
                         return Err(FusionError::Plan(format!(
@@ -116,15 +120,14 @@ impl LogicalPlan {
                         m.mark_id
                     )));
                 }
-                check_refs("MarkDistinct mask", &m.mask, &[&input])?;
-                check_boolean("MarkDistinct mask", &m.mask, &input)?;
+                visible.check("MarkDistinct mask", &m.mask)?;
+                check_boolean("MarkDistinct mask", &m.mask, input)?;
             }
             LogicalPlan::UnionAll(u) => {
                 if u.inputs.is_empty() {
                     return Err(FusionError::Plan("UnionAll with no inputs".into()));
                 }
-                for (i, input) in u.inputs.iter().enumerate() {
-                    let is = input.schema();
+                for (i, is) in inputs.iter().enumerate() {
                     if is.len() != u.fields.len() {
                         return Err(FusionError::Plan(format!(
                             "UnionAll input {i} arity {} != output arity {}",
@@ -161,9 +164,8 @@ impl LogicalPlan {
             // built, and neither can change since.
             LogicalPlan::ConstantTable(_) => {}
             LogicalPlan::Sort(s) => {
-                let input = s.input.schema();
                 for k in &s.keys {
-                    check_refs("Sort", &k.expr, &[&input])?;
+                    visible.check("Sort", &k.expr)?;
                 }
             }
             LogicalPlan::Scan(s) => {
@@ -173,14 +175,14 @@ impl LogicalPlan {
                         s.table
                     )));
                 }
-                let input = self.schema();
+                let visible = Visible::of(std::slice::from_ref(&schema));
                 for e in &s.filters {
-                    check_refs("Scan filter", e, &[&input])?;
+                    visible.check("Scan filter", e)?;
                 }
             }
             LogicalPlan::EnforceSingleRow(_) | LogicalPlan::Limit(_) => {}
         }
-        Ok(())
+        Ok(schema)
     }
 }
 
@@ -188,19 +190,24 @@ fn types_compatible(a: DataType, b: DataType) -> bool {
     a == b || (a.is_numeric() && b.is_numeric())
 }
 
-fn check_refs(ctx: &str, expr: &Expr, inputs: &[&Schema]) -> Result<()> {
-    let available: HashSet<ColumnId> = inputs
-        .iter()
-        .flat_map(|s| s.fields().iter().map(|f| f.id))
-        .collect();
-    for c in expr.columns() {
-        if !available.contains(&c) {
-            return Err(FusionError::Plan(format!(
-                "{ctx}: expression `{expr}` references unknown column {c}"
-            )));
-        }
+/// The columns a node's expressions may reference: its inputs' outputs.
+struct Visible(HashSet<ColumnId>);
+
+impl Visible {
+    fn of(inputs: &[Schema]) -> Self {
+        Visible(inputs.iter().flat_map(|s| s.fields().iter().map(|f| f.id)).collect())
     }
-    Ok(())
+
+    fn check(&self, ctx: &str, expr: &Expr) -> Result<()> {
+        for c in expr.columns() {
+            if !self.0.contains(&c) {
+                return Err(FusionError::Plan(format!(
+                    "{ctx}: expression `{expr}` references unknown column {c}"
+                )));
+            }
+        }
+        Ok(())
+    }
 }
 
 fn check_boolean(ctx: &str, expr: &Expr, schema: &Schema) -> Result<()> {

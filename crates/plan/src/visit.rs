@@ -20,30 +20,48 @@ impl LogicalPlan {
     }
 
     /// Top-down rewrite: `f` on the node first (repeatedly, until it
-    /// declines), then recurse into the (possibly new) children.
+    /// declines), then recurse into the (possibly new) children. Returns
+    /// `None` when `f` declined everywhere. Nodes are visited by reference:
+    /// only the path from the root down to each rewritten node is rebuilt,
+    /// so a walk that changes nothing clones nothing.
     pub fn transform_down(
         &self,
         f: &mut dyn FnMut(&LogicalPlan) -> Option<LogicalPlan>,
-    ) -> LogicalPlan {
-        let mut node = self.clone();
-        let mut fuel = 100; // defensive cap against non-converging rewrites
-        while fuel > 0 {
-            match f(&node) {
-                Some(next) => node = next,
+    ) -> Option<LogicalPlan> {
+        let mut replaced: Option<LogicalPlan> = None;
+        // Defensive cap against non-converging rewrites.
+        for _ in 0..100 {
+            match f(replaced.as_ref().unwrap_or(self)) {
+                Some(next) => replaced = Some(next),
                 None => break,
             }
-            fuel -= 1;
         }
-        let new_children: Vec<LogicalPlan> = node
+        let node = replaced.as_ref().unwrap_or(self);
+        let new_children: Vec<Option<LogicalPlan>> = node
             .children()
             .into_iter()
             .map(|c| c.transform_down(f))
             .collect();
-        if new_children.is_empty() {
-            node
-        } else {
-            node.with_new_children(new_children)
+        if new_children.iter().all(Option::is_none) {
+            return replaced;
         }
+        Some(match replaced {
+            Some(mut node) => {
+                for (slot, new) in node.children_mut().into_iter().zip(new_children) {
+                    if let Some(new) = new {
+                        *slot = new;
+                    }
+                }
+                node
+            }
+            None => self.with_new_children(
+                self.children()
+                    .into_iter()
+                    .zip(new_children)
+                    .map(|(old, new)| new.unwrap_or_else(|| old.clone()))
+                    .collect(),
+            ),
+        })
     }
 
     /// Pre-order visit.
@@ -129,10 +147,37 @@ mod tests {
         let gen = IdGen::new();
         let plan = sample(&gen);
         let mut order = Vec::new();
-        plan.transform_down(&mut |p| {
+        let rewritten = plan.transform_down(&mut |p| {
             order.push(p.op_name());
             None
         });
         assert_eq!(order, vec!["Limit", "Filter", "Scan"]);
+        assert!(rewritten.is_none(), "a walk that rewrites nothing returns None");
+    }
+
+    #[test]
+    fn transform_down_rebuilds_only_the_rewritten_path() {
+        let gen = IdGen::new();
+        let plan = sample(&gen);
+        // Raise the limit, then drop the filter below it: the replacement
+        // node's own children are walked too.
+        let rewritten = plan
+            .transform_down(&mut |p| match p {
+                LogicalPlan::Limit(l) if l.fetch == 10 => Some(LogicalPlan::Limit(Limit {
+                    input: l.input.clone(),
+                    fetch: 20,
+                })),
+                LogicalPlan::Filter(f) => Some(f.input.as_ref().clone()),
+                _ => None,
+            })
+            .expect("two rewrites");
+        assert_eq!(rewritten.node_count(), 2);
+        match &rewritten {
+            LogicalPlan::Limit(l) => {
+                assert_eq!(l.fetch, 20);
+                assert_eq!(l.input.op_name(), "Scan");
+            }
+            other => panic!("expected Limit, got {}", other.op_name()),
+        }
     }
 }

@@ -341,7 +341,12 @@ fn resolver(row: &[Value]) -> impl Fn(ColumnId) -> Result<Value, FusionError> + 
 
 /// Transpose the generated rows into columns plus the selection vector.
 fn columns_and_selection(table: &[(Vec<Value>, bool)]) -> (Vec<Vec<Value>>, Vec<usize>) {
-    let mut columns = vec![Vec::with_capacity(table.len()); NUM_COLS as usize];
+    columns_of(table, NUM_COLS as usize)
+}
+
+/// [`columns_and_selection`] for rows `width` values wide.
+fn columns_of(table: &[(Vec<Value>, bool)], width: usize) -> (Vec<Vec<Value>>, Vec<usize>) {
+    let mut columns = vec![Vec::with_capacity(table.len()); width];
     let mut selection = Vec::new();
     for (i, (row, selected)) in table.iter().enumerate() {
         for (c, v) in row.iter().enumerate() {
@@ -421,6 +426,206 @@ proptest! {
         let hashes = hash_columns(&col_refs, &selection);
         for (j, &r) in selection.iter().enumerate() {
             prop_assert_eq!(hashes[j], hash_key(&table[r].0));
+        }
+    }
+}
+
+// ---------- property tests: the selection kernel == scalar ----------
+
+/// Typed nullable columns: `#0` Int64, `#1` Float64, `#2` Utf8, and `#3`,
+/// which each test fills itself.
+fn arb_typed_row() -> impl Strategy<Value = Vec<Value>> {
+    (
+        prop_oneof![Just(Value::Null), (-5i64..5).prop_map(Value::Int64)],
+        prop_oneof![Just(Value::Null), (-5.0..5.0).prop_map(Value::Float64)],
+        prop_oneof![
+            Just(Value::Null),
+            (0u8..4).prop_map(|k| Value::Utf8(["a", "b", "c", "d"][k as usize].to_string()))
+        ],
+    )
+        .prop_map(|(i, f, s)| vec![i, f, s, Value::Null])
+}
+
+fn arb_typed_table() -> impl Strategy<Value = Vec<(Vec<Value>, bool)>> {
+    proptest::collection::vec((arb_typed_row(), (0..2u8).prop_map(|b| b == 1)), 0..40)
+}
+
+/// Predicates over the typed columns: comparisons against literals and
+/// each other, NULL tests, BETWEEN ranges, boolean and NULL literals, and
+/// comparisons of a string with a number (a type error on every non-NULL
+/// row it is evaluated on), nested under AND, OR and NOT.
+fn arb_typed_predicate() -> impl Strategy<Value = Expr> {
+    let (i, f, s) = (col(ColumnId(0)), col(ColumnId(1)), col(ColumnId(2)));
+    fn cmp(a: Expr, b: Expr, op: u8) -> Expr {
+        match op {
+            0 => a.eq_to(b),
+            1 => a.not_eq_to(b),
+            2 => a.lt(b),
+            3 => a.lt_eq(b),
+            4 => a.gt(b),
+            _ => a.gt_eq(b),
+        }
+    }
+    let atom = prop_oneof![
+        ((-5i64..5), 0..6u8).prop_map({
+            let i = i.clone();
+            move |(k, op)| cmp(i.clone(), fusion_expr::lit(k), op)
+        }),
+        ((-5i64..5), 0..6u8).prop_map({
+            let i = i.clone();
+            move |(k, op)| cmp(fusion_expr::lit(k), i.clone(), op)
+        }),
+        ((-5.0..5.0), 0..6u8).prop_map({
+            let f = f.clone();
+            move |(k, op)| cmp(f.clone(), fusion_expr::lit(k), op)
+        }),
+        ((0u8..4), 0..6u8).prop_map({
+            let s = s.clone();
+            move |(k, op)| cmp(s.clone(), fusion_expr::lit(["a", "b", "c", "d"][k as usize]), op)
+        }),
+        (0..6u8).prop_map({
+            let (i, f) = (i.clone(), f.clone());
+            move |op| cmp(i.clone(), f.clone(), op)
+        }),
+        ((-5i64..5), (0i64..4)).prop_map({
+            let i = i.clone();
+            move |(lo, w)| {
+                let (lo, hi) = (fusion_expr::lit(lo), fusion_expr::lit(lo + w));
+                i.clone().gt_eq(lo).and(i.clone().lt_eq(hi))
+            }
+        }),
+        ((-5.0..5.0), (0.0..4.0)).prop_map({
+            let f = f.clone();
+            move |(lo, w): (f64, f64)| {
+                let (lo, hi) = (fusion_expr::lit(lo), fusion_expr::lit(lo + w));
+                f.clone().gt_eq(lo).and(f.clone().lt_eq(hi))
+            }
+        }),
+        (0..3u8).prop_map({
+            let (i, f, s) = (i.clone(), f.clone(), s.clone());
+            move |c| [i.clone(), f.clone(), s.clone()][c as usize].clone().is_null()
+        }),
+        (0..3u8).prop_map(move |c| {
+            [i.clone(), f.clone(), s.clone()][c as usize].clone().is_not_null()
+        }),
+        (0..3u8).prop_map(|k| match k {
+            0 => Expr::boolean(true),
+            1 => Expr::boolean(false),
+            _ => Expr::Literal(Value::Null),
+        }),
+        (0..6u8).prop_map(|op| cmp(col(ColumnId(2)), fusion_expr::lit(1i64), op)),
+    ];
+    atom.prop_recursive(4, 32, 2, |inner| {
+        prop_oneof![
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.and(b)),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(b)),
+            inner.prop_map(|a| a.negated()),
+        ]
+    })
+}
+
+/// The scalar evaluator's value of `e` on each row of `selection`, or
+/// its first error.
+fn scalar_values(
+    e: &Expr,
+    table: &[(Vec<Value>, bool)],
+    selection: &[usize],
+) -> Result<Vec<Value>, FusionError> {
+    selection.iter().map(|&r| eval(e, &resolver(&table[r].0))).collect()
+}
+
+/// The rows of `selection` whose value is TRUE.
+fn true_rows(selection: &[usize], values: &[Value]) -> Vec<usize> {
+    selection
+        .iter()
+        .zip(values)
+        .filter(|(_, v)| v.as_bool() == Some(true))
+        .map(|(&r, _)| r)
+        .collect()
+}
+
+fn typed_batch(columns: &[Vec<Value>]) -> ColumnBatch<'_> {
+    let mut batch = ColumnBatch::new();
+    for (c, column) in columns.iter().enumerate() {
+        batch.push(ColumnId(c as u32), column.as_slice());
+    }
+    batch
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `ColumnBatch::eval` gives each row the scalar evaluator's value —
+    /// its TRUE, NULL and FALSE rows are the selection kernel's split — and
+    /// `ColumnBatch::filter` keeps exactly the TRUE rows; both fail exactly
+    /// when the scalar evaluator fails on some selected row.
+    #[test]
+    fn selection_kernel_matches_scalar(e in arb_typed_predicate(), table in arb_typed_table()) {
+        let (columns, selection) = columns_of(&table, 4);
+        let batch = typed_batch(&columns);
+        let filtered = batch.filter(&e, &selection);
+        match (scalar_values(&e, &table, &selection), batch.eval(&e, &selection)) {
+            (Ok(scalar), Ok(kernel)) => {
+                prop_assert_eq!(&scalar, &kernel, "values diverge for {}", e);
+                prop_assert_eq!(
+                    filtered.ok(),
+                    Some(true_rows(&selection, &scalar)),
+                    "filtered rows diverge for {}", e
+                );
+            }
+            (Err(_), Err(_)) => prop_assert!(filtered.is_err(), "filter succeeded for {}", e),
+            (s, v) => prop_assert!(
+                false,
+                "success/error divergence for {}: scalar {:?} vs kernel {:?}",
+                e, s, v
+            ),
+        }
+    }
+
+    /// AND evaluates its right side where the left is TRUE or NULL, OR
+    /// where it is FALSE or NULL. `#3` holds a string — so `#3 > 0` is a
+    /// type error — exactly on the rows where the left side `#0 > k` is
+    /// NULL, or exactly where it is FALSE: the error must surface where
+    /// the scalar evaluator reaches those rows and nowhere else.
+    #[test]
+    fn right_sides_fail_exactly_where_scalar_evaluates_them(
+        table in arb_typed_table(),
+        k in -5i64..5,
+        poison_null in any::<bool>(),
+    ) {
+        let left = col(ColumnId(0)).gt(fusion_expr::lit(k));
+        let right = col(ColumnId(3)).gt(fusion_expr::lit(0i64));
+        let mut table = table;
+        for (row, _) in &mut table {
+            let poisoned = match row[0] {
+                Value::Null => poison_null,
+                Value::Int64(i) => !poison_null && i <= k,
+                _ => false,
+            };
+            row[3] = if poisoned { Value::Utf8("x".into()) } else { Value::Int64(1) };
+        }
+        let (columns, selection) = columns_of(&table, 4);
+        let batch = typed_batch(&columns);
+        let reaches =
+            |pred: &dyn Fn(&Value) -> bool| selection.iter().any(|&r| pred(&table[r].0[0]));
+        let left_null = reaches(&|v| v.is_null());
+        let left_false = reaches(&|v| matches!(v, Value::Int64(i) if *i <= k));
+        for (e, fails) in [
+            (left.clone().and(right.clone()), poison_null && left_null),
+            (left.clone().or(right.clone()), if poison_null { left_null } else { left_false }),
+            (
+                left.clone().negated().and(right.clone()),
+                if poison_null { left_null } else { left_false },
+            ),
+        ] {
+            let scalar = scalar_values(&e, &table, &selection);
+            let kernel = batch.eval(&e, &selection);
+            prop_assert_eq!(scalar.is_err(), fails, "scalar outcome for {}", e);
+            prop_assert_eq!(kernel.is_err(), fails, "kernel outcome for {}", e);
+            prop_assert_eq!(batch.filter(&e, &selection).is_err(), fails, "filter outcome for {}", e);
+            if let (Ok(scalar), Ok(kernel)) = (scalar, kernel) {
+                prop_assert_eq!(scalar, kernel, "values diverge for {}", e);
+            }
         }
     }
 }

@@ -6,8 +6,14 @@
 //! rewritten into the *shape* the paper describes in Sections I and V —
 //! not just produce correct results faster.
 
+use std::collections::HashSet;
+
+use fusion_core::fuse::ExprMemo;
 use fusion_core::OptimizerConfig;
 use fusion_engine::Session;
+use fusion_expr::{
+    normalize, simplify, simplify_filter, simplify_memo, split_conjuncts, split_disjuncts, Expr,
+};
 use fusion_plan::{JoinType, LogicalPlan};
 use fusion_tpcds::{generate_catalog, queries, TpcdsConfig};
 
@@ -225,5 +231,164 @@ fn ablation_maps_rules_to_queries() {
             abl_opt.scanned_tables().len() > full_opt.scanned_tables().len(),
             "disabling {rule} must forfeit {qid}'s dedup"
         );
+    }
+}
+
+/// `#<id>` renamed by order of first appearance, so two runs that mint
+/// different fresh ids for the same decisions render the same.
+fn canonical_ids(text: &str) -> String {
+    let mut seen: Vec<String> = Vec::new();
+    let mut out = String::new();
+    let mut chars = text.chars().peekable();
+    while let Some(c) = chars.next() {
+        out.push(c);
+        if c != '#' {
+            continue;
+        }
+        let mut digits = String::new();
+        while let Some(d) = chars.next_if(char::is_ascii_digit) {
+            digits.push(d);
+        }
+        if !digits.is_empty() {
+            let k = match seen.iter().position(|s| *s == digits) {
+                Some(k) => k,
+                None => {
+                    seen.push(digits);
+                    seen.len() - 1
+                }
+            };
+            out.push_str(&k.to_string());
+        }
+    }
+    out
+}
+
+/// The optimizer's expression memo is a pure cache: optimizing through an
+/// optimizer that already optimized the query, and through a fresh one,
+/// takes the same decisions — the same plan and the same `Fuse` attempts,
+/// in the same order.
+#[test]
+fn expression_memo_never_changes_a_decision() {
+    let s = session();
+    for q in [queries::q09(), queries::q28(), queries::q88(), queries::intro()] {
+        let plan = s.plan_sql(&q.sql).unwrap();
+        let run = |optimizer: &fusion_core::Optimizer| {
+            let (optimized, report) = optimizer.optimize(&plan);
+            assert!(report.fusion_applied, "{}", q.id);
+            let events: Vec<String> = report
+                .trace
+                .fuse_events
+                .iter()
+                .map(|e| format!("{} {} {} {}", e.left, e.right, e.fused, e.detail))
+                .collect();
+            canonical_ids(&format!("{}\n{}", optimized.display(), events.join("\n")))
+        };
+        let new = || fusion_core::Optimizer::new(s.id_gen().clone(), OptimizerConfig::default());
+        let reused = new();
+        let first = run(&reused);
+        assert_eq!(first, run(&reused), "{}: second call on one optimizer", q.id);
+        assert_eq!(first, run(&new()), "{}: fresh optimizer", q.id);
+    }
+}
+
+/// The expressions a plan node holds: predicates, masks, projections,
+/// aggregate arguments.
+fn node_exprs(node: &LogicalPlan) -> Vec<Expr> {
+    match node {
+        LogicalPlan::Filter(f) => vec![f.predicate.clone()],
+        LogicalPlan::Join(j) => vec![j.condition.clone()],
+        LogicalPlan::Project(p) => p.exprs.iter().map(|pe| pe.expr.clone()).collect(),
+        LogicalPlan::Aggregate(a) => a
+            .aggregates
+            .iter()
+            .flat_map(|x| std::iter::once(x.agg.mask.clone()).chain(x.agg.arg.clone()))
+            .collect(),
+        LogicalPlan::MarkDistinct(m) => vec![m.mask.clone()],
+        LogicalPlan::Scan(s) => s.filters.clone(),
+        _ => Vec::new(),
+    }
+}
+
+/// `e` and all its sub-expressions.
+fn subtrees(e: &Expr, out: &mut Vec<Expr>) {
+    out.push(e.clone());
+    e.map_children(&mut |c| {
+        subtrees(c, out);
+        c.clone()
+    });
+}
+
+/// The contract checker's conjunct split, computed without the memo:
+/// the rendered conjuncts of the normalized, filter-simplified predicate
+/// and, for each disjunction, its disjuncts' rendered conjuncts.
+type Split = Option<Vec<(String, Vec<Vec<String>>)>>;
+
+fn plain_conjuncts(e: &Expr) -> Split {
+    let n = normalize(&simplify_filter(e));
+    if n.is_false_literal() {
+        return None;
+    }
+    let texts = |e: &Expr| -> Vec<String> { split_conjuncts(e).iter().map(Expr::to_string).collect() };
+    Some(
+        split_conjuncts(&n)
+            .iter()
+            .filter(|c| !c.is_true_literal())
+            .map(|c| {
+                let disjuncts = split_disjuncts(c);
+                let absorbed_by = match disjuncts.len() {
+                    0 | 1 => Vec::new(),
+                    _ => disjuncts.iter().map(texts).collect(),
+                };
+                (c.to_string(), absorbed_by)
+            })
+            .collect(),
+    )
+}
+
+fn memo_conjuncts(memo: &ExprMemo, e: &Expr) -> Split {
+    let conjuncts = memo.conjuncts(e)?;
+    let texts = |d: &Vec<std::sync::Arc<str>>| d.iter().map(|t| t.to_string()).collect();
+    Some(
+        conjuncts
+            .iter()
+            .map(|c| (c.text.to_string(), c.absorbed_by.iter().map(texts).collect()))
+            .collect(),
+    )
+}
+
+/// A hit in the memo the optimizer filled answers what the plain
+/// functions compute: checked for every expression the fused Q09, Q28 and
+/// Q88 optimizations put in the memo (the masks, compensations and
+/// conditions `Fuse` met at every step) and every predicate, mask and
+/// sub-expression of their input and fused plans.
+#[test]
+fn warm_expression_memo_answers_what_recomputing_would() {
+    let s = session();
+    for q in [queries::q09(), queries::q28(), queries::q88()] {
+        let plan = s.plan_sql(&q.sql).unwrap();
+        let optimizer = fusion_core::Optimizer::new(s.id_gen().clone(), OptimizerConfig::default());
+        let (optimized, report) = optimizer.optimize(&plan);
+        assert!(report.fusion_applied, "{}", q.id);
+        let memo = optimizer.memo();
+
+        let mut roots = memo.expressions();
+        assert!(roots.len() > 50, "{}: the memo holds {} forms", q.id, roots.len());
+        for p in [&plan, &optimized] {
+            p.visit(&mut |node| roots.extend(node_exprs(node)));
+        }
+        let mut exprs = Vec::new();
+        for e in &roots {
+            subtrees(e, &mut exprs);
+        }
+        let mut seen = HashSet::new();
+        exprs.retain(|e| seen.insert(format!("{e:?}")));
+
+        for e in &exprs {
+            assert!(memo.simplify_filter(e).identical(&simplify_filter(e)), "{}: {e}", q.id);
+            assert!(simplify_memo(e, memo).identical(&simplify(e)), "{}: {e}", q.id);
+            assert!(memo.normalize(e).identical(&normalize(e)), "{}: {e}", q.id);
+            assert_eq!(*memo.render(e), e.to_string(), "{}", q.id);
+            assert_eq!(memo_conjuncts(memo, e), plain_conjuncts(e), "{}: {e}", q.id);
+        }
     }
 }
