@@ -26,9 +26,6 @@ use fusion_plan::LogicalPlan;
 use fusion_reuse::{ReuseConfig, ReuseManager, WorkloadOutcome, WorkloadReport};
 use fusion_sql::{plan_query, SchemaProvider, Statement, TableSchema};
 
-pub mod admission;
-pub use admission::{Admitted, AdmissionConfig, AdmissionQueue, TenantId};
-
 /// A configured engine instance.
 pub struct Session {
     catalog: Catalog,
@@ -57,17 +54,9 @@ pub struct Session {
     /// Workload-level reuse: plan fingerprinting, cross-query fusion and
     /// the shared-subplan cache ([`Session::run_batch`]).
     reuse: ReuseManager,
-    /// Whether batches exploit cross-query reuse and single queries
-    /// consult the shared-subplan cache.
+    /// Whether windows (a lone query is a window of one) run through the
+    /// reuse layer.
     reuse_enabled: bool,
-    /// Opt-in all-or-nothing batches: the first per-query failure aborts
-    /// the whole batch instead of landing in that query's slot.
-    batch_fail_fast: bool,
-    /// Admission queue for deferred batch execution
-    /// ([`Session::enqueue`] / [`Session::run_queued`]): a one-tenant
-    /// view of the same [`admission::AdmissionQueue`] the multi-tenant
-    /// service dispatches windows from.
-    queue: admission::AdmissionQueue<String>,
 }
 
 /// Default session parallelism: the `FUSION_PARALLELISM` environment
@@ -101,6 +90,8 @@ pub struct QueryResult {
     pub schema: Schema,
     pub rows: Vec<Vec<Value>>,
     pub metrics: MetricsSnapshot,
+    /// This query's optimize + execute (+ fallback); work shared by its
+    /// window is in [`BatchResult`].
     pub latency: Duration,
     /// The plan before optimization (after SQL planning).
     pub initial_plan: LogicalPlan,
@@ -235,8 +226,6 @@ impl Session {
             last_profile: Mutex::new(None),
             reuse: ReuseManager::default(),
             reuse_enabled: true,
-            batch_fail_fast: false,
-            queue: admission::AdmissionQueue::new(admission::AdmissionConfig::unbounded()),
         }
     }
 
@@ -477,7 +466,12 @@ impl Session {
             .unwrap_or_else(PoisonError::into_inner) = Some(profile.clone());
     }
 
-    /// Optimize and execute an already-built logical plan.
+    /// Optimize and execute an already-built logical plan: a window of
+    /// one ([`Session::run_batch_plans`] with a single plan), so a lone
+    /// query meets the reuse cache exactly as a service window does. Its
+    /// `metrics` are the window's whole sink, shared work included; an
+    /// error in its slot, or a strict-analysis certificate rejection, is
+    /// the `Err`.
     ///
     /// Degrades gracefully: if the optimized plan fails post-optimization
     /// validation or dies during execution with an error that
@@ -487,21 +481,22 @@ impl Session {
     /// the metrics, which accumulate across both attempts (the failed
     /// fused work was really performed).
     pub fn run_plan(&self, initial_plan: LogicalPlan) -> Result<QueryResult> {
-        let metrics = self.fresh_metrics();
-        let (exec_plan, reuse_notes) = if self.reuse_enabled {
-            self.reuse
-                .apply_cache(&initial_plan, &self.catalog, &self.fault_policy, &metrics)
-        } else {
-            (initial_plan.clone(), Vec::new())
-        };
-        self.run_plan_inner(initial_plan, exec_plan, metrics, reuse_notes)
+        let mut window = self.run_batch_slots(vec![Ok(initial_plan)])?;
+        match window.results.pop() {
+            Some(Ok(result)) => Ok(QueryResult {
+                metrics: window.metrics,
+                ..result
+            }),
+            Some(Err(failed)) => Err(failed.error),
+            None => Err(FusionError::Internal("a window of one returned no slot".into())),
+        }
     }
 
-    /// Shared tail of [`Session::run_plan`] and [`Session::run_batch_plans`]:
-    /// optimize `exec_plan` (the possibly reuse-rewritten form of
-    /// `initial_plan`), execute it, and fall back to the unfused baseline
-    /// of the *original* plan on recoverable failure — so a bad splice or
-    /// a bad fusion can never be the final word on a query.
+    /// Run one slot of a window: optimize `exec_plan` (the possibly
+    /// reuse-rewritten form of `initial_plan`), execute it, and fall back
+    /// to the unfused baseline of the *original* plan on recoverable
+    /// failure — so a bad splice or a bad fusion can never be the final
+    /// word on a query.
     fn run_plan_inner(
         &self,
         initial_plan: LogicalPlan,
@@ -510,9 +505,9 @@ impl Session {
         reuse_notes: Vec<String>,
     ) -> Result<QueryResult> {
         let reused = !reuse_notes.is_empty();
+        let start = Instant::now();
         let (optimized_plan, mut report) = self.optimize(&exec_plan);
         report.reuse = reuse_notes;
-        let start = Instant::now();
         let attempt = match &report.validation_error {
             Some(msg) => Err(FusionError::Internal(format!(
                 "optimized plan failed validation: {msg}"
@@ -574,30 +569,20 @@ impl Session {
     /// Each query is its own fault domain: a query that fails — bad SQL,
     /// an injected fault, a blown deadline or budget — lands as a typed
     /// [`BatchQueryError`] in its slot of [`BatchResult::results`] while
-    /// every other query completes. The pre-isolation all-or-nothing
-    /// behavior is opt-in via [`Session::set_batch_fail_fast`].
+    /// every other query completes.
     ///
     /// Shared executions surface as `shared_subplans_executed` in the
     /// batch metrics; cached servings as `reuse_cache_hits`; per-query
     /// failures as `batch_query_failures`.
     pub fn run_batch(&self, sqls: &[&str]) -> Result<BatchResult> {
-        let mut slots = Vec::with_capacity(sqls.len());
-        for (i, sql) in sqls.iter().enumerate() {
-            match self.plan_sql(sql) {
-                Ok(plan) => slots.push(Ok(plan)),
-                Err(error) => {
-                    if self.batch_fail_fast {
-                        return Err(error);
-                    }
-                    slots.push(Err(BatchQueryError {
-                        query: i,
-                        stage: BatchStage::Plan,
-                        error,
-                    }));
-                }
-            }
-        }
-        self.run_batch_slots(slots)
+        let slots = sqls.iter().enumerate().map(|(query, sql)| {
+            self.plan_sql(sql).map_err(|error| BatchQueryError {
+                query,
+                stage: BatchStage::Plan,
+                error,
+            })
+        });
+        self.run_batch_slots(slots.collect())
     }
 
     /// [`Session::run_batch`] over already-planned queries.
@@ -605,8 +590,9 @@ impl Session {
         self.run_batch_slots(plans.into_iter().map(Ok).collect())
     }
 
-    /// Shared tail of the batch paths: run the plannable slots with
-    /// workload reuse, confining every failure to its own slot.
+    /// The one way a query runs: plan the window's plannable slots with
+    /// workload reuse (one `plan_batch` call, one certificate check), then
+    /// run each slot, confining every failure to its own slot.
     fn run_batch_slots(
         &self,
         slots: Vec<std::result::Result<LogicalPlan, BatchQueryError>>,
@@ -631,7 +617,7 @@ impl Session {
                 Some(&optimize),
             )
         } else {
-            WorkloadOutcome::unshared(&plans)
+            WorkloadOutcome::unshared(plans)
         };
         self.check_certified(&outcome.rejections)?;
         let mut rewritten = outcome.plans.into_iter().zip(outcome.notes);
@@ -668,9 +654,6 @@ impl Session {
                 }
                 Err(error) => {
                     metrics.add_batch_query_failure();
-                    if self.batch_fail_fast {
-                        return Err(error);
-                    }
                     results.push(Err(BatchQueryError {
                         query: i,
                         stage: BatchStage::Execute,
@@ -687,11 +670,11 @@ impl Session {
     }
 
     /// Uncertified reuse rewrites already reverted to cold execution (the
-    /// batch stays correct); under strict analysis — this session's
+    /// window stays correct); under strict analysis — this session's
     /// `OptimizerConfig::strict_analysis`, which `FUSION_ANALYZE=strict`
     /// only defaults — a certificate rejection is a hard error on the
-    /// whole batch, the same contract strict mode applies to analyzer
-    /// violations.
+    /// whole window, a lone query included, the same contract strict mode
+    /// applies to analyzer violations.
     fn check_certified(&self, rejections: &[String]) -> Result<()> {
         if self.config.strict_analysis && !rejections.is_empty() {
             return Err(FusionError::Internal(format!(
@@ -703,49 +686,8 @@ impl Session {
         Ok(())
     }
 
-    /// Restore the pre-isolation all-or-nothing batch contract: the first
-    /// planning or execution failure aborts the whole batch with `Err`
-    /// instead of landing in that query's slot.
-    pub fn set_batch_fail_fast(&mut self, enabled: bool) {
-        self.batch_fail_fast = enabled;
-    }
-
-    pub fn batch_fail_fast(&self) -> bool {
-        self.batch_fail_fast
-    }
-
-    /// Queue a query for deferred batch execution. Queued queries run
-    /// together — and share work — when [`Session::run_queued`] drains
-    /// the queue. Thin one-tenant wrapper over the same
-    /// [`admission::AdmissionQueue`] the multi-tenant service uses; the
-    /// session queue is unbounded and never closed, so admission cannot
-    /// fail here.
-    pub fn enqueue(&self, sql: impl Into<String>) {
-        let admitted = self.queue.admit(admission::TenantId::local(), sql.into());
-        debug_assert!(admitted.is_ok(), "unbounded session queue rejected a query");
-    }
-
-    /// Number of queries waiting in the admission queue.
-    pub fn queued_len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Drain the admission queue and run everything in it as one batch.
-    /// The queue is emptied even if planning fails partway (a malformed
-    /// query does not wedge the queue).
-    pub fn run_queued(&self) -> Result<BatchResult> {
-        let sqls: Vec<String> = self
-            .queue
-            .drain_all()
-            .into_iter()
-            .map(|e| e.payload)
-            .collect();
-        let refs: Vec<&str> = sqls.iter().map(String::as_str).collect();
-        self.run_batch(&refs)
-    }
-
-    /// Enable or disable workload reuse (cross-query fusion in batches
-    /// and shared-subplan cache consultation for single queries).
+    /// Enable or disable workload reuse (cross-query fusion and the
+    /// shared-subplan cache) for every window, a lone query included.
     /// Independent of [`Session::set_fusion_enabled`], which governs
     /// intra-query fusion.
     pub fn set_reuse_enabled(&mut self, enabled: bool) {
@@ -1159,23 +1101,6 @@ mod tests {
         assert_eq!(batch.metrics.shared_subplans_executed, 1);
         assert_eq!(batch.report.shared_executions(), 1);
         assert_eq!(batch.report.consumers_spliced(), 2);
-    }
-
-    #[test]
-    fn admission_queue_drains_as_one_batch() {
-        let s = session();
-        let sql = "SELECT o_id FROM orders WHERE o_total > 30";
-        s.enqueue(sql);
-        s.enqueue(sql);
-        assert_eq!(s.queued_len(), 2);
-        let batch = s.run_queued().unwrap();
-        assert_eq!(s.queued_len(), 0);
-        assert_eq!(batch.results.len(), 2);
-        assert_eq!(batch.metrics.queries_batched, 2);
-        assert_eq!(
-            batch.query(0).unwrap().sorted_rows(),
-            batch.query(1).unwrap().sorted_rows()
-        );
     }
 
     #[test]

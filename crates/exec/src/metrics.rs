@@ -80,11 +80,12 @@ pub struct ExecMetrics {
     /// two or more consuming queries (cache hits do not count — nothing
     /// executed).
     shared_subplans_executed: AtomicU64,
-    /// Queries admitted through the batch API (`Session::run_batch`).
+    /// Queries that ran in a window: every slot of a `Session::run_batch`
+    /// or service window, and every lone `Session::sql` (a window of one).
     queries_batched: AtomicU64,
     /// Queries in a batch that finished with a typed error in their
     /// `BatchResult` slot while the rest of the batch completed (per-query
-    /// fault domains; fail-fast batches count at most one).
+    /// fault domains).
     batch_query_failures: AtomicU64,
     /// Shared-group executions that failed permanently (after retries) and
     /// forced their consumers to detach and run unshared.

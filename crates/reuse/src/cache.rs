@@ -282,54 +282,12 @@ impl ReuseCache {
         self.uses.get(&fp.0).copied().unwrap_or(0)
     }
 
-    /// Whether an entry exists and is valid against the given catalog
-    /// versions, without touching LRU state or evicting.
-    pub fn contains_valid(
-        &self,
-        fp: Fingerprint,
-        encoding: &str,
-        versions: &HashMap<String, u64>,
-    ) -> bool {
-        self.entries.get(&fp.0).is_some_and(|e| {
-            e.encoding == encoding
-                && e.deps
-                    .as_slice()
-                    .iter()
-                    .all(|(t, v)| versions.get(t).copied().unwrap_or(0) == *v)
-        })
-    }
-
-    /// Whether an entry exists and can be *served* against the current
-    /// catalog: either valid outright, or stale only by pure appends to a
-    /// maintainable subplan, so a lookup would refresh it in place rather
-    /// than evict. Group formation uses this so a refreshable entry still
-    /// anchors a reuse group.
-    pub fn contains_servable(
-        &self,
-        fp: Fingerprint,
-        encoding: &str,
-        catalog: &Catalog,
-        versions: &HashMap<String, u64>,
-    ) -> bool {
-        let Some(e) = self.entries.get(&fp.0) else {
-            return false;
-        };
-        if e.encoding != encoding {
-            return false;
-        }
-        let stale = e
-            .deps
-            .as_slice()
-            .iter()
-            .any(|(t, v)| versions.get(t).copied().unwrap_or(0) != *v);
-        if !stale {
-            return true;
-        }
-        e.deps
-            .as_slice()
-            .iter()
-            .all(|(t, v)| catalog.delta_partitions_since(t, *v).is_some())
-            && certify_maintainability(&e.plan).is_ok()
+    /// Whether an entry for this encoding is resident, valid or not:
+    /// group formation sends every such subplan to
+    /// [`lookup`](Self::lookup), which serves it, refreshes it in place or
+    /// evicts it (typed), never leaves a dead entry behind.
+    pub fn contains(&self, fp: Fingerprint, encoding: &str) -> bool {
+        self.entries.get(&fp.0).is_some_and(|e| e.encoding == encoding)
     }
 
     /// Look up a fingerprint. A stale entry (any dependency's catalog

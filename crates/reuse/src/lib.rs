@@ -38,7 +38,7 @@ pub mod workload;
 use std::sync::{Arc, Mutex};
 
 use fusion_common::IdGen;
-use fusion_exec::{Catalog, ExecContext, ExecMetrics, FaultPolicy};
+use fusion_exec::{Catalog, ExecContext, ExecMetrics};
 use fusion_plan::LogicalPlan;
 
 pub use breaker::FailureBreaker;
@@ -101,29 +101,7 @@ impl ReuseManager {
                 metrics,
                 optimize,
             ),
-            _ => WorkloadOutcome::unshared(plans),
-        }
-    }
-
-    /// Rewrite a single query against the warm cache (no shared
-    /// execution). See [`workload::apply_cache`].
-    pub fn apply_cache(
-        &self,
-        plan: &LogicalPlan,
-        catalog: &Catalog,
-        fault: &FaultPolicy,
-        metrics: &ExecMetrics,
-    ) -> (LogicalPlan, Vec<String>) {
-        match self.cache.lock() {
-            Ok(mut cache) => workload::apply_cache(
-                &self.cfg.workload,
-                &mut cache,
-                plan,
-                catalog,
-                fault,
-                metrics,
-            ),
-            Err(_) => (plan.clone(), Vec::new()),
+            _ => WorkloadOutcome::unshared(plans.to_vec()),
         }
     }
 

@@ -29,9 +29,11 @@
 //!   but differ in predicates/columns; `fuse` builds the covering plan,
 //!   whose column order follows the fold while its cache key does not.
 //!
-//! Group members, warm hits on the single-query path and subsumption
-//! serves all pass one gate, `serve`: certify, splice, validate, or
-//! leave the query as it was.
+//! A lone query is a window of one: it meets the cache through the same
+//! groups, so a resident entry under one of its subplans is served,
+//! refreshed, or evicted and re-admitted exactly as in a larger window.
+//! Group members and subsumption serves all pass one gate, `serve`:
+//! certify, splice, validate, or leave the query as it was.
 //!
 //! Every shared plan is re-validated by the semantic plan analyzer before
 //! execution, and every spliced consumer is re-validated before it
@@ -121,10 +123,10 @@ pub struct WorkloadOutcome {
 
 impl WorkloadOutcome {
     /// Every query on its own plan: nothing shared, nothing to report.
-    pub fn unshared(plans: &[LogicalPlan]) -> Self {
+    pub fn unshared(plans: Vec<LogicalPlan>) -> Self {
         WorkloadOutcome {
-            plans: plans.to_vec(),
             notes: vec![Vec::new(); plans.len()],
+            plans,
             rejections: Vec::new(),
             report: WorkloadReport::default(),
         }
@@ -251,14 +253,14 @@ pub fn plan_workload(
     metrics: &ExecMetrics,
     optimize: Option<OptimizeFn<'_>>,
 ) -> WorkloadOutcome {
-    let mut out = WorkloadOutcome::unshared(plans);
+    let mut out = WorkloadOutcome::unshared(plans.to_vec());
     if plans.len() < 2 && cache.is_empty() {
         return out;
     }
 
     let candidates = collect_candidates(plans, cfg.min_nodes);
     let versions = catalog.table_versions();
-    let groups = form_groups(cfg, cache, &candidates, catalog, &versions, plans.len(), gen);
+    let groups = form_groups(cfg, cache, &candidates, plans.len(), gen);
 
     for group in groups {
         execute_group(
@@ -297,74 +299,6 @@ pub fn plan_workload(
         out.rejections.extend(rejections);
     }
     out
-}
-
-/// Rewrite a single query plan against the warm cache only (no batch, no
-/// shared execution). Used by the engine's single-query path so a query
-/// arriving after a batch still benefits from cached shared subplans.
-pub fn apply_cache(
-    cfg: &WorkloadConfig,
-    cache: &mut ReuseCache,
-    plan: &LogicalPlan,
-    catalog: &Catalog,
-    fault: &FaultPolicy,
-    metrics: &ExecMetrics,
-) -> (LogicalPlan, Vec<String>) {
-    if cache.is_empty() {
-        return (plan.clone(), Vec::new());
-    }
-    let versions = catalog.table_versions();
-    let candidates = collect_candidates(std::slice::from_ref(plan), cfg.min_nodes);
-    let mut result = plan.clone();
-    let mut notes = Vec::new();
-    let mut taken = Taken::new(1);
-    for i in largest_first(&candidates) {
-        let c = &candidates[i];
-        if taken.overlaps(c) {
-            continue;
-        }
-        // Same CacheLookup fault point as the batch path: a forced miss
-        // leaves the query on its cold plan.
-        let key = c.form.fingerprint.to_string();
-        if injected(fault, ReuseFaultSite::CacheLookup, &key, metrics) {
-            continue;
-        }
-        let hit = cache.lookup(c.form.fingerprint, &c.form.encoding, catalog, &versions, metrics);
-        notes.extend(cache.drain_rejections());
-        let Some(hit) = hit else {
-            continue;
-        };
-        let claim = Claim::Exact {
-            encoding: &c.form.encoding,
-        };
-        match serve(&result, c, claim, &hit, metrics) {
-            Ok(rewritten) => {
-                metrics.add_reuse_cache_hit();
-                notes.push(format!(
-                    "cache hit {}: {} node subplan served from shared-subplan cache ({} rows{})",
-                    c.form.fingerprint,
-                    c.plan.node_count(),
-                    hit.rows.len(),
-                    refresh_note(&hit),
-                ));
-                result = rewritten;
-                taken.claim(c);
-            }
-            Err(refusal) if refusal.uncertified => notes.push(format!(
-                "cache hit {} {}; running cold",
-                c.form.fingerprint, refusal.why
-            )),
-            Err(_) => {}
-        }
-    }
-    // Exact misses may still be answerable from a cached superset. The
-    // single-query path has no batch to strict-fail, so certificate
-    // rejections surface as typed notes and the query stays cold.
-    let (result, sub_notes, sub_rejections) =
-        apply_subsumption(cfg, cache, &result, catalog, &versions, fault, metrics);
-    notes.extend(sub_notes);
-    notes.extend(sub_rejections);
-    (result, notes)
 }
 
 /// Whether the fault policy fires at `site` for `key` (counted).
@@ -557,13 +491,10 @@ impl Taken {
 // Group formation
 // ---------------------------------------------------------------------
 
-#[allow(clippy::too_many_arguments)]
 fn form_groups(
     cfg: &WorkloadConfig,
     cache: &ReuseCache,
     candidates: &[Candidate],
-    catalog: &Catalog,
-    versions: &HashMap<String, u64>,
     n_queries: usize,
     gen: &IdGen,
 ) -> Vec<Group> {
@@ -571,7 +502,8 @@ fn form_groups(
     let order = largest_first(candidates);
 
     // Which encodings qualify for exact sharing: seen in >= 2 distinct
-    // queries, or already cached and valid.
+    // queries, or resident in the cache (the lookup then serves,
+    // refreshes or evicts it).
     let mut query_span: HashMap<&str, Vec<usize>> = HashMap::new();
     for c in candidates {
         let qs = query_span.entry(c.form.encoding.as_str()).or_default();
@@ -588,9 +520,7 @@ fn form_groups(
         let c = &candidates[i];
         let enc = c.form.encoding.as_str();
         let spans = query_span.get(enc).map(|q| q.len()).unwrap_or(0);
-        // Servable = valid, or refreshable in place after a pure append —
-        // either way a lookup during execution will produce rows.
-        let cached = cache.contains_servable(c.form.fingerprint, enc, catalog, versions);
+        let cached = cache.contains(c.form.fingerprint, enc);
         if spans < 2 && !cached {
             continue;
         }
@@ -612,10 +542,7 @@ fn form_groups(
         };
         let cached = members
             .first()
-            .map(|&i| {
-                cache.contains_servable(candidates[i].form.fingerprint, enc, catalog, versions)
-            })
-            .unwrap_or(false);
+            .is_some_and(|&i| cache.contains(candidates[i].form.fingerprint, enc));
         if members.len() < 2 && !cached {
             // Conflicts whittled the group below the sharing threshold;
             // release its regions so fusion can still use them.

@@ -1,18 +1,13 @@
-//! Tenant-tagged admission queue with batch-window coalescing.
-//!
-//! This is the **single queueing implementation** behind both entry
-//! points into deferred batch execution:
-//!
-//! * [`crate::Session::enqueue`] / [`crate::Session::run_queued`] — the
-//!   original single-session queue, now a one-tenant [`AdmissionQueue`]
-//!   drained in one window;
-//! * the multi-tenant `fusion-service` front end, whose dispatcher thread
-//!   parks in [`AdmissionQueue::wait_nonempty`] only while nothing is
-//!   queued and otherwise packs whatever is parked, up to
-//!   [`AdmissionConfig::max_window_queries`] with weighted-fair
-//!   per-tenant quotas ([`AdmissionQueue::pack_window`]). Entries that
-//!   arrive while a window executes form the next one, so window size
-//!   tracks load; nothing on this path waits on a timer.
+//! Tenant-tagged admission queue with batch-window coalescing: the
+//! service's only queue. Its dispatcher thread parks in
+//! [`AdmissionQueue::wait_nonempty`] only while nothing is queued and
+//! otherwise packs whatever is parked, up to
+//! [`AdmissionConfig::max_window_queries`] with weighted-fair per-tenant
+//! quotas ([`AdmissionQueue::pack_window`]). Entries that arrive while a
+//! window executes form the next one, so window size tracks load; nothing
+//! on this path waits on a timer. A bare `Session` has no queue: its
+//! `sql` is a window of one and its `run_batch` a window its caller
+//! assembled.
 //!
 //! Entries park per tenant in arrival order. Window packing is a
 //! round-robin over tenants (one entry per tenant per round, bounded by
@@ -38,11 +33,6 @@ pub struct TenantId(Arc<str>);
 impl TenantId {
     pub fn new(name: impl AsRef<str>) -> Self {
         TenantId(Arc::from(name.as_ref()))
-    }
-
-    /// The implicit tenant of a bare [`crate::Session`] queue.
-    pub fn local() -> Self {
-        TenantId::new("local")
     }
 
     pub fn as_str(&self) -> &str {
@@ -88,18 +78,6 @@ impl Default for AdmissionConfig {
     }
 }
 
-impl AdmissionConfig {
-    /// The configuration of a bare session queue: no window size limit —
-    /// [`AdmissionQueue::drain_all`] is the only consumer.
-    pub fn unbounded() -> Self {
-        AdmissionConfig {
-            max_window_queries: usize::MAX,
-            max_window_wait: Duration::ZERO,
-            max_queued_per_tenant: 0,
-        }
-    }
-}
-
 /// One parked query.
 #[derive(Debug)]
 pub struct Admitted<T> {
@@ -129,9 +107,8 @@ impl<T> Inner<T> {
     }
 }
 
-/// The shared admission queue. `T` is the parked payload: a SQL string
-/// for the session queue, a full job (SQL + result channel) for the
-/// service.
+/// The service's admission queue. `T` is the parked payload: a full job
+/// (SQL + result channel) in the service, a number in the tests.
 pub struct AdmissionQueue<T> {
     inner: Mutex<Inner<T>>,
     cond: Condvar,
@@ -195,15 +172,6 @@ impl<T> AdmissionQueue<T> {
         self.lock().len
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Parked entries for one tenant.
-    pub fn tenant_len(&self, tenant: &TenantId) -> usize {
-        self.lock().lane_len(tenant)
-    }
-
     /// Close the queue: further [`AdmissionQueue::admit`] calls reject and
     /// a blocked [`AdmissionQueue::wait_nonempty`] wakes up. Parked
     /// entries are *not* dropped — `wait_nonempty` keeps returning `true`
@@ -234,20 +202,12 @@ impl<T> AdmissionQueue<T> {
     /// `max_window_queries` entries, weighted-fair: round-robin over
     /// tenant lanes, one entry per lane per round, each tenant bounded by
     /// `quota(tenant)` entries this window. Never blocks; what does not
-    /// fit stays parked.
+    /// fit stays parked. The lane rotation advances, so the tenant served
+    /// first this window goes last next window.
     pub fn pack_window(&self, quota: impl Fn(&TenantId) -> usize) -> Vec<Admitted<T>> {
-        let mut inner = self.lock();
-        Self::pack(&mut inner, self.config.max_window_queries, &quota)
-    }
-
-    /// Weighted-fair packing over the tenant lanes. Advances the lane
-    /// rotation so the tenant served first this window goes last next
-    /// window.
-    fn pack(
-        inner: &mut Inner<T>,
-        max_queries: usize,
-        quota: &impl Fn(&TenantId) -> usize,
-    ) -> Vec<Admitted<T>> {
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        let max_queries = self.config.max_window_queries;
         let mut window = Vec::new();
         let lanes = inner.lanes.len();
         let mut taken: Vec<usize> = vec![0; lanes];
@@ -273,13 +233,6 @@ impl<T> AdmissionQueue<T> {
         inner.lanes.rotate_left(if inner.lanes.is_empty() { 0 } else { 1 });
         window
     }
-
-    /// Drain every parked entry immediately (no window formation), in
-    /// round-robin tenant order. The session's `run_queued` path.
-    pub fn drain_all(&self) -> Vec<Admitted<T>> {
-        let mut inner = self.lock();
-        Self::pack(&mut inner, usize::MAX, &|_| usize::MAX)
-    }
 }
 
 #[cfg(test)]
@@ -289,14 +242,21 @@ mod tests {
 
     #[test]
     fn admit_and_drain_preserves_per_tenant_fifo() {
-        let q = AdmissionQueue::new(AdmissionConfig::unbounded());
-        q.admit(TenantId::local(), 1).unwrap();
-        q.admit(TenantId::local(), 2).unwrap();
-        q.admit(TenantId::local(), 3).unwrap();
-        assert_eq!(q.len(), 3);
-        let drained: Vec<u32> = q.drain_all().into_iter().map(|e| e.payload).collect();
-        assert_eq!(drained, vec![1, 2, 3]);
-        assert!(q.is_empty());
+        let q = AdmissionQueue::new(AdmissionConfig::default());
+        for i in 1..=3 {
+            q.admit(TenantId::new("a"), i).unwrap();
+            q.admit(TenantId::new("b"), 10 * i).unwrap();
+        }
+        assert_eq!(q.len(), 6);
+        let window = q.pack_window(|_| usize::MAX);
+        let lane = |tenant: &str| -> Vec<u32> {
+            window.iter().filter(|e| e.tenant.as_str() == tenant).map(|e| e.payload).collect()
+        };
+        // Lanes interleave, but each tenant's entries leave in the order
+        // they arrived.
+        assert_eq!(lane("a"), vec![1, 2, 3]);
+        assert_eq!(lane("b"), vec![10, 20, 30]);
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
@@ -353,7 +313,8 @@ mod tests {
         assert_eq!(count_of(&window, "chatty"), 2);
         assert_eq!(count_of(&window, "quiet"), 1);
         // The un-taken backlog stays parked.
-        assert_eq!(q.tenant_len(&TenantId::new("chatty")), 4);
+        assert_eq!(q.len(), 4);
+        assert_eq!(count_of(&q.pack_window(|_| usize::MAX), "chatty"), 4);
     }
 
     #[test]

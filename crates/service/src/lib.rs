@@ -38,15 +38,16 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use fusion_common::{FusionError, Result};
-use fusion_engine::admission::{Admitted, AdmissionQueue};
 use fusion_engine::{QueryResult, Session};
 use fusion_exec::metrics::{MetricsSnapshot, StateReservation};
 use fusion_exec::ExecMetrics;
 
+mod admission;
 mod tenant;
 pub mod wire;
 
-pub use fusion_engine::admission::{AdmissionConfig, TenantId};
+use admission::{Admitted, AdmissionQueue};
+pub use admission::{AdmissionConfig, TenantId};
 pub use tenant::TenantConfig;
 use tenant::TenantState;
 
@@ -331,10 +332,16 @@ struct DispatcherExit(Arc<Inner>);
 impl Drop for DispatcherExit {
     fn drop(&mut self) {
         self.0.queue.close();
-        for entry in self.0.queue.drain_all() {
-            let _ = entry.payload.responder.send(Err(FusionError::Internal(
-                "query service dispatcher exited before running this query".into(),
-            )));
+        loop {
+            let parked = self.0.queue.pack_window(|_| usize::MAX);
+            if parked.is_empty() {
+                break;
+            }
+            for entry in parked {
+                let _ = entry.payload.responder.send(Err(FusionError::Internal(
+                    "query service dispatcher exited before running this query".into(),
+                )));
+            }
         }
     }
 }
@@ -592,7 +599,7 @@ mod tests {
                 other => panic!("expected a typed internal error, got {other:?}"),
             }
         }
-        assert!(inner.queue.is_empty());
+        assert_eq!(inner.queue.len(), 0);
         let late = inner.submit(TenantId::new("a"), "SELECT 1".into()).unwrap_err();
         assert_eq!(late.code().as_str(), "FUSION_ADMISSION_REJECTED");
     }

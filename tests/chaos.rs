@@ -333,19 +333,6 @@ fn plan_error_lands_in_its_slot() {
     assert_eq!(batch.metrics.batch_query_failures, 1);
 }
 
-/// Opt-in fail-fast restores the pre-isolation all-or-nothing contract.
-#[test]
-fn fail_fast_restores_all_or_nothing() {
-    let mut s = orders_session();
-    s.set_batch_fail_fast(true);
-    s.set_fault_policy(FaultPolicy::default().with_poison("customers", 1));
-    let out = s.run_batch(&[Q_ORDERS, Q_CUSTOMERS]);
-    assert!(
-        matches!(out, Err(FusionError::DataCorruption(_))),
-        "fail-fast batch propagates the first failure: {out:?}"
-    );
-}
-
 /// When a shared group's one-shot execution permanently fails, every
 /// consumer detaches and re-executes its un-spliced original — all
 /// queries succeed, visibly via `consumers_detached`.
@@ -442,13 +429,7 @@ fn corrupted_cache_entry_is_evicted_never_served() {
     let expected = orders_session().sql(Q_ORDERS).unwrap();
 
     let mut s = orders_session();
-    s.set_fault_policy(
-        FaultPolicy::transient(3, 0.0)
-            .with_reuse_faults(ReuseFaultRates {
-                cache_corrupt: 1.0,
-                ..ReuseFaultRates::default()
-            }),
-    );
+    s.set_fault_policy(corrupt_every_admission());
     let batch = s.run_batch(&[Q_ORDERS, Q_ORDERS]).unwrap();
     assert!(batch.all_succeeded());
     assert!(s.reuse_cache_len() >= 1, "result admitted, then corrupted");
@@ -461,13 +442,7 @@ fn corrupted_cache_entry_is_evicted_never_served() {
 
     // The nonzero counter surfaces in EXPLAIN ANALYZE's reuse section.
     let mut explain = orders_session();
-    explain.set_fault_policy(
-        FaultPolicy::transient(3, 0.0)
-            .with_reuse_faults(ReuseFaultRates {
-                cache_corrupt: 1.0,
-                ..ReuseFaultRates::default()
-            }),
-    );
+    explain.set_fault_policy(corrupt_every_admission());
     explain.run_batch(&[Q_ORDERS, Q_ORDERS]).unwrap();
     let text = explain
         .explain_analyze(Q_ORDERS)
@@ -476,6 +451,44 @@ fn corrupted_cache_entry_is_evicted_never_served() {
         text.contains("-- workload reuse --") && text.contains("cache_poison_evictions=1"),
         "fault counters rendered: {text}"
     );
+}
+
+/// Corrupts every cache entry right after it is admitted.
+fn corrupt_every_admission() -> FaultPolicy {
+    FaultPolicy::transient(3, 0.0).with_reuse_faults(ReuseFaultRates {
+        cache_corrupt: 1.0,
+        ..ReuseFaultRates::default()
+    })
+}
+
+/// A lone query is a window of one, so a poisoned entry re-warms on lone
+/// queries as it does in any window: the query that catches the poison
+/// evicts the entry, executes the subplan once and re-admits the result,
+/// and the next lone query is a warm hit.
+#[test]
+fn poisoned_entry_rewarms_on_lone_queries() {
+    let expected = orders_session().sql(Q_ORDERS).unwrap();
+
+    let mut s = orders_session();
+    s.set_fault_policy(corrupt_every_admission());
+    s.run_batch(&[Q_ORDERS, Q_ORDERS]).unwrap();
+    assert_eq!(s.reuse_cache_len(), 1, "result admitted, then corrupted");
+    s.set_fault_policy(FaultPolicy::default());
+
+    let caught = s.sql(Q_ORDERS).unwrap();
+    assert_eq!(caught.sorted_rows(), expected.sorted_rows(), "never served wrong rows");
+    assert_eq!(caught.metrics.cache_poison_evictions, 1);
+    assert_eq!(caught.metrics.reuse_cache_hits, 0);
+    assert_eq!(
+        caught.metrics.bytes_scanned, expected.metrics.bytes_scanned,
+        "the subplan executed once, cold"
+    );
+    assert_eq!(s.reuse_cache_len(), 1, "the fresh result is re-admitted");
+
+    let warm = s.sql(Q_ORDERS).unwrap();
+    assert_eq!(warm.sorted_rows(), expected.sorted_rows());
+    assert_eq!(warm.metrics.reuse_cache_hits, 1, "{:?}", warm.report.reuse);
+    assert_eq!(warm.metrics.bytes_scanned, 0, "served warm");
 }
 
 /// Deadline expiry mid-batch: queries that finish under the per-query

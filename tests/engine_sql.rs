@@ -339,3 +339,29 @@ fn scalar_functions_coalesce_and_abs() {
     assert_eq!(row4[1], Value::Utf8("none".into()));
     assert_eq!(row4[2], Value::Int64(0));
 }
+
+/// `QueryResult::latency` covers the optimizer: a query whose optimize
+/// dwarfs its execution (twenty scalar subqueries over six rows) reports
+/// at least half of the best of three `optimize` calls on the same plan.
+#[test]
+fn latency_includes_optimize() {
+    let s = session();
+    let subqueries: Vec<String> = (0..20)
+        .map(|i| format!("(SELECT COUNT(*) FROM orders WHERE amount > {i}) AS c{i}"))
+        .collect();
+    let sql = format!("SELECT {} FROM customers WHERE cid = 10", subqueries.join(", "));
+    let plan = s.plan_sql(&sql).unwrap();
+    let optimize = (0..3)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            s.optimize(&plan);
+            start.elapsed()
+        })
+        .min()
+        .unwrap();
+    let latency = s.sql(&sql).unwrap().latency;
+    assert!(
+        latency * 2 >= optimize,
+        "latency {latency:?} leaves out the optimizer (best optimize {optimize:?})"
+    );
+}

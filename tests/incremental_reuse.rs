@@ -13,6 +13,7 @@
 
 use fusion_common::{DataType, Value};
 use fusion_engine::Session;
+use fusion_exec::metrics::MetricsSnapshot;
 use fusion_exec::table::TableColumn;
 use fusion_exec::TableBuilder;
 
@@ -383,23 +384,50 @@ fn mixed_case_table_references_stamp_catalog_casing() {
 }
 
 /// A single-plan batch with a warm cache still gets cache splices: batch
-/// sizes below the sharing threshold must not skip the lookup path.
+/// sizes below the sharing threshold must not skip the lookup path. And a
+/// lone query is that window of one: `sql(q)` and `run_batch(&[q])` meet
+/// the cache identically — same rows, same reuse notes, same counters —
+/// whether the entry serves as it is, is refreshed in place over an
+/// append, or subsumes the query.
 #[test]
 fn single_plan_batch_serves_from_warm_cache() {
-    let sql = "SELECT o_cust, COUNT(*) AS c FROM orders GROUP BY o_cust";
-    let s = warm_session(2);
-    s.run_batch(&[sql, sql]).unwrap();
-    assert!(s.reuse_cache_len() >= 1);
+    let exact = "SELECT o_cust, COUNT(*) AS c FROM orders GROUP BY o_cust";
+    let sup = "SELECT * FROM orders WHERE o_amt > 20";
+    let sub = "SELECT * FROM orders WHERE o_amt > 20 AND o_id < 25";
+    // (query admitted by a window of two, rows appended after it, lone
+    // query, its expected (hits, refreshes, subsumption hits))
+    let cases = [
+        (exact, 0, exact, (1, 0, 0)),
+        (exact, 7, exact, (1, 1, 0)),
+        (sup, 0, sub, (0, 0, 1)),
+    ];
+    let counters = |m: &MetricsSnapshot| {
+        (m.reuse_cache_hits, m.reuse_cache_refreshes, m.subsumption_hits)
+    };
+    for (admitted, appended, q, expected) in cases {
+        let warm = || {
+            let mut s = warm_session(2);
+            s.run_batch(&[admitted, admitted]).unwrap();
+            assert!(s.reuse_cache_len() >= 1);
+            if appended > 0 {
+                s.append_table("orders", delta_rows(BASE_ROWS, appended)).unwrap();
+            }
+            s
+        };
+        let window = warm().run_batch(&[q]).unwrap();
+        assert!(window.all_succeeded());
+        let slot = window.query(0).unwrap();
+        assert_eq!(counters(&window.metrics), expected, "{q}: {:?}", slot.report.reuse);
 
-    let single = s.run_batch(&[sql]).unwrap();
-    assert!(single.all_succeeded());
-    assert_eq!(
-        single.metrics.reuse_cache_hits, 1,
-        "single-plan batch must consult the warm cache: {:?}",
-        single.query(0).unwrap().report.reuse
-    );
-    assert_eq!(
-        single.query(0).unwrap().sorted_rows(),
-        s.run_batch(&[sql, sql]).unwrap().query(0).unwrap().sorted_rows()
-    );
+        let lone = warm().sql(q).unwrap();
+        assert_eq!(lone.sorted_rows(), slot.sorted_rows(), "{q}");
+        assert_eq!(lone.report.reuse, slot.report.reuse, "{q}");
+        assert_eq!(counters(&lone.metrics), counters(&window.metrics), "{q}");
+        assert_eq!(
+            lone.metrics.reuse_certificates_issued, window.metrics.reuse_certificates_issued,
+            "{q}"
+        );
+        let cold = cold_session(BASE_ROWS + appended, true, 1).sql(q).unwrap();
+        assert_eq!(lone.sorted_rows(), cold.sorted_rows(), "{q}");
+    }
 }

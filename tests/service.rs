@@ -400,21 +400,6 @@ fn staged_backlog_leaves_in_full_windows_and_coalesces_repeats() {
 }
 
 #[test]
-fn session_queue_api_remains_a_one_tenant_wrapper() {
-    // Satellite 1: `Session::enqueue`/`run_queued` rides the same
-    // AdmissionQueue implementation the service uses.
-    let session = tpcds_session();
-    let sql = sql_of("C42");
-    session.enqueue(sql.clone());
-    session.enqueue(sql);
-    assert_eq!(session.queued_len(), 2);
-    let batch = session.run_queued().unwrap();
-    assert_eq!(batch.results.len(), 2);
-    assert_eq!(session.queued_len(), 0);
-    assert!(batch.results.iter().all(|r| r.is_ok()));
-}
-
-#[test]
 fn wire_adapter_serves_two_tenants_over_tcp() {
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;

@@ -280,24 +280,6 @@ fn cache_invalidated_by_table_reregistration() {
     assert_eq!(fresh.sorted_rows(), check.sql(sql).unwrap().sorted_rows());
 }
 
-/// The admission queue drains as one batch and shares work between
-/// queued queries.
-#[test]
-fn queued_queries_share_on_drain() {
-    let s = orders_session();
-    let sql = "SELECT o_cust, SUM(o_total) AS t FROM orders GROUP BY o_cust";
-    s.enqueue(sql);
-    s.enqueue(sql);
-    let batch = s.run_queued().unwrap();
-    assert_eq!(s.queued_len(), 0);
-    assert_eq!(batch.results.len(), 2);
-    assert!(batch.metrics.shared_subplans_executed >= 1);
-    assert_eq!(
-        batch.query(0).unwrap().sorted_rows(),
-        batch.query(1).unwrap().sorted_rows()
-    );
-}
-
 // ---------------------------------------------------------------------
 // Fold order: a fused entry is read by slot, whatever order wrote it
 // ---------------------------------------------------------------------
