@@ -798,8 +798,8 @@ fn push_trace_sections(text: &mut String, report: &OptimizerReport, metrics: Opt
     if let Some(m) = metrics.filter(|m| m.pipelines_compiled > 0) {
         text.push_str("-- pipelines --\n");
         text.push_str(&format!(
-            "pipelines_compiled={} batches_elided={} rows_evaluated_vectorized={}\n",
-            m.pipelines_compiled, m.batches_elided, m.rows_evaluated_vectorized,
+            "pipelines_compiled={} probe_stages={} batches_elided={} rows_evaluated_vectorized={}\n",
+            m.pipelines_compiled, m.probe_stages, m.batches_elided, m.rows_evaluated_vectorized,
         ));
     }
     if let Some(fallback) = &report.fallback {

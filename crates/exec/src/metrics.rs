@@ -49,6 +49,8 @@ pub struct ExecMetrics {
     /// Scan→filter→project(→agg) chains compiled into push-based
     /// [`crate::pipeline::FusedPipeline`] operators.
     pipelines_compiled: AtomicU64,
+    /// Hash-join probes compiled as a stage of such a pipeline.
+    probe_stages: AtomicU64,
     /// Intermediate row batches a fused pipeline never materialized — the
     /// chunks the pull-based operator chain would have allocated and
     /// copied at each elided operator boundary.
@@ -196,6 +198,10 @@ impl ExecMetrics {
         self.pipelines_compiled.fetch_add(1, Ordering::Relaxed);
     }
 
+    pub fn add_probe_stage(&self) {
+        self.probe_stages.fetch_add(1, Ordering::Relaxed);
+    }
+
     pub fn add_batches_elided(&self, batches: u64) {
         self.batches_elided.fetch_add(batches, Ordering::Relaxed);
     }
@@ -341,6 +347,10 @@ impl ExecMetrics {
         self.pipelines_compiled.load(Ordering::Relaxed)
     }
 
+    pub fn probe_stages(&self) -> u64 {
+        self.probe_stages.load(Ordering::Relaxed)
+    }
+
     pub fn batches_elided(&self) -> u64 {
         self.batches_elided.load(Ordering::Relaxed)
     }
@@ -469,6 +479,7 @@ impl ExecMetrics {
             morsels_executed: self.morsels_executed(),
             rows_filtered_vectorized: self.rows_filtered_vectorized(),
             pipelines_compiled: self.pipelines_compiled(),
+            probe_stages: self.probe_stages(),
             batches_elided: self.batches_elided(),
             rows_evaluated_vectorized: self.rows_evaluated_vectorized(),
             parallel_cpu_nanos: self.parallel_cpu_nanos(),
@@ -517,10 +528,11 @@ pub struct MetricsSnapshot {
     pub morsels_executed: u64,
     pub rows_filtered_vectorized: u64,
     /// Push-based pipeline counters (see `DESIGN.md` §14): chains
-    /// compiled into `FusedPipeline` operators, intermediate batches those
-    /// pipelines never materialized, and rows run through the columnar
-    /// expression kernels.
+    /// compiled into `FusedPipeline` operators, hash-join probes run as
+    /// one of their stages, intermediate batches those pipelines never
+    /// materialized, and rows run through the columnar expression kernels.
     pub pipelines_compiled: u64,
+    pub probe_stages: u64,
     pub batches_elided: u64,
     pub rows_evaluated_vectorized: u64,
     pub parallel_cpu_nanos: u64,
@@ -592,6 +604,7 @@ impl MetricsSnapshot {
                 .rows_filtered_vectorized
                 .saturating_sub(base.rows_filtered_vectorized),
             pipelines_compiled: self.pipelines_compiled.saturating_sub(base.pipelines_compiled),
+            probe_stages: self.probe_stages.saturating_sub(base.probe_stages),
             batches_elided: self.batches_elided.saturating_sub(base.batches_elided),
             rows_evaluated_vectorized: self
                 .rows_evaluated_vectorized
@@ -673,6 +686,7 @@ impl MetricsSnapshot {
             morsels_executed,
             rows_filtered_vectorized,
             pipelines_compiled,
+            probe_stages,
             batches_elided,
             rows_evaluated_vectorized,
             parallel_cpu_nanos,

@@ -39,8 +39,8 @@ use crate::{Chunk, Row};
 /// pruned partition). The first task error sets the shared abort flag —
 /// remaining workers stop claiming morsels — and is returned after every
 /// worker has been joined. Used for partitioned aggregate builds and
-/// parallel hash-join build sides, where the caller needs *all* partials
-/// before it can merge.
+/// the morsel-parallel prefix of a pipeline, where the caller needs *all*
+/// partials before it can merge.
 pub(crate) fn collect_morsels<T, F>(
     ctx: &Arc<ExecContext>,
     morsels: usize,

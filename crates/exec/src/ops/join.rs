@@ -1,24 +1,27 @@
 //! Join operators: hash join for equi-conditions, nested-loop fallback,
 //! cross join.
+//!
+//! Every equi hash join builds one [`JoinTable`] and probes it one
+//! columnar morsel at a time with [`JoinTable::probe`]. Two drivers feed
+//! it: a [`crate::pipeline::FusedPipeline`] runs the probe as a stage of
+//! its scan's loop, and [`HashJoinExec`] pulls row chunks from a probe
+//! side that is not such a chain (a union, a cross join, a window).
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
 
-use fusion_common::{Result, Schema, Value};
-use fusion_expr::{hash_columns, split_conjuncts, BinaryOp, Expr, HashedKey};
+use fusion_common::{ColumnId, FusionError, Result, Schema, Value};
+use fusion_expr::{hash_columns, hash_key, split_conjuncts, BinaryOp, ColumnBatch, Expr};
 use fusion_plan::JoinType;
 
 use crate::context::{BudgetedReservation, ExecContext, IntoContext};
-use crate::ops::exchange::collect_morsels;
-use crate::ops::scan::ScanFragment;
+use crate::ops::scan::{ColumnarMorsel, JoinKeyFilter};
 use crate::ops::{drain, row_bytes, BoxedOp, Operator, RowDrain, RowIndex};
 use crate::profile::OpSpan;
 use crate::{Chunk, Row};
-
-/// One morsel's contribution to a parallel hash-join build: the partial
-/// key → rows map and the state bytes it reserves.
-type BuildPartial = (HashMap<HashedKey, Vec<Row>>, i64);
 
 /// Split a join condition into equi-key pairs `(left_expr, right_expr)`
 /// and a residual predicate, given the column sets of both sides.
@@ -63,264 +66,325 @@ pub fn split_join_condition(
     (keys, residual)
 }
 
-/// Hash join: builds the right side, probes with the left.
-///
-/// Supports Inner, Left (outer) and Semi joins. Rows whose key contains a
-/// NULL never match. The build-side hash table is metered as operator
-/// state, which is what the paper's §V.C memory observation is about.
+/// What one equi hash join computes, resolved against its two input
+/// schemas: the part of the join both drivers share.
+pub(crate) struct JoinSpec {
+    pub(crate) join_type: JoinType,
+    /// Equi-key pairs `(probe-side, build-side)`.
+    pub(crate) keys: Vec<(Expr, Expr)>,
+    /// Non-equi conjuncts over the probe columns followed by the build
+    /// columns.
+    residual: Vec<Expr>,
+    /// Field ids of the probe input, parallel to a probe morsel's columns.
+    probe_ids: Vec<ColumnId>,
+    build_ids: Vec<ColumnId>,
+    /// Scalar evaluation of the build-side keys over a build row.
+    build_index: RowIndex,
+    /// Scan filters fed the build values of key `.0` once the build
+    /// finishes (dynamic partition pruning).
+    pub(crate) filters: Vec<(usize, Arc<JoinKeyFilter>)>,
+}
+
+impl JoinSpec {
+    pub(crate) fn new(
+        join_type: JoinType,
+        keys: Vec<(Expr, Expr)>,
+        residual: Vec<Expr>,
+        probe: &Schema,
+        build: &Schema,
+    ) -> Self {
+        JoinSpec {
+            join_type,
+            keys,
+            residual,
+            probe_ids: probe.fields().iter().map(|f| f.id).collect(),
+            build_ids: build.fields().iter().map(|f| f.id).collect(),
+            build_index: RowIndex::new(build),
+            filters: Vec::new(),
+        }
+    }
+}
+
+/// The end of a [`JoinTable`] hash chain.
+const NO_ROW: u32 = u32::MAX;
+
+/// Hasher for keys that are already hashes: [`hash_key`] values index
+/// the chains as they are. Hashing them again would add no protection:
+/// `hash_key` is itself unkeyed, so colliding values collide either way.
+#[derive(Default)]
+struct PreHashed(u64);
+
+impl Hasher for PreHashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("join-table keys are u64 hashes")
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+/// A finished hash-join build: the build rows whose keys hold no NULL,
+/// in build order, chained by key hash. Its bytes are operator state on
+/// the join's span.
+pub(crate) struct JoinTable {
+    spec: JoinSpec,
+    rows: Vec<Row>,
+    /// Row `b`'s key values: `keys[b * k .. (b + 1) * k]` for `k` keys.
+    keys: Vec<Value>,
+    /// Key hash → the first and last build row with that hash.
+    heads: HashMap<u64, (u32, u32), BuildHasherDefault<PreHashed>>,
+    /// The next build row with the same hash, [`NO_ROW`] at a chain's end.
+    next: Vec<u32>,
+    ctx: Arc<ExecContext>,
+    span: Option<Arc<OpSpan>>,
+    _reservation: BudgetedReservation,
+}
+
+impl JoinTable {
+    /// Hash the drained build side, reserve its bytes, and publish each
+    /// fed key's build values. Only the hashing is the join's CPU time:
+    /// draining the build child is the child's.
+    pub(crate) fn build(
+        spec: JoinSpec,
+        input: Vec<Row>,
+        ctx: &Arc<ExecContext>,
+        span: &Option<Arc<OpSpan>>,
+    ) -> Result<Self> {
+        let start = Instant::now();
+        let width = spec.keys.len();
+        let mut rows = Vec::with_capacity(input.len());
+        let mut keys = Vec::with_capacity(input.len() * width);
+        let mut heads: HashMap<u64, (u32, u32), BuildHasherDefault<PreHashed>> = HashMap::default();
+        let mut next = Vec::with_capacity(input.len());
+        let mut bytes = 0i64;
+        let mut key = Vec::with_capacity(width);
+        for row in input {
+            key.clear();
+            for (_, bk) in &spec.keys {
+                key.push(spec.build_index.eval(bk, &row)?);
+            }
+            if key.iter().any(Value::is_null) {
+                continue; // null keys never match
+            }
+            bytes += row_bytes(&row) + row_bytes(&key);
+            let b = u32::try_from(rows.len())
+                .ok()
+                .filter(|&b| b != NO_ROW)
+                .ok_or_else(|| FusionError::Execution("hash-join build over 2^32 rows".into()))?;
+            match heads.entry(hash_key(&key)) {
+                Entry::Occupied(mut e) => {
+                    let last = &mut e.get_mut().1;
+                    next[*last as usize] = b;
+                    *last = b;
+                }
+                Entry::Vacant(e) => {
+                    e.insert((b, b));
+                }
+            }
+            next.push(NO_ROW);
+            keys.append(&mut key);
+            rows.push(row);
+        }
+        let mut reservation = BudgetedReservation::try_new(ctx.clone(), bytes)?;
+        if let Some(span) = span {
+            reservation.set_span(span.clone());
+        }
+        for (k, filter) in &spec.filters {
+            filter.publish(keys.iter().skip(*k).step_by(width).cloned().collect());
+        }
+        if let Some(span) = span {
+            span.add_cpu_nanos(start.elapsed().as_nanos() as u64);
+        }
+        Ok(JoinTable {
+            spec,
+            rows,
+            keys,
+            heads,
+            next,
+            ctx: ctx.clone(),
+            span: span.clone(),
+            _reservation: reservation,
+        })
+    }
+
+    /// The probe kernel: every `(probe row, build row)` pair of equal
+    /// keys over the probe rows in `sel`, in probe order and then build
+    /// order within a key. `key_cols` are full-length key arrays. A NULL
+    /// probe key matches nothing, since no build key holds one.
+    fn matches(&self, key_cols: &[&[Value]], sel: &[usize]) -> (Vec<usize>, Vec<u32>) {
+        let width = key_cols.len();
+        let mut probe = Vec::with_capacity(sel.len());
+        let mut build = Vec::with_capacity(sel.len());
+        for (&r, hash) in sel.iter().zip(hash_columns(key_cols, sel)) {
+            let Some(&(mut b, _)) = self.heads.get(&hash) else {
+                continue;
+            };
+            while b != NO_ROW {
+                let key = &self.keys[b as usize * width..][..width];
+                if key.iter().zip(key_cols).all(|(k, c)| *k == c[r]) {
+                    probe.push(r);
+                    build.push(b);
+                }
+                b = self.next[b as usize];
+            }
+        }
+        (probe, build)
+    }
+
+    /// The join's output columns for output rows `(probe[i], build[i])`;
+    /// a [`NO_ROW`] build side pads with NULLs.
+    fn gather(&self, m: &ColumnarMorsel, probe: &[usize], build: &[u32]) -> Vec<Arc<Vec<Value>>> {
+        let probe_cols = m
+            .columns
+            .iter()
+            .map(|c| Arc::new(probe.iter().map(|&r| c[r].clone()).collect()));
+        let build_cols = (0..self.spec.build_ids.len()).map(|c| {
+            Arc::new(
+                build
+                    .iter()
+                    .map(|&b| match b {
+                        NO_ROW => Value::Null,
+                        b => self.rows[b as usize][c].clone(),
+                    })
+                    .collect(),
+            )
+        });
+        probe_cols.chain(build_cols).collect()
+    }
+
+    /// Turn a probe-side morsel into the join's output over it, in probe
+    /// order: a semi join narrows the selection; inner and left joins
+    /// gather one row per surviving match, a left join one NULL-padded
+    /// row per probe row with none.
+    pub(crate) fn probe(&self, m: &mut ColumnarMorsel) -> Result<()> {
+        let start = Instant::now();
+        let out = self.probe_inner(m);
+        if let Some(span) = &self.span {
+            span.add_cpu_nanos(start.elapsed().as_nanos() as u64);
+        }
+        out
+    }
+
+    fn probe_inner(&self, m: &mut ColumnarMorsel) -> Result<()> {
+        let spec = &self.spec;
+        let metrics = self.ctx.metrics();
+        metrics.add_rows_evaluated_vectorized(m.selection.len() as u64);
+        let (mut probe, mut build) = {
+            let batch = m.batch(&spec.probe_ids);
+            // Computed keys are scattered into full-length arrays so every
+            // key column is read by row index alike.
+            let len = m.selection.last().map_or(0, |&r| r + 1);
+            let mut computed: Vec<Vec<Value>> = Vec::new();
+            for (pk, _) in &spec.keys {
+                if !matches!(pk, Expr::Column(_)) {
+                    let mut full = vec![Value::Null; len];
+                    for (v, &r) in batch.eval(pk, &m.selection)?.into_iter().zip(&m.selection) {
+                        full[r] = v;
+                    }
+                    computed.push(full);
+                }
+            }
+            let mut computed = computed.iter();
+            let key_cols = spec
+                .keys
+                .iter()
+                .map(|(pk, _)| match pk {
+                    Expr::Column(id) => batch.column(*id),
+                    _ => Ok(computed.next().map_or(&[][..], Vec::as_slice)),
+                })
+                .collect::<Result<Vec<&[Value]>>>()?;
+            self.matches(&key_cols, &m.selection)
+        };
+        if !spec.residual.is_empty() {
+            let combined = self.gather(m, &probe, &build);
+            let mut batch = ColumnBatch::new();
+            for (id, c) in spec.probe_ids.iter().chain(&spec.build_ids).zip(&combined) {
+                batch.push(*id, c.as_slice());
+            }
+            let mut keep: Vec<usize> = (0..probe.len()).collect();
+            for e in &spec.residual {
+                metrics.add_rows_evaluated_vectorized(keep.len() as u64);
+                keep = batch.filter(e, &keep)?;
+            }
+            if spec.join_type == JoinType::Inner {
+                m.columns = combined;
+                m.selection = keep;
+                return Ok(());
+            }
+            probe = keep.iter().map(|&i| probe[i]).collect();
+            build = keep.iter().map(|&i| build[i]).collect();
+        }
+        match spec.join_type {
+            JoinType::Semi => {
+                probe.dedup();
+                m.selection = probe;
+            }
+            JoinType::Inner => {
+                m.columns = self.gather(m, &probe, &build);
+                m.selection = (0..probe.len()).collect();
+            }
+            JoinType::Left => {
+                let (mut out_probe, mut out_build) = (Vec::new(), Vec::new());
+                let mut i = 0;
+                for &r in &m.selection {
+                    let first = i;
+                    while probe.get(i) == Some(&r) {
+                        i += 1;
+                    }
+                    if i == first {
+                        out_probe.push(r);
+                        out_build.push(NO_ROW);
+                    } else {
+                        out_probe.extend_from_slice(&probe[first..i]);
+                        out_build.extend_from_slice(&build[first..i]);
+                    }
+                }
+                m.columns = self.gather(m, &out_probe, &out_build);
+                m.selection = (0..out_probe.len()).collect();
+            }
+            JoinType::Cross => unreachable!("cross joins compile to CrossJoinExec"),
+        }
+        Ok(())
+    }
+}
+
+/// Hash join pulled row chunk by row chunk: builds the right side on the
+/// first pull, then probes the [`JoinTable`] with each left chunk. Used
+/// where the probe side is not a pipeline chain; see the module docs.
 pub struct HashJoinExec {
     left: BoxedOp,
-    right: Option<BoxedOp>,
-    join_type: JoinType,
-    key_exprs: Vec<(Expr, Expr)>,
-    residual: Vec<Expr>,
-    left_index: RowIndex,
-    combined_index: RowIndex,
+    /// The build side and what to build from it, until the first pull.
+    right: Option<(BoxedOp, JoinSpec)>,
+    table: Option<JoinTable>,
     schema: Schema,
-    right_width: usize,
-    build: Option<HashMap<HashedKey, Vec<Row>>>,
-    _reservation: Option<BudgetedReservation>,
     ctx: Arc<ExecContext>,
     /// Probe buffer: output rows not yet emitted.
     pending: RowDrain,
-    /// When the build side is a plain table scan, build it morsel-parallel
-    /// instead of draining a `right` operator.
-    parallel_build: Option<(Arc<ScanFragment>, usize)>,
     span: Option<Arc<OpSpan>>,
 }
 
 impl HashJoinExec {
-    pub fn new(
+    pub(crate) fn new(
         left: BoxedOp,
         right: BoxedOp,
-        join_type: JoinType,
-        key_exprs: Vec<(Expr, Expr)>,
-        residual: Vec<Expr>,
+        spec: JoinSpec,
         schema: Schema,
         ctx: impl IntoContext,
     ) -> Self {
-        let left_index = RowIndex::new(left.schema());
-        let combined = left.schema().join(right.schema());
-        let combined_index = RowIndex::new(&combined);
-        let right_width = right.schema().len();
         HashJoinExec {
             left,
-            right: Some(right),
-            join_type,
-            key_exprs,
-            residual,
-            left_index,
-            combined_index,
+            right: Some((right, spec)),
+            table: None,
             schema,
-            right_width,
-            build: None,
-            _reservation: None,
             ctx: ctx.into_ctx(),
             pending: RowDrain::default(),
-            parallel_build: None,
             span: None,
         }
-    }
-
-    /// Hash join whose build side is read morsel-parallel straight from a
-    /// table scan fragment rather than drained from a child operator.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_parallel_build(
-        left: BoxedOp,
-        fragment: Arc<ScanFragment>,
-        workers: usize,
-        join_type: JoinType,
-        key_exprs: Vec<(Expr, Expr)>,
-        residual: Vec<Expr>,
-        schema: Schema,
-        ctx: impl IntoContext,
-    ) -> Self {
-        let left_index = RowIndex::new(left.schema());
-        let combined = left.schema().join(fragment.schema());
-        let combined_index = RowIndex::new(&combined);
-        let right_width = fragment.schema().len();
-        HashJoinExec {
-            left,
-            right: None,
-            join_type,
-            key_exprs,
-            residual,
-            left_index,
-            combined_index,
-            schema,
-            right_width,
-            build: None,
-            _reservation: None,
-            ctx: ctx.into_ctx(),
-            pending: RowDrain::default(),
-            parallel_build: Some((fragment, workers.max(1))),
-            span: None,
-        }
-    }
-
-    /// Insert one build row into the hash table, skipping null keys;
-    /// returns the bytes the row added to build state.
-    fn insert_build_row(
-        key_exprs: &[(Expr, Expr)],
-        right_index: &RowIndex,
-        map: &mut HashMap<HashedKey, Vec<Row>>,
-        row: Row,
-    ) -> Result<i64> {
-        let mut key = Vec::with_capacity(key_exprs.len());
-        let mut has_null = false;
-        for (_, rk) in key_exprs {
-            let v = right_index.eval(rk, &row)?;
-            has_null |= v.is_null();
-            key.push(v);
-        }
-        if has_null {
-            return Ok(0); // null keys never match
-        }
-        let bytes = row_bytes(&row) + row_bytes(&key);
-        map.entry(HashedKey::new(key)).or_default().push(row);
-        Ok(bytes)
-    }
-
-    fn build_side(&mut self) -> Result<()> {
-        if self.build.is_some() {
-            return Ok(());
-        }
-        // Build-side hashing is attributed to the join as CPU time; a
-        // parallel build's scan records its own partition stats through
-        // the fragment's span.
-        let build_start = Instant::now();
-        if let Some((fragment, workers)) = self.parallel_build.take() {
-            let right_index = RowIndex::new(fragment.schema());
-            let key_exprs = &self.key_exprs;
-            let partials = collect_morsels(
-                &self.ctx,
-                fragment.num_partitions(),
-                workers,
-                |m| -> Result<Option<BuildPartial>> {
-                    let rows = match fragment.scan_partition(m)? {
-                        None => return Ok(None),
-                        Some(rows) => rows,
-                    };
-                    if rows.is_empty() {
-                        return Ok(None);
-                    }
-                    let mut map: HashMap<HashedKey, Vec<Row>> = HashMap::new();
-                    let mut bytes = 0i64;
-                    for row in rows {
-                        bytes += Self::insert_build_row(key_exprs, &right_index, &mut map, row)?;
-                    }
-                    Ok(Some((map, bytes)))
-                },
-            )?;
-            // Merge in partition-index order so each key's row vector has
-            // exactly the sequential build's row order.
-            let mut map: HashMap<HashedKey, Vec<Row>> = HashMap::new();
-            let mut bytes = 0i64;
-            for (_, (part_map, part_bytes)) in partials {
-                bytes += part_bytes;
-                for (k, rows) in part_map {
-                    map.entry(k).or_default().extend(rows);
-                }
-            }
-            let mut reservation = BudgetedReservation::try_new(self.ctx.clone(), bytes)?;
-            if let Some(span) = &self.span {
-                span.add_cpu_nanos(build_start.elapsed().as_nanos() as u64);
-                reservation.set_span(span.clone());
-            }
-            self._reservation = Some(reservation);
-            self.build = Some(map);
-            return Ok(());
-        }
-        let mut right = self
-            .right
-            .take()
-            .expect("hash-join build side consumed exactly once: build_side runs behind build.is_none()");
-        let right_index = RowIndex::new(right.schema());
-        let rows = drain(right.as_mut())?;
-        let mut bytes = 0i64;
-        let mut map: HashMap<HashedKey, Vec<Row>> = HashMap::new();
-        for row in rows {
-            bytes += Self::insert_build_row(&self.key_exprs, &right_index, &mut map, row)?;
-        }
-        let mut reservation = BudgetedReservation::try_new(self.ctx.clone(), bytes)?;
-        if let Some(span) = &self.span {
-            span.add_cpu_nanos(build_start.elapsed().as_nanos() as u64);
-            reservation.set_span(span.clone());
-        }
-        self._reservation = Some(reservation);
-        self.build = Some(map);
-        Ok(())
-    }
-
-    /// Probe the hash table with a whole chunk. Key expressions are
-    /// evaluated column-at-a-time and hashed with the vectorized kernel
-    /// ([`hash_columns`]), which computes exactly the row-wise
-    /// `HashedKey::new` fold — probe hashes match build hashes bit for bit.
-    fn probe_chunk(&self, chunk: &Chunk, out: &mut Vec<Row>) -> Result<()> {
-        let build = self
-            .build
-            .as_ref()
-            .expect("hash table was built before probing: next_chunk calls build_side first");
-        let mut key_cols: Vec<Vec<Value>> = Vec::with_capacity(self.key_exprs.len());
-        for (lk, _) in &self.key_exprs {
-            let mut col = Vec::with_capacity(chunk.len());
-            for row in chunk {
-                col.push(self.left_index.eval(lk, row)?);
-            }
-            key_cols.push(col);
-        }
-        let sel: Vec<usize> = (0..chunk.len()).collect();
-        let col_refs: Vec<&[Value]> = key_cols.iter().map(|c| c.as_slice()).collect();
-        let hashes = hash_columns(&col_refs, &sel);
-        self.ctx
-            .metrics()
-            .add_rows_evaluated_vectorized(chunk.len() as u64);
-        for (i, left_row) in chunk.iter().enumerate() {
-            let has_null = key_cols.iter().any(|c| c[i].is_null());
-            let matches = if has_null {
-                None
-            } else {
-                // Each slot is consumed exactly once; Null left behind is
-                // never read again.
-                let key: Vec<Value> = key_cols
-                    .iter_mut()
-                    .map(|c| std::mem::replace(&mut c[i], Value::Null))
-                    .collect();
-                build.get(&HashedKey::with_hash(hashes[i], key))
-            };
-            let mut matched = false;
-            if let Some(rows) = matches {
-                'matches: for right_row in rows {
-                    let mut combined = left_row.clone();
-                    combined.extend(right_row.iter().cloned());
-                    let residual_ok = self
-                        .residual
-                        .iter()
-                        .map(|e| self.combined_index.eval_pred(e, &combined))
-                        .collect::<Result<Vec<bool>>>()?
-                        .into_iter()
-                        .all(|b| b);
-                    if !residual_ok {
-                        continue;
-                    }
-                    matched = true;
-                    match self.join_type {
-                        JoinType::Inner | JoinType::Left => out.push(combined),
-                        JoinType::Semi => {
-                            out.push(left_row.clone());
-                            break 'matches;
-                        }
-                        JoinType::Cross => unreachable!("cross join uses CrossJoinExec"),
-                    }
-                }
-            }
-            if !matched && self.join_type == JoinType::Left {
-                let mut padded = left_row.clone();
-                padded.extend(std::iter::repeat_n(Value::Null, self.right_width));
-                out.push(padded);
-            }
-        }
-        Ok(())
     }
 }
 
@@ -335,19 +399,26 @@ impl Operator for HashJoinExec {
 
     fn next_chunk(&mut self) -> Result<Option<Chunk>> {
         self.ctx.check()?;
-        self.build_side()?;
+        if let Some((mut right, spec)) = self.right.take() {
+            let rows = drain(right.as_mut())?;
+            self.table = Some(JoinTable::build(spec, rows, &self.ctx, &self.span)?);
+        }
+        let Some(table) = &self.table else {
+            return Err(FusionError::Execution(
+                "hash join pulled again after its build failed".into(),
+            ));
+        };
+        let width = self.left.schema().len();
         loop {
             if let Some(chunk) = self.pending.next_chunk() {
                 return Ok(Some(chunk));
             }
-            match self.left.next_chunk()? {
-                None => return Ok(None),
-                Some(chunk) => {
-                    let mut out = Vec::with_capacity(chunk.len());
-                    self.probe_chunk(&chunk, &mut out)?;
-                    self.pending = RowDrain::new(out);
-                }
-            }
+            let Some(chunk) = self.left.next_chunk()? else {
+                return Ok(None);
+            };
+            let mut m = ColumnarMorsel::from_rows(chunk, width);
+            table.probe(&mut m)?;
+            self.pending = RowDrain::new(m.into_rows());
         }
     }
 }
@@ -536,6 +607,20 @@ mod tests {
         ))
     }
 
+    /// A pulled hash join over two operators, keys split as compiled.
+    pub(super) fn hash_join(
+        left: BoxedOp,
+        right: BoxedOp,
+        join_type: JoinType,
+        keys: Vec<(Expr, Expr)>,
+        residual: Vec<Expr>,
+        schema: Schema,
+        ctx: impl IntoContext,
+    ) -> HashJoinExec {
+        let spec = JoinSpec::new(join_type, keys, residual, left.schema(), right.schema());
+        HashJoinExec::new(left, right, spec, schema, ctx)
+    }
+
     fn null_row(ids: &[u32]) -> Row {
         ids.iter().map(|_| Value::Null).collect()
     }
@@ -563,7 +648,7 @@ mod tests {
         let l = side(&[1], vec![vec![1], vec![2], vec![3]]);
         let r = side(&[2], vec![vec![2], vec![3], vec![3]]);
         let schema = l.schema().join(r.schema());
-        let mut j = HashJoinExec::new(
+        let mut j = hash_join(
             l,
             r,
             JoinType::Inner,
@@ -582,7 +667,7 @@ mod tests {
         let l = side(&[1], vec![vec![1], vec![2]]);
         let r = side(&[2], vec![vec![2]]);
         let schema = l.schema().join(r.schema());
-        let mut j = HashJoinExec::new(
+        let mut j = hash_join(
             l,
             r,
             JoinType::Left,
@@ -602,7 +687,7 @@ mod tests {
         let l = side(&[1], vec![vec![1], vec![2]]);
         let r = side(&[2], vec![vec![2], vec![2], vec![2]]);
         let schema = l.schema().clone();
-        let mut j = HashJoinExec::new(
+        let mut j = hash_join(
             l,
             r,
             JoinType::Semi,
@@ -626,7 +711,7 @@ mod tests {
             Schema::new(vec![Field::new(ColumnId(2), "b", DataType::Int64, true)]),
         ));
         let schema = l.schema().join(r.schema());
-        let mut j = HashJoinExec::new(
+        let mut j = hash_join(
             l,
             r,
             JoinType::Inner,
@@ -644,7 +729,7 @@ mod tests {
         let l = side(&[1, 3], vec![vec![1, 10], vec![1, 20]]);
         let r = side(&[2], vec![vec![1]]);
         let schema = l.schema().join(r.schema());
-        let mut j = HashJoinExec::new(
+        let mut j = hash_join(
             l,
             r,
             JoinType::Inner,
@@ -691,7 +776,7 @@ mod tests {
         let l = side(&[1], vec![vec![1]]);
         let r = side(&[2], vec![vec![1], vec![2], vec![3]]);
         let schema = l.schema().join(r.schema());
-        let mut j = HashJoinExec::new(
+        let mut j = hash_join(
             l,
             r,
             JoinType::Inner,
@@ -711,7 +796,7 @@ mod tests {
         let l = side(&[1], vec![vec![1]]);
         let r = side(&[2], vec![vec![1], vec![2], vec![3]]);
         let schema = l.schema().join(r.schema());
-        let mut j = HashJoinExec::new(
+        let mut j = hash_join(
             l,
             r,
             JoinType::Inner,
@@ -730,6 +815,7 @@ mod tests {
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod edge_tests {
+    use super::tests::hash_join;
     use super::*;
     use crate::metrics::ExecMetrics;
     use crate::ops::basic::ConstantTableExec;
@@ -759,7 +845,7 @@ mod edge_tests {
         let l = side(&[1], vec![vec![Some(1)], vec![Some(2)]]);
         let r = side(&[2], vec![]);
         let schema = l.schema().join(r.schema());
-        let mut j = HashJoinExec::new(
+        let mut j = hash_join(
             l,
             r,
             JoinType::Inner,
@@ -776,7 +862,7 @@ mod edge_tests {
         let l = side(&[1], vec![vec![Some(1)], vec![Some(2)]]);
         let r = side(&[2], vec![]);
         let schema = l.schema().join(r.schema());
-        let mut j = HashJoinExec::new(
+        let mut j = hash_join(
             l,
             r,
             JoinType::Left,
@@ -837,7 +923,7 @@ mod edge_tests {
         let l = side(&[1, 2], vec![vec![Some(1), None], vec![Some(1), Some(2)]]);
         let r = side(&[3, 4], vec![vec![Some(1), None], vec![Some(1), Some(2)]]);
         let schema = l.schema().join(r.schema());
-        let mut j = HashJoinExec::new(
+        let mut j = hash_join(
             l,
             r,
             JoinType::Inner,

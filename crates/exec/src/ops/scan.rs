@@ -12,9 +12,13 @@
 //!   partitions on the caller's thread. The morsel-parallel counterpart
 //!   is [`crate::ops::exchange::GatherExec`], which drives the same
 //!   fragment from a worker pool.
+//!
+//! A fragment also prunes by [`JoinKeyFilter`]s, the build keys of the
+//! joins above whose probe key is its partition column: a partition
+//! holding none of them is never read, never faulted.
 
 use std::cmp::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use fusion_common::{ColumnId, FusionError, Result, Schema, Value};
@@ -41,7 +45,7 @@ struct VectorPredicate {
 /// selection vector of rows surviving the pushed-down filters. This is
 /// the unit a [`crate::pipeline::FusedPipeline`] pushes through its
 /// operator chain; the batch-at-a-time path gathers it into rows via
-/// [`ColumnarMorsel::gather_rows`].
+/// [`ColumnarMorsel::into_rows`].
 pub struct ColumnarMorsel {
     /// One array per scan-output column, parallel to the scan schema.
     pub columns: Vec<Arc<Vec<Value>>>,
@@ -63,12 +67,65 @@ impl ColumnarMorsel {
         batch
     }
 
-    /// Materialize the selected rows (the batch-at-a-time path).
-    pub fn gather_rows(&self) -> Vec<Row> {
+    /// A morsel over pulled rows, every row selected. The values move
+    /// into the arrays; none is cloned.
+    pub(crate) fn from_rows(rows: Vec<Row>, width: usize) -> Self {
+        let n = rows.len();
+        let mut columns = vec![Vec::with_capacity(n); width];
+        for row in rows {
+            for (column, v) in columns.iter_mut().zip(row) {
+                column.push(v);
+            }
+        }
+        ColumnarMorsel {
+            columns: columns.into_iter().map(Arc::new).collect(),
+            selection: (0..n).collect(),
+            partition: 0,
+        }
+    }
+
+    /// Materialize the selected rows (the batch-at-a-time path). Values
+    /// move out of arrays this morsel alone holds; arrays shared with
+    /// the table are cloned from.
+    pub fn into_rows(self) -> Vec<Row> {
+        let mut columns: Vec<_> = self.columns.into_iter().map(Arc::try_unwrap).collect();
         self.selection
             .iter()
-            .map(|&r| self.columns.iter().map(|c| c[r].clone()).collect())
+            .map(|&r| {
+                columns
+                    .iter_mut()
+                    .map(|c| match c {
+                        Ok(owned) => std::mem::replace(&mut owned[r], Value::Null),
+                        Err(shared) => shared[r].clone(),
+                    })
+                    .collect()
+            })
             .collect()
+    }
+}
+
+/// The distinct non-null build-side values of one equi-join key,
+/// published once when the join's build finishes. Until then nothing is
+/// excluded; a published empty set excludes every partition.
+#[derive(Debug, Default)]
+pub(crate) struct JoinKeyFilter(OnceLock<Vec<Value>>);
+
+impl JoinKeyFilter {
+    /// Publish the key set (any order, duplicates allowed).
+    pub(crate) fn publish(&self, mut keys: Vec<Value>) {
+        keys.sort();
+        keys.dedup();
+        let _ = self.0.set(keys);
+    }
+
+    /// Whether no published key lies in `[min, max]`. Join keys match by
+    /// `Value` equality, which `Value`'s total order agrees with, so a
+    /// partition this excludes holds no row the join could keep.
+    fn excludes(&self, min: &Value, max: &Value) -> bool {
+        self.0.get().is_some_and(|keys| {
+            let i = keys.partition_point(|k| k < min);
+            keys.get(i).is_none_or(|k| k > max)
+        })
     }
 }
 
@@ -85,6 +142,10 @@ pub struct ScanFragment {
     vector_predicates: Vec<VectorPredicate>,
     /// Remaining filters, re-applied row-wise on the selection.
     residual_filters: Vec<Expr>,
+    /// Build-key sets of the hash joins whose probe key is this scan's
+    /// partition column (dynamic partition pruning); set before the
+    /// fragment is shared.
+    pub(crate) join_filters: Vec<Arc<JoinKeyFilter>>,
     ctx: Arc<ExecContext>,
     /// Profiling span of the scan's plan node. The fragment records rows
     /// scanned/emitted per partition and its busy time; whichever worker
@@ -112,6 +173,7 @@ impl ScanFragment {
             prune_predicates,
             vector_predicates,
             residual_filters,
+            join_filters: Vec::new(),
             ctx: ctx.into_ctx(),
             span: None,
         }
@@ -149,6 +211,15 @@ impl ScanFragment {
             .any(|(op, lit)| !Table::partition_may_match(min, max, *op, lit))
     }
 
+    /// Whether a join's build keys exclude partition `part`.
+    fn pruned_by_join(&self, part: usize) -> bool {
+        let p = &self.table.partitions[part];
+        let (Some(min), Some(max)) = (&p.part_min, &p.part_max) else {
+            return false;
+        };
+        self.join_filters.iter().any(|f| f.excludes(min, max))
+    }
+
     /// Scan one partition to completion: prune (returning `None`), apply
     /// the fault policy with retry, meter bytes/rows, run the vectorized
     /// predicate pass on the columnar arrays, then materialize only the
@@ -156,7 +227,7 @@ impl ScanFragment {
     pub fn scan_partition(&self, part_idx: usize) -> Result<Option<Vec<Row>>> {
         Ok(self
             .scan_partition_columnar(part_idx)?
-            .map(|m| m.gather_rows()))
+            .map(ColumnarMorsel::into_rows))
     }
 
     /// Scan one partition without materializing any row: prune (returning
@@ -167,8 +238,12 @@ impl ScanFragment {
     /// shared into the morsel by `Arc`, never copied.
     pub fn scan_partition_columnar(&self, part_idx: usize) -> Result<Option<ColumnarMorsel>> {
         self.ctx.check()?;
-        if self.partition_pruned(part_idx) {
+        let pruned = self.partition_pruned(part_idx);
+        if pruned || self.pruned_by_join(part_idx) {
             self.ctx.metrics().add_partitions(0, 1);
+            if let (false, Some(span)) = (pruned, &self.span) {
+                span.add_join_pruned();
+            }
             return Ok(None);
         }
         // First (and only) touch of this partition: apply the fault
@@ -558,5 +633,42 @@ mod tests {
         let rows = drain(&mut scan).unwrap();
         assert_eq!(rows.len(), 10);
         assert_eq!(m.faults_injected(), 0);
+    }
+
+    /// The dynamic twin: a join's build keys (95, 97) exclude the
+    /// poisoned partition 0, so it is pruned, never read or faulted.
+    #[test]
+    fn join_pruned_partitions_are_never_faulted() {
+        let t = Arc::new(table());
+        let m = ExecMetrics::new();
+        let ctx = ExecContext::builder(m.clone())
+            .fault_policy(FaultPolicy::default().with_poison("t", 0))
+            .build();
+        let filter = Arc::new(JoinKeyFilter::default());
+        filter.publish(vec![Value::Int64(97), Value::Int64(95), Value::Int64(97)]);
+        let mut fragment = ScanFragment::new(t, vec![0, 1], schema_for(&[1, 2]), vec![], ctx);
+        let span = Arc::new(OpSpan::default());
+        fragment.set_span(span.clone());
+        fragment.join_filters = vec![filter];
+        let rows = drain(&mut ScanExec::from_fragment(Arc::new(fragment))).unwrap();
+        assert_eq!(rows.len(), 10, "partition 9 is read whole");
+        assert_eq!(m.faults_injected(), 0);
+        assert_eq!((m.partitions_read(), m.partitions_pruned()), (1, 9));
+        assert_eq!(span.join_pruned.load(std::sync::atomic::Ordering::Relaxed), 9);
+    }
+
+    /// An unpublished key set excludes nothing; an empty one, everything.
+    #[test]
+    fn join_key_filter_excludes_ranges_without_keys() {
+        let (lo, hi) = (Value::Int64(10), Value::Int64(19));
+        let filter = JoinKeyFilter::default();
+        assert!(!filter.excludes(&lo, &hi));
+        filter.publish(vec![Value::Int64(5), Value::Int64(25)]);
+        assert!(filter.excludes(&lo, &hi), "a hole between two keys");
+        assert!(!filter.excludes(&Value::Int64(0), &Value::Int64(5)));
+        assert!(!filter.excludes(&Value::Int64(25), &Value::Int64(30)));
+        let empty = JoinKeyFilter::default();
+        empty.publish(vec![]);
+        assert!(empty.excludes(&lo, &hi));
     }
 }

@@ -2,7 +2,9 @@
 
 use std::sync::Arc;
 
-use fusion_common::{Field, FusionError, Result, Schema};
+use fusion_common::{ColumnId, Field, FusionError, Result, Schema};
+use fusion_expr::Expr;
+use fusion_plan::plan::{Join, ProjExpr, Scan};
 use fusion_plan::{JoinType, LogicalPlan};
 
 use crate::context::ExecContext;
@@ -13,8 +15,10 @@ use crate::ops::basic::{
 };
 use crate::ops::distinct::MarkDistinctExec;
 use crate::ops::exchange::GatherExec;
-use crate::ops::join::{split_join_condition, CrossJoinExec, HashJoinExec, NestedLoopJoinExec};
-use crate::ops::scan::{ScanExec, ScanFragment};
+use crate::ops::join::{
+    split_join_condition, CrossJoinExec, HashJoinExec, JoinSpec, NestedLoopJoinExec,
+};
+use crate::ops::scan::{JoinKeyFilter, ScanExec, ScanFragment};
 use crate::ops::sort::SortExec;
 use crate::ops::{drain, BoxedOp};
 use crate::profile::{OpSpan, ProfileNode, QueryProfile, SpannedOp};
@@ -71,8 +75,13 @@ pub fn compile_profiled(
     catalog: &Catalog,
     ctx: &Arc<ExecContext>,
 ) -> Result<(BoxedOp, ProfileNode)> {
-    let mut next_id = 0usize;
-    compile_node(plan, catalog, ctx, &mut next_id)
+    let mut c = Compiler {
+        catalog,
+        ctx,
+        next: 0,
+        join_filters: Vec::new(),
+    };
+    compile_node(&mut c, plan)
 }
 
 /// Attach the span to the operator (for state/CPU accounting it does
@@ -99,26 +108,20 @@ fn profile_node(
     }
 }
 
-fn compile_node(
-    plan: &LogicalPlan,
-    catalog: &Catalog,
-    ctx: &Arc<ExecContext>,
-    next: &mut usize,
-) -> Result<(BoxedOp, ProfileNode)> {
+pub(crate) fn compile_node(c: &mut Compiler, plan: &LogicalPlan) -> Result<(BoxedOp, ProfileNode)> {
     // Pipelineable chains compile to a single push-based operator; the
     // compiler claims the same pre-order ids either way.
-    if let Some(compiled) = crate::pipeline::try_compile(plan, catalog, ctx, next)? {
+    if let Some(compiled) = crate::pipeline::try_compile(c, plan)? {
         return Ok(compiled);
     }
     // Pre-order id: the node claims its id before its children compile,
     // in `children()` order — the same walk `display_annotated` uses.
-    let op_id = *next;
-    *next += 1;
-    let span = Arc::new(OpSpan::default());
+    let (op_id, span) = c.claim();
+    let ctx = c.ctx;
     let schema = plan.schema();
     match plan {
         LogicalPlan::Scan(s) => {
-            let (fragment, workers) = scan_fragment(catalog, ctx, s, schema, span.clone())?;
+            let (fragment, workers) = c.scan_fragment(s, span.clone())?;
             let op: BoxedOp = if workers > 1 {
                 Box::new(GatherExec::new(fragment, workers))
             } else {
@@ -130,7 +133,7 @@ fn compile_node(
             ))
         }
         LogicalPlan::Filter(f) => {
-            let (input, child) = compile_node(&f.input, catalog, ctx, next)?;
+            let (input, child) = compile_node(c, &f.input)?;
             let op = Box::new(FilterExec::new(input, f.predicate.clone(), ctx.clone()));
             Ok((
                 spanned(op, &span),
@@ -138,7 +141,7 @@ fn compile_node(
             ))
         }
         LogicalPlan::Project(p) => {
-            let (input, child) = compile_node(&p.input, catalog, ctx, next)?;
+            let (input, child) = compile_node(c, &p.input)?;
             let exprs = p.exprs.iter().map(|pe| pe.expr.clone()).collect();
             let op = Box::new(ProjectExec::new(input, exprs, schema, ctx.clone()));
             Ok((
@@ -147,129 +150,32 @@ fn compile_node(
             ))
         }
         LogicalPlan::Join(j) => {
-            let (left, left_node) = compile_node(&j.left, catalog, ctx, next)?;
-            match j.join_type {
-                JoinType::Cross => {
-                    let (right, right_node) = compile_node(&j.right, catalog, ctx, next)?;
-                    let op = Box::new(CrossJoinExec::new(left, right, schema, ctx.clone()));
-                    Ok((
-                        spanned(op, &span),
-                        profile_node(op_id, plan, span, false, vec![left_node, right_node]),
-                    ))
+            let spec = join_spec(j).map(|mut spec| {
+                c.feed_scans(j, &mut spec);
+                spec
+            });
+            let (left, left_node) = compile_node(c, &j.left)?;
+            let (right, right_node) = compile_node(c, &j.right)?;
+            let op: BoxedOp = match (j.join_type, spec) {
+                (JoinType::Cross, _) => {
+                    Box::new(CrossJoinExec::new(left, right, schema, ctx.clone()))
                 }
-                jt => {
-                    // Equi-join whose build side is a plain scan of a
-                    // multi-partition table: build the hash table
-                    // morsel-parallel straight from the fragment.
-                    if let LogicalPlan::Scan(s) = &*j.right {
-                        let right_schema = j.right.schema();
-                        let (keys, residual) =
-                            split_join_condition(&j.condition, left.schema(), &right_schema);
-                        if !keys.is_empty() {
-                            let right_id = *next;
-                            *next += 1;
-                            let right_span = Arc::new(OpSpan::default());
-                            let (fragment, workers) = scan_fragment(
-                                catalog,
-                                ctx,
-                                s,
-                                right_schema,
-                                right_span.clone(),
-                            )?;
-                            if workers > 1 {
-                                // The scan is inlined into the parallel
-                                // build: no wrapping operator, so its
-                                // profile node reads the fragment-side
-                                // counters.
-                                let right_node = profile_node(
-                                    right_id,
-                                    &j.right,
-                                    right_span,
-                                    true,
-                                    vec![],
-                                );
-                                let op = Box::new(HashJoinExec::with_parallel_build(
-                                    left,
-                                    fragment,
-                                    workers,
-                                    jt,
-                                    keys,
-                                    residual,
-                                    schema,
-                                    ctx.clone(),
-                                ));
-                                return Ok((
-                                    spanned(op, &span),
-                                    profile_node(
-                                        op_id,
-                                        plan,
-                                        span,
-                                        false,
-                                        vec![left_node, right_node],
-                                    ),
-                                ));
-                            }
-                            let right_node = profile_node(
-                                right_id,
-                                &j.right,
-                                right_span.clone(),
-                                false,
-                                vec![],
-                            );
-                            let right_op = spanned(
-                                Box::new(ScanExec::from_fragment(fragment)),
-                                &right_span,
-                            );
-                            let op = Box::new(HashJoinExec::new(
-                                left,
-                                right_op,
-                                jt,
-                                keys,
-                                residual,
-                                schema,
-                                ctx.clone(),
-                            ));
-                            return Ok((
-                                spanned(op, &span),
-                                profile_node(
-                                    op_id,
-                                    plan,
-                                    span,
-                                    false,
-                                    vec![left_node, right_node],
-                                ),
-                            ));
-                        }
-                    }
-                    let (right, right_node) = compile_node(&j.right, catalog, ctx, next)?;
-                    let (keys, residual) =
-                        split_join_condition(&j.condition, left.schema(), right.schema());
-                    let op: BoxedOp = if keys.is_empty() {
-                        Box::new(NestedLoopJoinExec::new(
-                            left,
-                            right,
-                            jt,
-                            j.condition.clone(),
-                            schema,
-                            ctx.clone(),
-                        ))
-                    } else {
-                        Box::new(HashJoinExec::new(
-                            left,
-                            right,
-                            jt,
-                            keys,
-                            residual,
-                            schema,
-                            ctx.clone(),
-                        ))
-                    };
-                    Ok((
-                        spanned(op, &span),
-                        profile_node(op_id, plan, span, false, vec![left_node, right_node]),
-                    ))
+                (_, Some(spec)) => {
+                    Box::new(HashJoinExec::new(left, right, spec, schema, ctx.clone()))
                 }
-            }
+                (jt, None) => Box::new(NestedLoopJoinExec::new(
+                    left,
+                    right,
+                    jt,
+                    j.condition.clone(),
+                    schema,
+                    ctx.clone(),
+                )),
+            };
+            Ok((
+                spanned(op, &span),
+                profile_node(op_id, plan, span, false, vec![left_node, right_node]),
+            ))
         }
         LogicalPlan::Aggregate(a) => {
             // Directly over a scan the aggregate owns the fragment: with
@@ -277,11 +183,8 @@ fn compile_node(
             // inlined — no wrapping operator, its profile node reads the
             // fragment-side counters); with one it pulls a plain scan.
             let (input, child) = if let LogicalPlan::Scan(s) = &*a.input {
-                let scan_id = *next;
-                *next += 1;
-                let scan_span = Arc::new(OpSpan::default());
-                let (fragment, workers) =
-                    scan_fragment(catalog, ctx, s, a.input.schema(), scan_span.clone())?;
+                let (scan_id, scan_span) = c.claim();
+                let (fragment, workers) = c.scan_fragment(s, scan_span.clone())?;
                 let inlined = workers > 1;
                 let input = if inlined {
                     AggInput::Partitions(fragment, workers)
@@ -296,7 +199,7 @@ fn compile_node(
                     profile_node(scan_id, &a.input, scan_span, inlined, vec![]),
                 )
             } else {
-                let (input, child) = compile_node(&a.input, catalog, ctx, next)?;
+                let (input, child) = compile_node(c, &a.input)?;
                 (AggInput::Rows(input), child)
             };
             let spec = AggSpec::for_plan(a, input.schema())?;
@@ -312,7 +215,7 @@ fn compile_node(
             ))
         }
         LogicalPlan::Window(w) => {
-            let (input, child) = compile_node(&w.input, catalog, ctx, next)?;
+            let (input, child) = compile_node(c, &w.input)?;
             let exprs = w.exprs.iter().map(|x| x.window.clone()).collect();
             let op = Box::new(WindowExec::new(input, exprs, schema, ctx.clone()));
             Ok((
@@ -321,7 +224,7 @@ fn compile_node(
             ))
         }
         LogicalPlan::MarkDistinct(m) => {
-            let (input, child) = compile_node(&m.input, catalog, ctx, next)?;
+            let (input, child) = compile_node(c, &m.input)?;
             let op = Box::new(MarkDistinctExec::new(
                 input,
                 &m.columns,
@@ -338,7 +241,7 @@ fn compile_node(
             let mut inputs = Vec::with_capacity(u.inputs.len());
             let mut children = Vec::with_capacity(u.inputs.len());
             for i in &u.inputs {
-                let (op, node) = compile_node(i, catalog, ctx, next)?;
+                let (op, node) = compile_node(c, i)?;
                 inputs.push(op);
                 children.push(node);
             }
@@ -360,7 +263,7 @@ fn compile_node(
             ))
         }
         LogicalPlan::EnforceSingleRow(e) => {
-            let (input, child) = compile_node(&e.input, catalog, ctx, next)?;
+            let (input, child) = compile_node(c, &e.input)?;
             let op = Box::new(EnforceSingleRowExec::new(input, ctx.clone()));
             Ok((
                 spanned(op, &span),
@@ -368,7 +271,7 @@ fn compile_node(
             ))
         }
         LogicalPlan::Sort(s) => {
-            let (input, child) = compile_node(&s.input, catalog, ctx, next)?;
+            let (input, child) = compile_node(c, &s.input)?;
             let op = Box::new(SortExec::new(input, s.keys.clone(), ctx.clone()));
             Ok((
                 spanned(op, &span),
@@ -376,7 +279,7 @@ fn compile_node(
             ))
         }
         LogicalPlan::Limit(l) => {
-            let (input, child) = compile_node(&l.input, catalog, ctx, next)?;
+            let (input, child) = compile_node(c, &l.input)?;
             let op = Box::new(LimitExec::new(input, l.fetch, ctx.clone()));
             Ok((
                 spanned(op, &span),
@@ -386,34 +289,145 @@ fn compile_node(
     }
 }
 
-/// Validate a scan node against the catalog and build its
-/// [`ScanFragment`], returning the fragment together with the worker
-/// count the context grants for its partition count (1 = sequential).
-///
-/// Validation checks the plan's binding for real: arity (every field
-/// needs an ordinal — `zip` would silently truncate a mismatch), ordinal
-/// range, and that each bound column's data type matches the base
-/// table's. Field *names* may legitimately diverge after rewrites, so
-/// they are not checked.
-pub(crate) fn scan_fragment(
-    catalog: &Catalog,
-    ctx: &Arc<ExecContext>,
-    s: &fusion_plan::plan::Scan,
-    schema: Schema,
-    span: Arc<OpSpan>,
-) -> Result<(Arc<ScanFragment>, usize)> {
-    let table = catalog.get(&s.table)?;
-    validate_scan_binding(&s.table, &s.fields, &s.column_indices, &table.columns)?;
-    let workers = ctx.workers_for(table.partitions.len());
-    let mut fragment = ScanFragment::new(
-        table,
-        s.column_indices.clone(),
-        schema,
-        s.filters.clone(),
-        ctx.clone(),
-    );
-    fragment.set_span(span);
-    Ok((Arc::new(fragment), workers))
+/// The equi hash join `j` runs as, or `None` for a cross join and for a
+/// condition without an equi key (a nested-loop join).
+pub(crate) fn join_spec(j: &Join) -> Option<JoinSpec> {
+    if j.join_type == JoinType::Cross {
+        return None;
+    }
+    let (left, right) = (j.left.schema(), j.right.schema());
+    let (keys, residual) = split_join_condition(&j.condition, &left, &right);
+    (!keys.is_empty()).then(|| JoinSpec::new(j.join_type, keys, residual, &left, &right))
+}
+
+/// One compilation: the pre-order id counter, and the join key filters
+/// registered for scans not compiled yet.
+pub(crate) struct Compiler<'a> {
+    catalog: &'a Catalog,
+    pub(crate) ctx: &'a Arc<ExecContext>,
+    next: usize,
+    /// Probe-side scan nodes (by address in the plan being compiled) and
+    /// the filters the joins above them feed.
+    join_filters: Vec<(*const Scan, Arc<JoinKeyFilter>)>,
+}
+
+impl Compiler<'_> {
+    /// Claim the next pre-order id, with a fresh span.
+    pub(crate) fn claim(&mut self) -> (usize, Arc<OpSpan>) {
+        let id = self.next;
+        self.next += 1;
+        (id, Arc::new(OpSpan::default()))
+    }
+
+    /// Dynamic partition pruning, set up at compile time: each key of an
+    /// inner or semi join whose probe side is a bare column that reads a
+    /// partitioned scan's partition column gets a filter, which the join
+    /// publishes its build values to and those scans prune by. A left
+    /// join keeps every probe row, so it never prunes.
+    pub(crate) fn feed_scans(&mut self, j: &Join, spec: &mut JoinSpec) {
+        if !matches!(spec.join_type, JoinType::Inner | JoinType::Semi) {
+            return;
+        }
+        for k in 0..spec.keys.len() {
+            let Expr::Column(id) = spec.keys[k].0 else {
+                continue;
+            };
+            let mut scans = Vec::new();
+            self.partition_scans(&j.left, id, &mut scans);
+            if scans.is_empty() {
+                continue;
+            }
+            let filter = Arc::new(JoinKeyFilter::default());
+            spec.filters.push((k, filter.clone()));
+            for s in scans {
+                self.join_filters.push((s as *const Scan, filter.clone()));
+            }
+        }
+    }
+
+    /// The scans under `plan` whose partition column its output column
+    /// `id` carries row for row: through filters, pass-through
+    /// projections, distinct marks keyed on it (a row a join drops then
+    /// shares its mark key only with rows the join drops too), the probe
+    /// side of inner and semi joins, and every branch of a union, by
+    /// position.
+    fn partition_scans<'p>(&self, plan: &'p LogicalPlan, id: ColumnId, out: &mut Vec<&'p Scan>) {
+        match plan {
+            LogicalPlan::Scan(s) => {
+                let ordinal = s
+                    .fields
+                    .iter()
+                    .position(|f| f.id == id)
+                    .and_then(|pos| s.column_indices.get(pos).copied());
+                let table = self.catalog.get(&s.table).ok();
+                if ordinal.is_some() && ordinal == table.and_then(|t| t.partition_column) {
+                    out.push(s);
+                }
+            }
+            LogicalPlan::Filter(f) => self.partition_scans(&f.input, id, out),
+            LogicalPlan::Project(p) => {
+                if let Some(ProjExpr {
+                    expr: Expr::Column(source),
+                    ..
+                }) = p.exprs.iter().find(|pe| pe.id == id)
+                {
+                    self.partition_scans(&p.input, *source, out);
+                }
+            }
+            LogicalPlan::MarkDistinct(md) if md.columns.contains(&id) => {
+                self.partition_scans(&md.input, id, out)
+            }
+            LogicalPlan::Join(j) if matches!(j.join_type, JoinType::Inner | JoinType::Semi) => {
+                self.partition_scans(&j.left, id, out)
+            }
+            LogicalPlan::UnionAll(u) => {
+                let Some(pos) = u.fields.iter().position(|f| f.id == id) else {
+                    return;
+                };
+                for input in &u.inputs {
+                    if let Some(field) = input.schema().fields().get(pos) {
+                        self.partition_scans(input, field.id, out);
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Validate a scan node against the catalog and build its
+    /// [`ScanFragment`] — pruned by the join key filters registered for
+    /// it — returning the fragment together with the worker count the
+    /// context grants for its partition count (1 = sequential).
+    ///
+    /// Validation checks the plan's binding for real: arity (every field
+    /// needs an ordinal — `zip` would silently truncate a mismatch),
+    /// ordinal range, and that each bound column's data type matches the
+    /// base table's. Field *names* may legitimately diverge after
+    /// rewrites, so they are not checked.
+    pub(crate) fn scan_fragment(
+        &mut self,
+        s: &Scan,
+        span: Arc<OpSpan>,
+    ) -> Result<(Arc<ScanFragment>, usize)> {
+        let table = self.catalog.get(&s.table)?;
+        validate_scan_binding(&s.table, &s.fields, &s.column_indices, &table.columns)?;
+        let workers = self.ctx.workers_for(table.partitions.len());
+        let mut fragment = ScanFragment::new(
+            table,
+            s.column_indices.clone(),
+            Schema::new(s.fields.clone()),
+            s.filters.clone(),
+            self.ctx.clone(),
+        );
+        fragment.set_span(span);
+        fragment.join_filters = self
+            .join_filters
+            .iter()
+            .filter(|(scan, _)| std::ptr::eq(*scan, s))
+            .map(|(_, filter)| filter.clone())
+            .collect();
+        Ok((Arc::new(fragment), workers))
+    }
 }
 
 fn validate_scan_binding(

@@ -1,28 +1,34 @@
 //! Push-based fused pipelines.
 //!
 //! [`try_compile`] detects maximal `Scan → Filter* / Project* /
-//! MarkDistinct* (→ Aggregate)` chains in the logical plan and compiles
-//! each into a single [`FusedPipeline`] operator. Instead of pulling
-//! materialized row batches through one operator per plan node, the
-//! pipeline *pushes* each scanned partition's columnar arrays (a
+//! MarkDistinct* / probe* (→ Aggregate)` chains in the logical plan and
+//! compiles each into a single [`FusedPipeline`] operator. Instead of
+//! pulling materialized row batches through one operator per plan node,
+//! the pipeline *pushes* each scanned partition's columnar arrays (a
 //! [`ColumnarMorsel`]) through the whole chain: filters narrow the
 //! selection vector in place, projections re-share or compute columns,
-//! distinct markers append their flag column, and an optional aggregate
+//! distinct markers append their flag column, hash-join probes narrow
+//! (semi) or gather (inner, left) rows, and an optional aggregate
 //! consumes the surviving positions directly — no intermediate
 //! `Vec<Row>` is built between chain operators (metered by
 //! `batches_elided`).
 //!
-//! Pipeline *breakers* stay exactly where the batch engine has them: hash
-//! join builds, the aggregate merge, sort, and the gather exchange. A
-//! chain therefore never spans a breaker — detection stops at any node
-//! that is not a Filter, Project, MarkDistinct, or the terminal
-//! Aggregate/Scan.
+//! A chain continues from an equi hash join into its probe (left) input.
+//! The build (right) input compiles like any other subtree; it is the
+//! only breaker, drained top-most join first (as the pull operators
+//! build) before the first morsel, so its published keys prune the
+//! chain's scan (see `ops::scan`). A star join is thus one pipeline.
+//! Chains stop at every other node: sort, window, union, cross or
+//! nested-loop join, an aggregate below the top.
 //!
 //! Determinism contract (`FUSION_PIPELINES=0/1` must be bit-identical):
 //!
 //! * Expression evaluation uses the [`fusion_expr::ColumnBatch`] kernels, which
 //!   reproduce the scalar evaluator's three-valued logic, short-circuit
 //!   row subsets, and error sites (see `fusion_expr::vector`).
+//! * Both drivers probe the same [`JoinTable`] with the same kernel, so
+//!   join output is in probe order, then build order within a key, either
+//!   way.
 //! * The aggregate folds into the same `GroupTable` as the pull
 //!   operator and picks its fold shape by the same rule: one table per
 //!   partition, merged in partition-index order with deferred DISTINCT,
@@ -42,20 +48,20 @@
 
 use std::collections::HashSet;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use fusion_common::{ColumnId, Result, Schema, Value};
+use fusion_common::{ColumnId, FusionError, Result, Schema, Value};
 use fusion_expr::Expr;
 use fusion_plan::LogicalPlan;
 
 use crate::context::{BudgetedReservation, ExecContext};
 use crate::ops::agg::{fold_partitions, AggSpec, GroupTable};
 use crate::ops::exchange::collect_morsels;
+use crate::ops::join::{JoinSpec, JoinTable};
 use crate::ops::scan::{ColumnarMorsel, ScanFragment};
-use crate::ops::{row_bytes, BoxedOp, Operator, RowDrain};
-use crate::physical::{scan_fragment, spanned};
+use crate::ops::{drain, row_bytes, BoxedOp, Operator, RowDrain};
+use crate::physical::{compile_node, join_spec, spanned, Compiler};
 use crate::profile::{OpSpan, ProfileNode};
-use crate::table::Catalog;
 use crate::{Chunk, Row, CHUNK_SIZE};
 
 /// One fused chain operator between the scan and the optional aggregate.
@@ -82,6 +88,8 @@ enum StageKind {
         mask: Option<Expr>,
         slot: usize,
     },
+    /// The probe half of an equi hash join: its table, once built.
+    Probe(Option<Box<JoinTable>>),
 }
 
 /// A projection output: either a pass-through of an input column (the
@@ -179,6 +187,10 @@ fn apply_stage(
             }
             m.columns.push(Arc::new(marks));
         }
+        StageKind::Probe(table) => match table {
+            Some(table) => table.probe(m)?,
+            None => return Err(FusionError::Execution("probe before its build".into())),
+        },
     }
     Ok(())
 }
@@ -193,16 +205,22 @@ fn run_stage_list(
     span: &Option<Arc<OpSpan>>,
 ) -> Result<u64> {
     let start = Instant::now();
+    // A probe meters its own CPU on its join's span.
+    let mut probing = Duration::ZERO;
     let mut elided = 0u64;
     for stage in stages {
         elided += m.selection.len().div_ceil(CHUNK_SIZE) as u64;
+        let stage_start = Instant::now();
         apply_stage(stage, mark_states, m, ctx)?;
+        if let StageKind::Probe(_) = stage.kind {
+            probing += stage_start.elapsed();
+        }
         if stage.meter {
             stage.span.add_rows_out(m.selection.len() as u64);
         }
     }
     if let Some(span) = span {
-        span.add_cpu_nanos(start.elapsed().as_nanos() as u64);
+        span.add_cpu_nanos(start.elapsed().saturating_sub(probing).as_nanos() as u64);
     }
     Ok(elided)
 }
@@ -224,7 +242,7 @@ fn scan_prefix(
     Ok(Some((m, elided)))
 }
 
-/// A compiled `Scan → Filter*/Project*/MarkDistinct* (→ Aggregate)`
+/// A compiled `Scan → Filter*/Project*/MarkDistinct*/probe* (→ Aggregate)`
 /// chain, driven push-based over columnar morsels. Sequentially the
 /// pipeline streams one partition at a time; with more workers (or an
 /// aggregate sink) it materializes — morsel-parallel where the pull
@@ -242,6 +260,9 @@ pub struct FusedPipeline {
     /// The aggregate terminating the chain, when present: surviving
     /// positions fold straight into a [`GroupTable`].
     agg: Option<AggSpec>,
+    /// The build sides of the chain's probe stages, top-most join first,
+    /// until the first pull drains them.
+    builds: Vec<(BoxedOp, JoinSpec, Arc<OpSpan>)>,
     schema: Schema,
     ctx: Arc<ExecContext>,
     /// Sequential streaming state: the next partition to scan and the
@@ -254,6 +275,31 @@ pub struct FusedPipeline {
 }
 
 impl FusedPipeline {
+    /// Drain every build side into its probe stage's table, top-most
+    /// join first — the order the pull operators build in.
+    fn build_joins(&mut self) -> Result<()> {
+        let FusedPipeline {
+            par_stages,
+            seq_stages,
+            builds,
+            ctx,
+            ..
+        } = self;
+        let probes = seq_stages
+            .iter_mut()
+            .rev()
+            .chain(par_stages.iter_mut().rev())
+            .filter_map(|s| match &mut s.kind {
+                StageKind::Probe(table) => Some(table),
+                _ => None,
+            });
+        for (table, (mut input, spec, span)) in probes.zip(std::mem::take(builds)) {
+            let rows = drain(input.as_mut())?;
+            *table = Some(Box::new(JoinTable::build(spec, rows, ctx, &Some(span))?));
+        }
+        Ok(())
+    }
+
     fn compute_all(&mut self) -> Result<Vec<Row>> {
         let FusedPipeline {
             fragment,
@@ -304,7 +350,7 @@ impl FusedPipeline {
                             return Ok(None);
                         };
                         metrics.add_batches_elided(elided);
-                        let rows = m.gather_rows();
+                        let rows = m.into_rows();
                         Ok((!rows.is_empty()).then_some(rows))
                     })?;
                     return Ok(results.into_iter().flat_map(|(_, rows)| rows).collect());
@@ -341,7 +387,7 @@ impl FusedPipeline {
                 }
                 None => {
                     metrics.add_batches_elided(elided);
-                    rows.extend(m.gather_rows());
+                    rows.extend(m.into_rows());
                 }
             }
         }
@@ -363,6 +409,9 @@ impl Operator for FusedPipeline {
 
     fn next_chunk(&mut self) -> Result<Option<Chunk>> {
         self.ctx.check()?;
+        if !self.builds.is_empty() {
+            self.build_joins()?;
+        }
         if self.agg.is_some() || self.workers > 1 {
             if self.output.is_none() {
                 self.output = Some(RowDrain::new(self.compute_all()?));
@@ -393,7 +442,7 @@ impl Operator for FusedPipeline {
             if let Some((mut m, mut elided)) = scan_prefix(fragment, par_stages, ctx, span, p)? {
                 elided += run_stage_list(seq_stages, mark_states, &mut m, ctx, span)?;
                 ctx.metrics().add_batches_elided(elided);
-                self.pending = RowDrain::new(m.gather_rows());
+                self.pending = RowDrain::new(m.into_rows());
             }
         }
     }
@@ -402,18 +451,17 @@ impl Operator for FusedPipeline {
 /// Try to compile `plan` as a fused pipeline. Returns `Ok(None)` when the
 /// plan does not start with a pipelineable chain (or pipelines are
 /// disabled on the context) — the caller falls through to the
-/// operator-at-a-time path. `next` is advanced exactly as the batch
-/// compiler would advance it for the same nodes, so `op_id`s are stable
+/// operator-at-a-time path. Ids are claimed exactly as the batch
+/// compiler would claim them for the same nodes, so `op_id`s are stable
 /// either way.
 pub(crate) fn try_compile(
+    c: &mut Compiler,
     plan: &LogicalPlan,
-    catalog: &Catalog,
-    ctx: &Arc<ExecContext>,
-    next: &mut usize,
 ) -> Result<Option<(BoxedOp, ProfileNode)>> {
-    if !ctx.pipelines() {
+    if !c.ctx.pipelines() {
         return Ok(None);
     }
+    let ctx = c.ctx;
     let mut agg_plan: Option<&fusion_plan::plan::Aggregate> = None;
     let mut cursor: &LogicalPlan = plan;
     if let LogicalPlan::Aggregate(a) = cursor {
@@ -421,6 +469,7 @@ pub(crate) fn try_compile(
         cursor = &a.input;
     }
     let mut stage_plans: Vec<&LogicalPlan> = Vec::new(); // top → bottom
+    let mut joins: Vec<(&fusion_plan::plan::Join, JoinSpec)> = Vec::new(); // top → bottom
     let scan = loop {
         match cursor {
             LogicalPlan::Filter(f) => {
@@ -434,6 +483,14 @@ pub(crate) fn try_compile(
             LogicalPlan::MarkDistinct(md) => {
                 stage_plans.push(cursor);
                 cursor = &md.input;
+            }
+            LogicalPlan::Join(j) => {
+                let Some(spec) = join_spec(j) else {
+                    return Ok(None);
+                };
+                joins.push((j, spec));
+                stage_plans.push(cursor);
+                cursor = &j.left;
             }
             LogicalPlan::Scan(s) => break s,
             _ => return Ok(None),
@@ -472,40 +529,38 @@ pub(crate) fn try_compile(
         }
     }
 
+    // Committed: the joins' key filters now find the chain's scan.
+    for (j, spec) in &mut joins {
+        c.feed_scans(j, spec);
+    }
+
     // Claim pre-order ids top → bottom — the same walk compile_node does
-    // over this chain (each node has exactly one child).
-    let node_plans: Vec<&LogicalPlan> = {
-        let mut v = Vec::new();
-        if agg_plan.is_some() {
-            v.push(plan);
-        }
-        v.extend(stage_plans.iter().copied());
-        v.push(scan_plan);
-        v
-    };
-    let metas: Vec<(usize, Arc<OpSpan>)> = node_plans
-        .iter()
-        .map(|_| {
-            let id = *next;
-            *next += 1;
-            (id, Arc::new(OpSpan::default()))
-        })
+    // over this chain (each node's first child continues it).
+    let metas: Vec<(usize, Arc<OpSpan>)> = (0..agg_plan.iter().len() + stage_plans.len() + 1)
+        .map(|_| c.claim())
         .collect();
     let scan_meta = metas.len() - 1;
-    let (fragment, workers) = scan_fragment(
-        catalog,
-        ctx,
-        scan,
-        scan_plan.schema(),
-        metas[scan_meta].1.clone(),
-    )?;
+    let (fragment, workers) = c.scan_fragment(scan, metas[scan_meta].1.clone())?;
 
-    // Build stages bottom-up, threading each node's input schema.
+    // Build stages bottom-up, threading each node's input schema, and
+    // wrap the scan's profile leaf (inlined — its rows come from the
+    // fragment-side counters) in each chain node's. A join's build side
+    // compiles here, bottom-most join first: each join's right subtree
+    // follows its left one in pre-order.
+    let mut node = ProfileNode {
+        op_id: metas[scan_meta].0,
+        label: scan_plan.node_label(),
+        span: metas[scan_meta].1.clone(),
+        inlined: true,
+        children: vec![],
+    };
     let mut stages: Vec<Stage> = Vec::with_capacity(stage_plans.len());
     let mut mark_states: Vec<MarkState> = Vec::new();
+    let mut builds: Vec<(BoxedOp, JoinSpec, Arc<OpSpan>)> = Vec::new();
     let mut input_schema: Schema = scan_plan.schema();
     for (k, sp) in stage_plans.iter().enumerate().rev() {
-        let meta_idx = if agg_plan.is_some() { k + 1 } else { k };
+        let (op_id, span) = metas[if agg_plan.is_some() { k + 1 } else { k }].clone();
+        let mut children = vec![node];
         let input_ids: Vec<ColumnId> = input_schema.fields().iter().map(|f| f.id).collect();
         let kind = match sp {
             LogicalPlan::Filter(f) => StageKind::Filter(f.predicate.clone()),
@@ -534,7 +589,7 @@ pub(crate) fn try_compile(
                 };
                 let slot = mark_states.len();
                 let mut reservation = BudgetedReservation::try_new(ctx.clone(), 0)?;
-                reservation.set_span(metas[meta_idx].1.clone());
+                reservation.set_span(span.clone());
                 mark_states.push(MarkState {
                     seen: HashSet::new(),
                     reservation,
@@ -545,17 +600,34 @@ pub(crate) fn try_compile(
                     slot,
                 }
             }
-            _ => unreachable!("chain stages are filters, projects, and distinct marks"),
+            LogicalPlan::Join(j) => {
+                let (right, right_node) = compile_node(c, &j.right)?;
+                children.push(right_node);
+                let (_, spec) = joins.pop().expect("one spec per chain join");
+                builds.push((right, spec, span.clone()));
+                ctx.metrics().add_probe_stage();
+                StageKind::Probe(None)
+            }
+            _ => unreachable!("chain stages are filters, projects, distinct marks and probes"),
         };
         stages.push(Stage {
             kind,
             input_ids,
-            span: metas[meta_idx].1.clone(),
+            span: span.clone(),
             // The chain's top node is metered by the SpannedOp wrapper.
             meter: agg_plan.is_some() || k != 0,
         });
+        node = ProfileNode {
+            op_id,
+            label: sp.node_label(),
+            span,
+            inlined: false,
+            children,
+        };
         input_schema = sp.schema();
     }
+    // Drained top-most join first.
+    builds.reverse();
 
     // Split at the first stateful stage: everything from there up runs
     // on the driver in partition-index order.
@@ -566,26 +638,6 @@ pub(crate) fn try_compile(
         Some(i) => stages.split_off(i),
         None => Vec::new(),
     };
-
-    // Profile tree: scan leaf (inlined — its rows come from the
-    // fragment-side counters) wrapped bottom-up by the chain nodes.
-    let mut node = ProfileNode {
-        op_id: metas[scan_meta].0,
-        label: scan_plan.node_label(),
-        span: metas[scan_meta].1.clone(),
-        inlined: true,
-        children: vec![],
-    };
-    for (k, sp) in stage_plans.iter().enumerate().rev() {
-        let meta_idx = if agg_plan.is_some() { k + 1 } else { k };
-        node = ProfileNode {
-            op_id: metas[meta_idx].0,
-            label: sp.node_label(),
-            span: metas[meta_idx].1.clone(),
-            inlined: false,
-            children: vec![node],
-        };
-    }
     if agg_plan.is_some() {
         node = ProfileNode {
             op_id: metas[0].0,
@@ -605,6 +657,7 @@ pub(crate) fn try_compile(
         seq_stages,
         mark_states,
         agg,
+        builds,
         schema: plan.schema(),
         ctx: ctx.clone(),
         next_partition: 0,

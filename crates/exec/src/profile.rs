@@ -44,9 +44,12 @@ pub struct OpSpan {
     /// Rows entering the operator from storage (scan leaves only).
     rows_in: AtomicU64,
     /// Rows emitted by the scan fragment after pushed-down filtering.
-    /// Used as `rows_out` for scans inlined into a parallel build (which
-    /// have no wrapping operator to meter their output).
+    /// Used as `rows_out` for scans inlined into a pipeline or a parallel
+    /// aggregation (which have no wrapping operator to meter their output).
     scan_rows_out: AtomicU64,
+    /// Partitions a scan skipped because a join's build keys excluded
+    /// them (scan leaves only; static pruning is not counted here).
+    pub(crate) join_pruned: AtomicU64,
     cur_state: AtomicI64,
     peak_state: AtomicI64,
     /// Per-partition row counts, keyed by partition index so capture
@@ -76,6 +79,10 @@ impl OpSpan {
 
     pub fn add_cpu_nanos(&self, n: u64) {
         self.cpu_nanos.fetch_add(n, Ordering::Relaxed);
+    }
+
+    pub fn add_join_pruned(&self) {
+        self.join_pruned.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record one scanned partition: `scanned` rows read from storage,
@@ -110,7 +117,7 @@ pub struct ProfileNode {
     pub label: String,
     pub span: Arc<OpSpan>,
     /// True when the node has no wrapping physical operator (a scan
-    /// inlined into a parallel hash-join build or parallel aggregation);
+    /// inlined into a pipeline or a parallel aggregation);
     /// its `rows_out` then comes from the fragment-side counter.
     pub inlined: bool,
     pub children: Vec<ProfileNode>,
@@ -165,6 +172,8 @@ pub struct OpProfile {
     /// Per-partition scan counts, sorted by partition index. Empty for
     /// non-scan operators.
     pub partitions: Vec<PartitionProfile>,
+    /// Partitions pruned by a join's build keys (scans only).
+    pub join_pruned: u64,
     pub children: Vec<OpProfile>,
 }
 
@@ -278,6 +287,7 @@ fn capture_node(node: &ProfileNode) -> OpProfile {
         cpu_nanos: s.cpu_nanos.load(Ordering::Relaxed),
         peak_state_bytes: s.peak_state.load(Ordering::Relaxed),
         partitions,
+        join_pruned: s.join_pruned.load(Ordering::Relaxed),
         children,
     }
 }
@@ -313,6 +323,9 @@ pub fn annotation(p: &OpProfile, timings: bool) -> String {
         if !p.partitions.is_empty() {
             s.push_str(&format!(" partitions={}", p.partitions.len()));
         }
+        if p.join_pruned > 0 {
+            s.push_str(&format!(" join_pruned={}", p.join_pruned));
+        }
     }
     s.push(']');
     s
@@ -340,7 +353,11 @@ fn write_json(p: &OpProfile, out: &mut String) {
             part.partition, part.rows_scanned, part.rows_out
         ));
     }
-    out.push_str("],\"children\":[");
+    out.push(']');
+    if p.join_pruned > 0 {
+        out.push_str(&format!(",\"join_pruned\":{}", p.join_pruned));
+    }
+    out.push_str(",\"children\":[");
     for (i, c) in p.children.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -457,6 +474,7 @@ fn op_from_json(v: &Json) -> Result<OpProfile> {
         cpu_nanos: v.field("cpu_nanos")?.as_u64()?,
         peak_state_bytes: v.field("peak_state_bytes")?.as_i64()?,
         partitions,
+        join_pruned: v.field("join_pruned").map_or(Ok(0), Json::as_u64)?,
         children,
     })
 }
@@ -657,6 +675,7 @@ mod tests {
                     rows_out: 22,
                 },
             ],
+            join_pruned: 5,
             children: vec![],
         }
     }
@@ -674,6 +693,7 @@ mod tests {
                 cpu_nanos: 0,
                 peak_state_bytes: 0,
                 partitions: vec![],
+                join_pruned: 0,
                 children: vec![leaf(1, "Scan: t cols=[a1]")],
             },
         };
@@ -744,5 +764,6 @@ mod tests {
         assert!(stable.contains("rows_out=42"));
         assert!(!stable.contains("wall_ms"));
         assert!(p.render().contains("wall_ms"));
+        assert!(p.render().contains("join_pruned=5"));
     }
 }

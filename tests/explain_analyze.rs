@@ -185,3 +185,43 @@ fn explain_analyze_profiles_round_trip_json() {
         }
     }
 }
+
+/// A hash join's CPU time is its own hashing and probing, not its build
+/// child's: over an aggregate of 60 000 rows into three groups, the
+/// join's `cpu_ms` stays below that child's `wall_ms`.
+#[test]
+fn join_cpu_excludes_its_build_child() {
+    let mut s = session(true);
+    let mut b = TableBuilder::new(
+        "big",
+        vec![
+            col("k", DataType::Int64, false),
+            col("v", DataType::Int64, false),
+        ],
+    );
+    for i in 0..60_000i64 {
+        b.add_row(vec![Value::Int64(10 * (i % 3 + 1)), Value::Int64(i)])
+            .unwrap();
+    }
+    s.register_table(b.build());
+    s.sql(
+        "SELECT o.id, t.total FROM orders o \
+         JOIN (SELECT k, SUM(v) AS total FROM big GROUP BY k) t ON o.cust = t.k",
+    )
+    .unwrap();
+    let profile = s.last_profile().unwrap();
+    fn find<'a>(p: &'a fusion_exec::OpProfile, label: &str) -> Option<&'a fusion_exec::OpProfile> {
+        if p.label.contains(label) {
+            return Some(p);
+        }
+        p.children.iter().find_map(|c| find(c, label))
+    }
+    let join = find(&profile.root, "Join:").unwrap();
+    let build = &join.children[1];
+    assert!(build.label.starts_with("Aggregate"), "{}", profile.render());
+    assert!(
+        join.cpu_nanos < build.wall_nanos,
+        "join cpu must exclude its build child's time:\n{}",
+        profile.render()
+    );
+}

@@ -431,3 +431,58 @@ fn single_plan_batch_serves_from_warm_cache() {
         assert_eq!(lone.sorted_rows(), cold.sorted_rows(), "{q}");
     }
 }
+
+/// A cached join + aggregate over a partitioned fact table whose build
+/// side matches only old partitions. Joins do not distribute over
+/// appends, so the prover refuses the in-place refresh and the entry is
+/// recomputed; the recompute prunes the appended partition by the
+/// join's build keys. It reads exactly the bytes the query read before
+/// the append — no byte of the delta — and its rows equal a cold run.
+#[test]
+fn appended_partition_the_build_keys_exclude_costs_no_bytes() {
+    fn session(fact_rows: i64, reuse: bool) -> Session {
+        let mut fact = TableBuilder::new("fact", orders_columns())
+            .partition_by("o_id", 10)
+            .unwrap();
+        for i in 0..fact_rows {
+            fact.add_row(order_row(i)).unwrap();
+        }
+        let int = |name: &str| TableColumn {
+            name: name.into(),
+            data_type: DataType::Int64,
+            nullable: false,
+        };
+        let mut dim = TableBuilder::new("dim", vec![int("d_id"), int("d_tag")]);
+        for (id, tag) in [(3i64, 1i64), (7, 2), (12, 1), (25, 2)] {
+            dim.add_row(vec![Value::Int64(id), Value::Int64(tag)])
+                .unwrap();
+        }
+        let mut s = Session::new();
+        s.set_reuse_enabled(reuse);
+        s.register_table(fact.build());
+        s.register_table(dim.build());
+        s
+    }
+    let sql = "SELECT d_tag, COUNT(*) AS c, SUM(o_amt) AS s \
+               FROM fact JOIN dim ON o_id = d_id GROUP BY d_tag";
+    let mut s = session(BASE_ROWS, true);
+    let before = s.run_batch(&[sql, sql]).unwrap().metrics.bytes_scanned;
+    assert!(s.reuse_cache_len() >= 1, "batch admitted the shared result");
+
+    s.append_table("fact", delta_rows(BASE_ROWS, 10)).unwrap();
+    let warm = s.sql(sql).unwrap();
+    assert_eq!(warm.metrics.reuse_cache_refreshes, 0);
+    assert!(
+        warm.report
+            .reuse
+            .iter()
+            .any(|n| n.contains("does not distribute over appends")),
+        "{:?}",
+        warm.report.reuse
+    );
+    // Keys 3, 7, 12 and 25 live in the first three of five partitions.
+    assert_eq!(warm.metrics.partitions_pruned, 2);
+    assert_eq!(warm.metrics.bytes_scanned, before, "0 delta bytes");
+    let cold = session(BASE_ROWS + 10, false).sql(sql).unwrap();
+    assert_eq!(warm.rows, cold.rows);
+}

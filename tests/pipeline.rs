@@ -82,6 +82,24 @@ fn orders_session(parallelism: usize, pipelines: bool) -> Session {
         .unwrap();
     }
     s.register_table(b.build());
+
+    // A small build side for the join-pruning cases: a NULL key, and two
+    // tags whose key sets are {2} and {4, 5}.
+    let mut b = TableBuilder::new(
+        "keys",
+        vec![
+            tcol("k", DataType::Int64, true),
+            tcol("tag", DataType::Utf8, true),
+        ],
+    );
+    for (k, tag) in [(Some(2), "x"), (None, "x"), (Some(5), "y"), (Some(4), "y")] {
+        b.add_row(vec![
+            k.map(Value::Int64).unwrap_or(Value::Null),
+            Value::Utf8(tag.into()),
+        ])
+        .unwrap();
+    }
+    s.register_table(b.build());
     s
 }
 
@@ -144,6 +162,13 @@ fn tpcds_corpus_bit_identical_across_pipeline_modes() {
                     "{}: rows must match the batch-path baseline reference at {threads} threads",
                     q.id
                 );
+                assert_eq!(
+                    (r_on.metrics.bytes_scanned, r_on.metrics.partitions_pruned),
+                    (r_off.metrics.bytes_scanned, r_off.metrics.partitions_pruned),
+                    "{}: pipelines on/off must read and prune the same partitions \
+                     (fused={fused}, threads={threads})",
+                    q.id
+                );
                 pipelines_compiled += r_on.metrics.pipelines_compiled;
                 batches_elided += r_on.metrics.batches_elided;
                 assert_eq!(
@@ -184,6 +209,109 @@ fn micro_corpus_bit_identical_across_pipeline_modes() {
     }
 }
 
+// ---------- dynamic partition pruning ----------
+
+/// Run `sql` and `reference` (the same join with its probe key wrapped
+/// in `+ 0`, which no scan can prune by) at 1 and 4 threads, pipelines on
+/// and off: rows agree everywhere, and the pruned query prunes the same
+/// partitions in both drivers. Returns its `partitions_pruned`.
+fn pruned_partitions(sql: &str, reference: &str, fusion: bool) -> u64 {
+    let mut pruned = None;
+    for threads in [1usize, 4] {
+        for pipelines in [true, false] {
+            let mut s = orders_session(threads, pipelines);
+            s.set_fusion_enabled(fusion);
+            let r = s.sql(sql).unwrap_or_else(|e| panic!("{e}\n{sql}"));
+            let expected = s.sql(reference).unwrap();
+            assert_eq!(r.sorted_rows(), expected.sorted_rows(), "{sql}");
+            let n = r.metrics.partitions_pruned;
+            assert_eq!(
+                *pruned.get_or_insert(n),
+                n,
+                "threads={threads} pipelines={pipelines}: {sql}"
+            );
+        }
+    }
+    pruned.unwrap()
+}
+
+/// The build keys of an inner or semi join prune the probe side's
+/// partitions in both drivers: an empty build prunes every partition,
+/// a NULL build key keeps none alive, a LEFT join prunes nothing, and a
+/// UNION ALL probe side prunes in every branch.
+#[test]
+fn join_keys_prune_probe_partitions() {
+    let join = |on: &str, tag: &str| {
+        format!(
+            "SELECT o.id, o.amount FROM orders o JOIN keys k ON {on} = k.k WHERE k.tag = '{tag}'"
+        )
+    };
+    // Six single-id partitions. An empty build reads none of them.
+    assert_eq!(
+        pruned_partitions(&join("o.id", "none"), &join("o.id + 0", "none"), true),
+        6
+    );
+    // Keys {2, NULL}: only partition 2 can match.
+    assert_eq!(
+        pruned_partitions(&join("o.id", "x"), &join("o.id + 0", "x"), true),
+        5
+    );
+    let left =
+        |on: &str| format!("SELECT o.id, k.tag FROM orders o LEFT JOIN keys k ON {on} = k.k");
+    assert_eq!(pruned_partitions(&left("o.id"), &left("o.id + 0"), true), 0);
+    let semi = |on: &str| {
+        format!("SELECT id FROM orders WHERE {on} IN (SELECT k FROM keys WHERE tag = 'y')")
+    };
+    assert_eq!(pruned_partitions(&semi("id"), &semi("id + 0"), true), 4);
+    // Keys {4, 5} under a two-branch union: each branch reads two.
+    let union = |on: &str| {
+        format!(
+            "SELECT u.id FROM (SELECT id FROM orders WHERE amount > 0 \
+             UNION ALL SELECT id FROM orders WHERE region = 'north') u \
+             JOIN keys k ON {on} = k.k WHERE k.tag = 'y'"
+        )
+    };
+    assert_eq!(
+        pruned_partitions(&union("u.id"), &union("u.id + 0"), false),
+        8
+    );
+    pruned_partitions(&union("u.id"), &union("u.id + 0"), true);
+}
+
+/// A build key set with holes — November across every year of
+/// `date_dim` — prunes the fact table's partitions between them, and the
+/// join's rows equal an unpruned run.
+#[test]
+fn build_keys_with_holes_prune_non_contiguous_partitions() {
+    let sql = |key: &str| {
+        format!(
+            "SELECT d_year, COUNT(*) AS n, SUM(ss_quantity) AS q FROM store_sales \
+             JOIN date_dim ON {key} = d_date_sk WHERE d_moy = 11 GROUP BY d_year ORDER BY d_year"
+        )
+    };
+    let s = tpcds_session(true, 1, true);
+    let expected = s.sql(&sql("ss_sold_date_sk + 0")).unwrap();
+    let r = s.sql(&sql("ss_sold_date_sk")).unwrap();
+    assert_eq!(r.rows, expected.rows);
+    assert!(r.rows.len() >= 4, "November of several years: {:?}", r.rows);
+    assert!(r.metrics.partitions_pruned > 0);
+    assert!(r.metrics.bytes_scanned < expected.metrics.bytes_scanned);
+    let profile = s.last_profile().unwrap();
+    fn scan<'a>(p: &'a fusion_exec::OpProfile, table: &str) -> Option<&'a fusion_exec::OpProfile> {
+        if p.label.starts_with(&format!("Scan: {table} ")) {
+            return Some(p);
+        }
+        p.children.iter().find_map(|c| scan(c, table))
+    }
+    let fact = scan(&profile.root, "store_sales").unwrap();
+    let read: Vec<u64> = fact.partitions.iter().map(|p| p.partition).collect();
+    assert!(fact.join_pruned > 0);
+    assert!(
+        read.windows(2).filter(|w| w[1] > w[0] + 1).count() >= 3,
+        "November partitions of four years are not contiguous: {read:?}"
+    );
+}
+
 // ---------- EXPLAIN ANALYZE surface ----------
 
 /// A pipelined chain reports its counters in a `-- pipelines --` section
@@ -217,6 +345,17 @@ fn explain_analyze_reports_pipeline_counters() {
     );
     assert!(r.metrics.batches_elided > 0);
     assert!(r.metrics.rows_evaluated_vectorized > 0);
+
+    // A join's probe is a stage of the scan's pipeline, metered on the
+    // join's line, and its build keys prune the scan.
+    let text = on
+        .explain_analyze("SELECT o.id FROM orders o JOIN keys k ON o.id = k.k WHERE k.tag = 'y'")
+        .unwrap();
+    assert!(text.contains("probe_stages=1 "), "{text}");
+    let scan_line = text.lines().find(|l| l.contains("Scan: orders")).unwrap();
+    assert!(scan_line.contains("join_pruned=4"), "{text}");
+    let join_line = text.lines().find(|l| l.contains("Join:")).unwrap();
+    assert!(join_line.contains("rows_out=2"), "{text}");
 
     let off = orders_session(1, false);
     let r = off
