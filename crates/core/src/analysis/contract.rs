@@ -13,8 +13,9 @@
 //!    for filter-rooted fusions the original predicate must be *implied*
 //!    by the compensation conjoined with the fused predicate, and for
 //!    aggregate-rooted fusions every original masked aggregate must
-//!    reappear with the same function/argument and a mask at least as
-//!    strict as the original.
+//!    reappear with the same function/argument and a mask that keeps the
+//!    original's conjuncts and adds only conjuncts of the original's own
+//!    input filters.
 //!
 //! Checks 1–3 are exact. Check 4 is a sound approximation built on the
 //! engine's expression normalizer: a reconstruction obligation is
@@ -24,29 +25,26 @@
 //! simplification introduces). A legitimate fusion always passes because
 //! the fusion paths construct `L`/`R`/masks by conjoining exactly these
 //! conjuncts; a corrupted one (swapped or widened compensation, widened
-//! mask, retyped aggregate) loses a conjunct and is flagged.
+//! mask, retyped aggregate) loses a conjunct, or (a mask read through a
+//! crossed mapping) gains one, and is flagged.
 //!
 //! Conjunct sets, renderings and equivalences come from an [`ExprMemo`]:
 //! `Fuse` checks every result at every depth of its recursion, and the
 //! memo it carries lets each expression be normalized once per
 //! `optimize` call however often it is checked.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use fusion_common::{ColumnId, DataType, Field};
-use fusion_expr::Expr;
-use fusion_plan::LogicalPlan;
+use fusion_expr::{split_conjuncts, Expr};
+use fusion_plan::{JoinType, LogicalPlan};
 
 use super::{AnalysisCode, Violation};
 use crate::fuse::memo::Conjunct;
 use crate::fuse::{ExprMemo, Fused};
 
-/// Check a raw `Fuse` result against the contract. Empty result = OK.
-pub fn check_fuse_contract(p1: &LogicalPlan, p2: &LogicalPlan, f: &Fused) -> Vec<Violation> {
-    check(p1, p2, f, &ExprMemo::default())
-}
-
-/// [`check_fuse_contract`], deriving expression forms through `memo`.
+/// Check a raw `Fuse` result against the contract, deriving expression
+/// forms through `memo`. Empty result = OK.
 pub(crate) fn check(
     p1: &LogicalPlan,
     p2: &LogicalPlan,
@@ -211,8 +209,9 @@ pub(crate) fn check_direction(
 
 /// Check one original GroupBy against the fused GroupBy: grouping keys
 /// must survive (left: same ids; right: modulo `M`), and each original
-/// masked aggregate must reappear with the same function, argument and a
-/// mask at least as strict.
+/// masked aggregate must reappear with the same function and argument,
+/// and a mask that keeps the original's conjuncts and adds only those of
+/// the original's input filters.
 pub(crate) fn check_aggregate_side(
     side: &str,
     orig: &fusion_plan::Aggregate,
@@ -221,7 +220,7 @@ pub(crate) fn check_aggregate_side(
     v: &mut Vec<Violation>,
     memo: &ExprMemo,
 ) {
-    let fused_groups: std::collections::HashSet<_> = fused.group_by.iter().copied().collect();
+    let fused_groups: HashSet<_> = fused.group_by.iter().copied().collect();
     let remap = |id| match map_through {
         Some(fu) => fu.mapped_id(id),
         None => id,
@@ -258,6 +257,23 @@ pub(crate) fn check_aggregate_side(
     };
     let on_spine = |s: &str| spine.as_deref().is_some_and(|cs| holds(cs, s));
 
+    let map_expr = |e: &Expr| match map_through {
+        Some(fu) => fu.map(e),
+        None => e.clone(),
+    };
+    // What every row the original GroupBy reads already satisfies: the
+    // filters of its input, in the fused plan's columns.
+    let mut own_filters = Vec::new();
+    row_filters(&orig.input, &mut own_filters);
+    // `None` when some filter is provably FALSE: the side reads no rows.
+    let own_filters: Option<Vec<_>> = own_filters
+        .into_iter()
+        .map(|p| match map_through {
+            Some(fu) => memo.conjuncts(&fu.map(p)),
+            None => memo.conjuncts(p),
+        })
+        .collect();
+
     // The first aggregate of each id, as a scan in order finds it.
     let mut fused_aggs = HashMap::new();
     for fa in &fused.aggregates {
@@ -289,10 +305,7 @@ pub(crate) fn check_aggregate_side(
                 ),
             ));
         }
-        let orig_arg = a.agg.arg.as_ref().map(|e| match map_through {
-            Some(fu) => fu.map(e),
-            None => e.clone(),
-        });
+        let orig_arg = a.agg.arg.as_ref().map(map_expr);
         match (&orig_arg, &fa.agg.arg) {
             (None, None) => {}
             (Some(oa), Some(na)) if memo.equiv(oa, na) => {}
@@ -304,12 +317,12 @@ pub(crate) fn check_aggregate_side(
                 ),
             )),
         }
-        // Mask discipline: the fused mask must keep every conjunct of the
-        // original mask (it may only get stricter).
-        let orig_mask = match map_through {
-            Some(fu) => fu.map(&a.agg.mask),
-            None => a.agg.mask.clone(),
-        };
+        // Mask discipline, both ways. The fused mask must keep every
+        // conjunct of the original mask, and each of its own conjuncts must
+        // be one the original side applies itself, in its mask or its input
+        // filters. A stricter fused mask counts only some of the side's
+        // rows: another member's aggregate read through a crossed mapping.
+        let orig_mask = map_expr(&a.agg.mask);
         if let (Some(targets), Some(available)) =
             (memo.conjuncts(&orig_mask), memo.conjuncts(&fa.agg.mask))
         {
@@ -323,6 +336,38 @@ pub(crate) fn check_aggregate_side(
                             a.name, a.id.0, t.text, fa.agg.mask
                         ),
                     ));
+                }
+            }
+            let own =
+                |s: &str| holds(&targets, s) || own_filters.iter().flatten().any(|f| holds(f, s));
+            if own_filters.is_some() && !available.iter().all(|t| t.implied(&own)) {
+                // Columns the original input does not produce (a nested
+                // fusion's compensating counts) are the fused plan's own,
+                // and were checked where they were made.
+                let own_columns: HashSet<ColumnId> = orig
+                    .input
+                    .schema()
+                    .fields()
+                    .iter()
+                    .map(|f| remap(f.id))
+                    .collect();
+                for c in split_conjuncts(&fa.agg.mask) {
+                    if !c.columns().iter().all(|id| own_columns.contains(id)) {
+                        continue;
+                    }
+                    let Some(extra) = memo.conjuncts(&c) else {
+                        continue;
+                    };
+                    for t in extra.iter().filter(|t| !t.implied(&own)) {
+                        v.push(Violation::new(
+                            AnalysisCode::Mask,
+                            format!(
+                                "{side} aggregate {}#{} fused mask conjunct `{}` is \
+                                 neither its own mask nor a filter of its input",
+                                a.name, a.id.0, t.text
+                            ),
+                        ));
+                    }
                 }
             }
             mask_sets.push(available);
@@ -339,10 +384,7 @@ pub(crate) fn check_aggregate_side(
     // counts nothing and is vacuously safe.
     if orig.is_scalar() && !orig.aggregates.is_empty() {
         if let LogicalPlan::Filter(of) = orig.input.as_ref() {
-            let orig_pred = match map_through {
-                Some(fu) => fu.map(&of.predicate),
-                None => of.predicate.clone(),
-            };
+            let orig_pred = map_expr(&of.predicate);
             if let Some(targets) = memo.conjuncts(&orig_pred) {
                 for t in targets.iter() {
                     let absorbed = on_spine(&t.text)
@@ -363,5 +405,28 @@ pub(crate) fn check_aggregate_side(
                 }
             }
         }
+    }
+}
+
+/// Collect the predicates every output row of `plan` satisfies: those of
+/// the filters reached through operators that pass rows through
+/// unchanged, and through both sides of an inner join but only the
+/// preserved side of an outer or semi join.
+fn row_filters<'a>(plan: &'a LogicalPlan, out: &mut Vec<&'a Expr>) {
+    match plan {
+        LogicalPlan::Filter(f) => {
+            out.push(&f.predicate);
+            row_filters(&f.input, out);
+        }
+        LogicalPlan::Project(p) => row_filters(&p.input, out),
+        LogicalPlan::MarkDistinct(m) => row_filters(&m.input, out),
+        LogicalPlan::EnforceSingleRow(e) => row_filters(&e.input, out),
+        LogicalPlan::Join(j) => {
+            row_filters(&j.left, out);
+            if matches!(j.join_type, JoinType::Inner | JoinType::Cross) {
+                row_filters(&j.right, out);
+            }
+        }
+        _ => {}
     }
 }

@@ -8,7 +8,7 @@
 //! execute to wrong answers. This module closes that gap with three
 //! cooperating pieces:
 //!
-//! * [`contract::check_fuse_contract`] — checks every raw `Fuse` result
+//! * [`contract`] — checks every raw `Fuse` result
 //!   against the paper's §III.A contract (`M` total and type-preserving,
 //!   `L`/`R` over `P`'s outputs, reconstruction of both inputs);
 //! * [`lattice`] — a bottom-up property derivation (keys, single-row,
@@ -23,7 +23,7 @@
 //! that fails analysis is rejected and the optimizer keeps the previous
 //! plan, mirroring the structural-validation path.
 //!
-//! [`mutation::run_self_test`] is the analyzer's own regression suite:
+//! The `mutation` test module is the analyzer's own regression suite:
 //! seeded corruptions of known-good fused plans (dropped mapping entries,
 //! swapped or widened compensations, widened masks, retyped tags) must
 //! all be rejected — mutation-killing as a measure of analyzer strength.
@@ -32,8 +32,6 @@ pub mod canon;
 pub mod checks;
 pub mod contract;
 pub mod lattice;
-pub mod mutation;
-pub mod report;
 pub mod reuse;
 
 use std::fmt;
@@ -42,13 +40,10 @@ use fusion_common::ColumnId;
 use fusion_plan::LogicalPlan;
 
 pub use checks::analyze_plan;
-pub use contract::check_fuse_contract;
 pub use lattice::{props, PlanProps};
-pub use mutation::{run_reuse_self_test, run_self_test, MutationReport};
-pub use report::{AnalysisReport, QueryAnalysis};
 pub use reuse::{
     aggregate_mergeable, certify_exact_splice, certify_fused_splice, certify_maintainability,
-    certify_stamps, certify_subsumption, check_maintain_claim, MaintainShape, ReuseCertificate,
+    certify_stamps, certify_subsumption, MaintainShape, ReuseCertificate,
 };
 
 /// Stable machine-readable analysis violation codes. Like
@@ -172,3 +167,6 @@ pub fn plan_has_key(plan: &LogicalPlan, cols: &[ColumnId]) -> bool {
 pub fn plan_is_single_row(plan: &LogicalPlan) -> bool {
     props(plan).single_row
 }
+
+#[cfg(test)]
+mod mutation;

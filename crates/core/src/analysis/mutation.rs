@@ -8,7 +8,7 @@
 //! retype or drop a tag-dispatch branch. The analyzer (contract checker +
 //! structural validation + whole-plan checks) must reject every mutant;
 //! a surviving mutant is a hole in the analyzer, reported by name for
-//! triage and gated in CI at a ≥ 95% kill rate.
+//! triage. The tests at the bottom gate both corpora.
 
 use std::collections::HashMap;
 
@@ -21,10 +21,10 @@ use fusion_plan::{
 use super::canon::canonical_form;
 use super::reuse::{
     certify_exact_splice, certify_fused_splice, certify_maintainability, certify_stamps,
-    certify_subsumption, check_maintain_claim, MaintainShape, ReuseCertificate,
+    certify_subsumption, MaintainShape, ReuseCertificate,
 };
-use super::{analyze_plan, check_fuse_contract, render_violations, Violation};
-use crate::fuse::{fuse, FuseContext, Fused};
+use super::{analyze_plan, contract, render_violations, AnalysisCode, Violation};
+use crate::fuse::{fuse, ExprMemo, FuseContext, Fused};
 use crate::rules::union_fusion::UnionAllFusion;
 use crate::rules::Rule;
 
@@ -33,7 +33,8 @@ use crate::rules::Rule;
 pub struct MutationOutcome {
     pub description: String,
     pub killed: bool,
-    /// The violation (or validation error) that killed it, if any.
+    /// The violation (or validation error) that killed it, or that a
+    /// pristine artifact was rejected with.
     pub detail: String,
 }
 
@@ -59,12 +60,16 @@ impl MutationReport {
         self.killed() as f64 / self.total() as f64
     }
 
-    /// Descriptions of mutants the analyzer failed to reject.
-    pub fn survivors(&self) -> Vec<&str> {
+    /// Descriptions of mutants the analyzer failed to reject, and of
+    /// pristine artifacts it rejected, with the violations it named.
+    pub fn survivors(&self) -> Vec<String> {
         self.outcomes
             .iter()
             .filter(|o| !o.killed)
-            .map(|o| o.description.as_str())
+            .map(|o| match o.detail.as_str() {
+                "" => o.description.clone(),
+                detail => format!("{} ({detail})", o.description),
+            })
             .collect()
     }
 
@@ -134,6 +139,31 @@ pub fn run_reuse_self_test() -> MutationReport {
     maintainability_mutants(&mut report);
     stamp_mutants(&mut report);
     report
+}
+
+/// Check a raw `Fuse` result against the contract. Empty result = OK.
+fn check_fuse_contract(p1: &LogicalPlan, p2: &LogicalPlan, f: &Fused) -> Vec<Violation> {
+    contract::check(p1, p2, f, &ExprMemo::default())
+}
+
+/// Verify a *claimed* maintain shape against the one the plan derives:
+/// a forged or stale claim must come back as a typed violation.
+fn check_maintain_claim(plan: &LogicalPlan, claimed: &MaintainShape) -> Result<(), Vec<Violation>> {
+    match certify_maintainability(plan) {
+        Ok(ReuseCertificate::Maintain(derived)) if &derived == claimed => Ok(()),
+        Ok(ReuseCertificate::Maintain(derived)) => Err(vec![Violation::new(
+            AnalysisCode::ReuseMaintain,
+            format!(
+                "claimed maintain shape {claimed:?} but the plan derives \
+                 {derived:?}"
+            ),
+        )]),
+        Ok(_) => Err(vec![Violation::new(
+            AnalysisCode::ReuseMaintain,
+            "maintainability derivation returned a non-maintain certificate",
+        )]),
+        Err(v) => Err(v),
+    }
 }
 
 /// `[x Int64, y Utf8, z Int64, b Boolean]` scan with fresh ids.
@@ -999,10 +1029,9 @@ fn stale_compensation_mutants(report: &mut MutationReport) {
         certify_fused_splice(&b, &ab.plan, &slots_ab, &ba.mapping, &ab.right),
     );
     // A keeps its ids in the fold (A,B); sending them through B's targets
-    // reads B's masked aggregates as A's. Known survivor: the aggregate
-    // check requires a fused mask to be at least as strict as the
-    // member's, not equal to it, and B's `x > 353` is stricter than A's
-    // `x > 230` (ROADMAP, kill matrix).
+    // reads B's masked aggregates as A's. B's mask `x > 353` keeps A's
+    // `x > 230`, so only the check that every fused-mask conjunct is one
+    // of A's own kills it.
     let crossed: HashMap<_, _> = a
         .schema()
         .fields()
@@ -1377,4 +1406,57 @@ fn stamp_mutants(report: &mut MutationReport) {
         "dep stamps: phantom stamp for unscanned table v",
         certify_stamps(&plan, &[dep("t", 3), dep("u", 5), dep("v", 1)], &versions),
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The analyzer's plan-mutation self-test: seeded corruptions of
+    /// known good fusion artifacts (dropped mapping entries, swapped or
+    /// widened compensations, widened masks, retyped tags, dropped
+    /// dispatch branches) must be rejected at a ≥ 95% kill rate.
+    /// Survivors are printed by name so a regression is immediately
+    /// actionable.
+    #[test]
+    fn mutation_self_test_kills_at_least_95_percent() {
+        let report = run_self_test();
+        for survivor in report.survivors() {
+            eprintln!("surviving mutant: {survivor}");
+        }
+        assert!(
+            report.kill_rate() >= 0.95,
+            "mutation kill rate {:.1}% ({} of {} killed); survivors: {:?}",
+            report.kill_rate() * 100.0,
+            report.killed(),
+            report.total(),
+            report.survivors()
+        );
+    }
+
+    /// The reuse-soundness prover's own corruption suite: seeded
+    /// corruptions of known-good reuse rewrites (wrong or swapped
+    /// compensations, broken or crossed mappings, non-subset
+    /// subsumptions, non-mergeable aggregates classified mergeable, stale
+    /// or non-canonical dep stamps) must all be rejected, and every
+    /// pristine artifact must certify. Pristine controls are recorded
+    /// inverted ("killed" = accepted), so a false positive is a survivor
+    /// too.
+    #[test]
+    fn reuse_mutation_self_test_kills_every_mutant() {
+        let report = run_reuse_self_test();
+        assert!(
+            report.total() >= 25,
+            "reuse corpus shrank to {} outcomes",
+            report.total()
+        );
+        assert!(
+            report.survivors().is_empty(),
+            "reuse mutation kill rate {:.1}% ({} of {} killed); survivors: {:?}",
+            report.kill_rate() * 100.0,
+            report.killed(),
+            report.total(),
+            report.survivors()
+        );
+    }
 }

@@ -705,30 +705,6 @@ pub fn certify_maintainability(
     }
 }
 
-/// Verify a *claimed* maintain shape against the derived one — the
-/// defense against a cache whose stored classification drifted from its
-/// stored plan (or was corrupted outright).
-pub fn check_maintain_claim(
-    plan: &LogicalPlan,
-    claimed: &MaintainShape,
-) -> Result<(), Vec<Violation>> {
-    match certify_maintainability(plan) {
-        Ok(ReuseCertificate::Maintain(derived)) if &derived == claimed => Ok(()),
-        Ok(ReuseCertificate::Maintain(derived)) => Err(reject(
-            AnalysisCode::ReuseMaintain,
-            format!(
-                "claimed maintain shape {claimed:?} but the plan derives \
-                 {derived:?}"
-            ),
-        )),
-        Ok(_) => Err(reject(
-            AnalysisCode::ReuseMaintain,
-            "maintainability derivation returned a non-maintain certificate",
-        )),
-        Err(v) => Err(v),
-    }
-}
-
 // ---------------------------------------------------------------------
 // Dependency-stamp certificates
 // ---------------------------------------------------------------------

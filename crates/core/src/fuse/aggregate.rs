@@ -291,6 +291,36 @@ mod tests {
         assert!(f.plan.schema().contains(f.mapped_id(y_id)));
     }
 
+    /// Scalar aggregates over keyed aggregates with different filters: the
+    /// outer masks read the inner fusion's compensating counts, columns
+    /// neither side produces, and the contract checker still accepts the
+    /// result (its mask check skips what the fusion made itself).
+    #[test]
+    fn aggregates_over_fused_keyed_aggregates_fuse() {
+        let gen = IdGen::new();
+        let ctx = FuseContext::new(gen.clone());
+        let side = |bound: i64| {
+            let t = PlanBuilder::scan(&gen, "item", &item_cols());
+            let (sk, brand) = (t.col("i_item_sk").unwrap(), t.col("i_brand_id").unwrap());
+            let inner = t
+                .filter(col(brand).gt(lit(bound)))
+                .aggregate(vec![sk], vec![("s", AggregateExpr::sum(col(brand)))]);
+            let s = inner.col("s").unwrap();
+            inner
+                .aggregate(vec![], vec![("a", AggregateExpr::avg(col(s)))])
+                .build()
+        };
+        let f = fuse(&side(5), &side(50), &ctx).expect("nested aggregates fuse");
+        f.plan.validate().unwrap();
+        let LogicalPlan::Aggregate(outer) = &f.plan else {
+            panic!("expected Aggregate, got {}", f.plan.op_name());
+        };
+        assert!(outer
+            .aggregates
+            .iter()
+            .all(|a| a.agg.mask.to_string().contains("> 0")));
+    }
+
     /// Identical aggregates deduplicate through the mapping.
     #[test]
     fn identical_aggregates_deduplicate() {

@@ -34,6 +34,6 @@ pub mod fuse;
 pub mod optimizer;
 pub mod rules;
 
-pub use analysis::{analyze_plan, check_fuse_contract, AnalysisCode, Violation};
+pub use analysis::{analyze_plan, AnalysisCode, Violation};
 pub use fuse::{fuse, FuseContext, Fused};
 pub use optimizer::{Optimizer, OptimizerConfig, OptimizerReport, RejectedRule};

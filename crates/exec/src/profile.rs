@@ -1,5 +1,4 @@
-//! Per-operator observability: spans, the query profile tree, and its
-//! JSON serialization.
+//! Per-operator observability: spans and the query profile tree.
 //!
 //! Every physical operator compiled by [`crate::physical::compile_profiled`]
 //! gets a stable `op_id` (pre-order over the logical plan, matching the
@@ -22,7 +21,7 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-use fusion_common::{FusionError, Result, Schema};
+use fusion_common::{Result, Schema};
 
 use crate::ops::{BoxedOp, Operator};
 use crate::Chunk;
@@ -185,7 +184,7 @@ pub struct PartitionProfile {
 }
 
 /// The profile of one executed query: an [`OpProfile`] tree mirroring
-/// the optimized plan, plus serialization and rendering helpers.
+/// the optimized plan, plus rendering helpers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryProfile {
     pub root: OpProfile,
@@ -231,23 +230,6 @@ impl QueryProfile {
         let mut out = String::new();
         render_node(&self.root, 0, false, &mut out);
         out
-    }
-
-    /// Serialize to JSON (hand-rolled; the workspace carries no serde).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        write_json(&self.root, &mut out);
-        out
-    }
-
-    /// Parse a profile back from [`QueryProfile::to_json`] output.
-    pub fn from_json(s: &str) -> Result<QueryProfile> {
-        let mut p = JsonParser::new(s);
-        let v = p.value()?;
-        p.expect_eof()?;
-        Ok(QueryProfile {
-            root: op_from_json(&v)?,
-        })
     }
 }
 
@@ -331,323 +313,6 @@ pub fn annotation(p: &OpProfile, timings: bool) -> String {
     s
 }
 
-fn write_json(p: &OpProfile, out: &mut String) {
-    out.push_str(&format!(
-        "{{\"op_id\":{},\"label\":\"{}\",\"rows_in\":{},\"rows_out\":{},\"batches\":{},\
-         \"wall_nanos\":{},\"cpu_nanos\":{},\"peak_state_bytes\":{},\"partitions\":[",
-        p.op_id,
-        escape_json(&p.label),
-        p.rows_in,
-        p.rows_out,
-        p.batches,
-        p.wall_nanos,
-        p.cpu_nanos,
-        p.peak_state_bytes,
-    ));
-    for (i, part) in p.partitions.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"partition\":{},\"rows_scanned\":{},\"rows_out\":{}}}",
-            part.partition, part.rows_scanned, part.rows_out
-        ));
-    }
-    out.push(']');
-    if p.join_pruned > 0 {
-        out.push_str(&format!(",\"join_pruned\":{}", p.join_pruned));
-    }
-    out.push_str(",\"children\":[");
-    for (i, c) in p.children.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_json(c, out);
-    }
-    out.push_str("]}");
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Minimal JSON value for the round-trip parser.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Object(Vec<(String, Json)>),
-    Array(Vec<Json>),
-    String(String),
-    Int(i64),
-}
-
-impl Json {
-    fn field<'a>(&'a self, name: &str) -> Result<&'a Json> {
-        match self {
-            Json::Object(fields) => fields
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v)
-                .ok_or_else(|| {
-                    FusionError::Execution(format!("profile json: missing field {name:?}"))
-                }),
-            _ => Err(FusionError::Execution(format!(
-                "profile json: expected object while reading {name:?}"
-            ))),
-        }
-    }
-
-    fn as_u64(&self) -> Result<u64> {
-        match self {
-            Json::Int(i) if *i >= 0 => Ok(*i as u64),
-            _ => Err(FusionError::Execution(
-                "profile json: expected a non-negative integer".into(),
-            )),
-        }
-    }
-
-    fn as_i64(&self) -> Result<i64> {
-        match self {
-            Json::Int(i) => Ok(*i),
-            _ => Err(FusionError::Execution(
-                "profile json: expected an integer".into(),
-            )),
-        }
-    }
-
-    fn as_str(&self) -> Result<&str> {
-        match self {
-            Json::String(s) => Ok(s),
-            _ => Err(FusionError::Execution(
-                "profile json: expected a string".into(),
-            )),
-        }
-    }
-
-    fn as_array(&self) -> Result<&[Json]> {
-        match self {
-            Json::Array(v) => Ok(v),
-            _ => Err(FusionError::Execution(
-                "profile json: expected an array".into(),
-            )),
-        }
-    }
-}
-
-fn op_from_json(v: &Json) -> Result<OpProfile> {
-    let partitions = v
-        .field("partitions")?
-        .as_array()?
-        .iter()
-        .map(|p| {
-            Ok(PartitionProfile {
-                partition: p.field("partition")?.as_u64()?,
-                rows_scanned: p.field("rows_scanned")?.as_u64()?,
-                rows_out: p.field("rows_out")?.as_u64()?,
-            })
-        })
-        .collect::<Result<Vec<_>>>()?;
-    let children = v
-        .field("children")?
-        .as_array()?
-        .iter()
-        .map(op_from_json)
-        .collect::<Result<Vec<_>>>()?;
-    Ok(OpProfile {
-        op_id: v.field("op_id")?.as_u64()?,
-        label: v.field("label")?.as_str()?.to_string(),
-        rows_in: v.field("rows_in")?.as_u64()?,
-        rows_out: v.field("rows_out")?.as_u64()?,
-        batches: v.field("batches")?.as_u64()?,
-        wall_nanos: v.field("wall_nanos")?.as_u64()?,
-        cpu_nanos: v.field("cpu_nanos")?.as_u64()?,
-        peak_state_bytes: v.field("peak_state_bytes")?.as_i64()?,
-        partitions,
-        join_pruned: v.field("join_pruned").map_or(Ok(0), Json::as_u64)?,
-        children,
-    })
-}
-
-/// Recursive-descent parser for the JSON subset `to_json` emits
-/// (objects, arrays, strings with escapes, integers).
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn new(s: &'a str) -> Self {
-        JsonParser {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, msg: &str) -> FusionError {
-        FusionError::Execution(format!("profile json at byte {}: {msg}", self.pos))
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<()> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {:?}", b as char)))
-        }
-    }
-
-    fn expect_eof(&mut self) -> Result<()> {
-        if self.peek().is_none() {
-            Ok(())
-        } else {
-            Err(self.err("trailing input"))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::String(self.string()?)),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.eat(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos).copied() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos).copied() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            out.push(
-                                char::from_u32(code).ok_or_else(|| self.err("bad \\u escape"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(b) if b < 0x80 => {
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8: find the full scalar in the source.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("invalid utf-8"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json> {
-        self.skip_ws();
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.bytes.get(self.pos), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("bad number"))?;
-        s.parse::<i64>()
-            .map(Json::Int)
-            .map_err(|_| self.err("bad number"))
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -678,38 +343,6 @@ mod tests {
             join_pruned: 5,
             children: vec![],
         }
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let profile = QueryProfile {
-            root: OpProfile {
-                op_id: 0,
-                label: "Filter: a\"quoted\" > 5".into(),
-                rows_in: 42,
-                rows_out: 7,
-                batches: 1,
-                wall_nanos: 999,
-                cpu_nanos: 0,
-                peak_state_bytes: 0,
-                partitions: vec![],
-                join_pruned: 0,
-                children: vec![leaf(1, "Scan: t cols=[a1]")],
-            },
-        };
-        let json = profile.to_json();
-        let back = QueryProfile::from_json(&json).unwrap();
-        assert_eq!(back, profile);
-        // And serializing again is byte-stable.
-        assert_eq!(back.to_json(), json);
-    }
-
-    #[test]
-    fn from_json_rejects_garbage() {
-        assert!(QueryProfile::from_json("").is_err());
-        assert!(QueryProfile::from_json("{\"op_id\":0}").is_err());
-        assert!(QueryProfile::from_json("[1,2,3]").is_err());
-        assert!(QueryProfile::from_json("{\"op_id\":0,").is_err());
     }
 
     #[test]

@@ -12,14 +12,14 @@
 //! cargo run --release --example scalar_aggregates
 //! ```
 //!
-//! Besides the per-query comparison it prints two lines CI parses:
+//! Besides the per-query comparison it prints two summary lines:
 //!
 //! * `optimize scaling: 60 subqueries / 15 subqueries = N.Nx` — optimizer
 //!   time per call for the Q09 shape widened from 15 to 60 scalar
 //!   subqueries (each the best of 10 samples, a sample averaging the calls
 //!   that fit in 50 ms, so one scheduler stall cannot move the ratio). 4×
 //!   the subqueries costs 4× when the optimizer is linear and 16× when it
-//!   is quadratic; CI fails the run above 16×.
+//!   is quadratic; the example exits non-zero above 16×.
 //! * `fusion speedup: Q09 N.NNx, Q28 N.NNx` — unfused wall time over fused
 //!   wall time (best of 5 each), at the benchmark's settings (TPC-DS scale
 //!   2, 2 workers). Below 1.0 fusion costs more CPU than it saves.
@@ -81,11 +81,13 @@ fn main() {
         t
     };
     let (small, large) = (optimize(15), optimize(60));
-    println!(
-        "optimize scaling: 60 subqueries / 15 subqueries = {:.1}x",
-        large.as_secs_f64() / small.as_secs_f64()
-    );
+    let scaling = large.as_secs_f64() / small.as_secs_f64();
+    println!("optimize scaling: 60 subqueries / 15 subqueries = {scaling:.1}x");
     println!("fusion speedup: {}", speedups.join(", "));
+    assert!(
+        scaling <= 16.0,
+        "optimizing 60 subqueries took {scaling:.1}x 15 (limit 16x: quadratic)"
+    );
 }
 
 /// Best wall time of `n` runs of `f`.

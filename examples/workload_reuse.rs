@@ -8,8 +8,9 @@
 //! maintainable entries in place (continuous ingest), and re-registering
 //! the table invalidates the cache instead of serving stale rows. Ends
 //! with what sharing a *large* result costs: two TPC-DS queries that
-//! share a join, in one window, against each run alone (CI reads the
-//! `splice ratio` line).
+//! share a join, in one window, against each run alone (the `splice
+//! ratio` line). The example exits non-zero when that ratio exceeds 100×:
+//! about 600× was the cost of copying shared rows into each consumer.
 //!
 //! ```sh
 //! cargo run --example workload_reuse
@@ -51,9 +52,9 @@ fn build_sales(price: f64) -> fusion_exec::Table {
 
 /// C42 and C55 share the unfiltered `date_dim ⋈ store_sales ⋈ item` join
 /// (tens of thousands of rows at scale 2), spliced into both as a leaf
-/// over the one shared allocation. Prints the window's time over the two
-/// queries' time alone, best of three each.
-fn splice_ratio() {
+/// over the one shared allocation. Prints and returns the window's time
+/// over the two queries' time alone, best of three each.
+fn splice_ratio() -> f64 {
     let mut session = Session::new();
     for table in generate_catalog(&TpcdsConfig::with_scale(2.0)).into_tables() {
         session.register_table(table);
@@ -82,12 +83,13 @@ fn splice_ratio() {
         assert_eq!(batch.report.consumers_spliced(), 2, "{:?}", batch.report);
     });
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
+    let ratio = ms(window) / ms(alone);
     println!(
-        "splice ratio: C42+C55 one window {:.1} ms / run alone {:.1} ms = {:.1}x",
+        "splice ratio: C42+C55 one window {:.1} ms / run alone {:.1} ms = {ratio:.1}x",
         ms(window),
         ms(alone),
-        ms(window) / ms(alone)
     );
+    ratio
 }
 
 fn main() {
@@ -162,5 +164,9 @@ fn main() {
     );
 
     println!("\n== sharing a large result: one window against run alone ==");
-    splice_ratio();
+    let ratio = splice_ratio();
+    assert!(
+        ratio <= 100.0,
+        "C42+C55 in one window took {ratio:.1}x the two run alone (limit 100x)"
+    );
 }

@@ -6,7 +6,8 @@
 //! reuse rewrite the engine actually serves — exact and fused splices,
 //! subsumption serves, and incremental refreshes — must have been
 //! granted a certificate, and a pristine workload (no seeded
-//! corruptions, no non-maintainable shapes) must never be rejected.
+//! corruptions, no non-maintainable shapes; the TPC-DS corpus among
+//! them) must never be rejected.
 //!
 //! The invariant checked per query/batch result is
 //!
@@ -23,6 +24,7 @@ use fusion_core::OptimizerConfig;
 use fusion_engine::Session;
 use fusion_exec::table::TableColumn;
 use fusion_exec::TableBuilder;
+use fusion_tpcds::{all_queries, generate_catalog, TpcdsConfig};
 
 fn orders_columns() -> Vec<TableColumn> {
     vec![
@@ -58,12 +60,18 @@ fn orders_table(n: i64) -> fusion_exec::Table {
     b.build()
 }
 
+fn session() -> Session {
+    strict_session(vec![orders_table(BASE_ROWS)])
+}
+
 /// Strict through the session's own configuration (never through the
 /// `FUSION_ANALYZE` env var): a false-positive certificate rejection on
 /// the pristine corpus would fail its whole batch, not just bump a counter.
-fn session() -> Session {
+fn strict_session(tables: Vec<fusion_exec::Table>) -> Session {
     let mut s = Session::new();
-    s.register_table(orders_table(BASE_ROWS));
+    for t in tables {
+        s.register_table(t);
+    }
     s.set_parallelism(1);
     s.set_config(OptimizerConfig {
         strict_analysis: true,
@@ -148,6 +156,17 @@ fn every_served_rewrite_carries_a_certificate() {
         merged.report.reuse
     );
     tally.add_metrics(&merged.metrics, merged.metrics.reuse_cache_hits);
+
+    // 6. The TPC-DS corpus, each query as an identical pair: exact groups
+    //    over joins, masked and scalar aggregates, CTEs and unions.
+    let tpcds = strict_session(generate_catalog(&TpcdsConfig::with_scale(0.01)).into_tables());
+    for q in all_queries() {
+        let batch = tpcds.run_batch(&[q.sql.as_str(), q.sql.as_str()]).unwrap();
+        for slot in &batch.results {
+            assert!(slot.is_ok(), "{}: {:?}", q.id, slot.as_ref().err());
+        }
+        tally.add_metrics(&batch.metrics, batch.report.consumers_spliced() as u64);
+    }
 
     // The property: no served rewrite without a certificate, and no
     // false positives over the pristine corpus.

@@ -67,7 +67,9 @@ proptest! {
     /// Randomized fault schedules over TPC-DS batches, fused and
     /// baseline, 1 and 4 workers: every slot either carries rows
     /// bit-identical to an independent unfused run of that query, or a
-    /// typed error — and the batch itself always completes.
+    /// typed error — and the batch itself always completes. With a
+    /// partition of `item` poisoned, the control query (C42) fails in its
+    /// own slot while the INTRO pair, which never reads `item`, survives.
     #[test]
     fn chaos_batches_never_wrong_never_hung(
         seed in 0u64..1_000_000,
@@ -79,6 +81,7 @@ proptest! {
         corrupt_ix in 0u8..3,
         fused in any::<bool>(),
         parallel in any::<bool>(),
+        poisoned in any::<bool>(),
     ) {
         let workers = if parallel { 4 } else { 1 };
         let sqls = chaos_batch();
@@ -92,16 +95,18 @@ proptest! {
         let mut chaos = tpcds_session(fused, workers);
         // Scan faults stay mild so some queries survive their retries;
         // the reuse fault points sweep the full off/flaky/certain grid.
-        chaos.set_fault_policy(
-            FaultPolicy::transient(seed, [0.0, 0.05, 0.15][(scan_ix % 3) as usize])
-                .with_reuse_faults(ReuseFaultRates {
-                    shared_exec: rate_of(shared_ix),
-                    splice: rate_of(splice_ix),
-                    cache_admit: rate_of(admit_ix),
-                    cache_lookup: rate_of(lookup_ix),
-                    cache_corrupt: rate_of(corrupt_ix),
-                }),
-        );
+        let mut policy = FaultPolicy::transient(seed, [0.0, 0.05, 0.15][(scan_ix % 3) as usize])
+            .with_reuse_faults(ReuseFaultRates {
+                shared_exec: rate_of(shared_ix),
+                splice: rate_of(splice_ix),
+                cache_admit: rate_of(admit_ix),
+                cache_lookup: rate_of(lookup_ix),
+                cache_corrupt: rate_of(corrupt_ix),
+            });
+        if poisoned {
+            policy = policy.with_poison("item", 0);
+        }
+        chaos.set_fault_policy(policy);
 
         // Two rounds: the first executes and (maybe) admits shared
         // results, the second exercises warm lookups against possibly
@@ -121,6 +126,21 @@ proptest! {
                         prop_assert_eq!(e.query, i, "error landed in the wrong slot");
                         prop_assert_eq!(e.stage, BatchStage::Execute);
                     }
+                }
+            }
+            if poisoned {
+                prop_assert!(
+                    batch.results[2].is_err(),
+                    "round {}: poisoned C42 returned rows (seed={}, fused={}, workers={})",
+                    round, seed, fused, workers
+                );
+                for i in [0, 1] {
+                    prop_assert!(
+                        batch.results[i].is_ok(),
+                        "round {}: poison on `item` leaked into INTRO slot {} \
+                         (seed={}, fused={}, workers={})",
+                        round, i, seed, fused, workers
+                    );
                 }
             }
             let failures = batch.failures().count() as u64;

@@ -171,21 +171,6 @@ fn explain_analyze_text_annotates_every_operator() {
     }
 }
 
-/// The profile JSON round-trips for every case, fused and baseline.
-#[test]
-fn explain_analyze_profiles_round_trip_json() {
-    use fusion_exec::QueryProfile;
-    for (_, sql) in CASES {
-        for fused in [true, false] {
-            let s = session(fused);
-            s.sql(sql).unwrap();
-            let profile = s.last_profile().expect("execution stored a profile");
-            let parsed = QueryProfile::from_json(&profile.to_json()).unwrap();
-            assert_eq!(parsed, profile, "{sql}");
-        }
-    }
-}
-
 /// A hash join's CPU time is its own hashing and probing, not its build
 /// child's: over an aggregate of 60 000 rows into three groups, the
 /// join's `cpu_ms` stays below that child's `wall_ms`.

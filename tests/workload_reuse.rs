@@ -116,50 +116,63 @@ fn baseline_batches_bit_identical_4_workers() {
 
 /// A batch of N identical queries executes the shared subplan once: the
 /// shared-execution counter fires and the batch runs strictly fewer scan
-/// morsels than N independent runs.
+/// morsels than N independent runs. A join pair, a triple, and a pair of
+/// the 15-subquery scalar-aggregate shape.
 #[test]
 fn identical_pair_executes_shared_subplan_once() {
     let mut solo = tpcds_session(true, 2);
     solo.set_reuse_enabled(false);
     let batcher = tpcds_session(true, 2);
 
-    let sql = sql_of("INTRO");
-    let refs = [sql.as_str(), sql.as_str()];
-    let independent: Vec<_> = refs.iter().map(|q| solo.sql(q).unwrap()).collect();
-    let batch = batcher.run_batch(&refs).unwrap();
+    for (id, n) in [("INTRO", 2), ("C42", 3), ("Q09", 2)] {
+        let sql = sql_of(id);
+        let refs = vec![sql.as_str(); n];
+        let independent: Vec<_> = refs.iter().map(|q| solo.sql(q).unwrap()).collect();
+        let batch = batcher.run_batch(&refs).unwrap();
 
-    for (r, ind) in batch.results.iter().zip(&independent) {
-        let r = r.as_ref().unwrap();
-        assert_eq!(r.sorted_rows(), ind.sorted_rows());
-        assert!(r.reused(), "reuse notes: {:?}", r.report.reuse);
+        for (r, ind) in batch.results.iter().zip(&independent) {
+            let r = r.as_ref().unwrap();
+            assert_eq!(r.sorted_rows(), ind.sorted_rows(), "{id}");
+            assert!(r.reused(), "{id} reuse notes: {:?}", r.report.reuse);
+        }
+        assert!(
+            batch.metrics.shared_subplans_executed >= 1,
+            "{id}: expected a shared execution; report: {:?}",
+            batch.report
+        );
+        assert!(batch.report.shared_executions() >= 1, "{id}");
+        assert!(batch.report.consumers_spliced() >= n, "{id}");
+        // Every served splice carries a soundness certificate, and a
+        // pristine batch never trips the prover.
+        assert!(
+            batch.metrics.reuse_certificates_issued >= batch.report.consumers_spliced() as u64,
+            "{id}: each splice must be certified: issued={} spliced={}",
+            batch.metrics.reuse_certificates_issued,
+            batch.report.consumers_spliced()
+        );
+        assert_eq!(
+            batch.metrics.reuse_certificates_rejected, 0,
+            "{id}: pristine batch must not be rejected"
+        );
+
+        let solo_morsels: u64 = independent.iter().map(|r| r.metrics.morsels_executed).sum();
+        assert!(
+            batch.metrics.morsels_executed < solo_morsels,
+            "{id}: sharing must reduce scan work: batch ran {} morsels vs {} independent",
+            batch.metrics.morsels_executed,
+            solo_morsels
+        );
+
+        // The same window again, against the warm cache.
+        let warm = batcher.run_batch(&refs).unwrap();
+        for (r, ind) in warm.results.iter().zip(&independent) {
+            assert_eq!(
+                r.as_ref().unwrap().sorted_rows(),
+                ind.sorted_rows(),
+                "{id} warm"
+            );
+        }
     }
-    assert!(
-        batch.metrics.shared_subplans_executed >= 1,
-        "expected a shared execution; report: {:?}",
-        batch.report
-    );
-    assert!(batch.report.shared_executions() >= 1);
-    assert!(batch.report.consumers_spliced() >= 2);
-    // Every served splice carries a soundness certificate, and a pristine
-    // batch never trips the prover.
-    assert!(
-        batch.metrics.reuse_certificates_issued >= batch.report.consumers_spliced() as u64,
-        "each splice must be certified: issued={} spliced={}",
-        batch.metrics.reuse_certificates_issued,
-        batch.report.consumers_spliced()
-    );
-    assert_eq!(
-        batch.metrics.reuse_certificates_rejected, 0,
-        "pristine batch must not be rejected"
-    );
-
-    let solo_morsels: u64 = independent.iter().map(|r| r.metrics.morsels_executed).sum();
-    assert!(
-        batch.metrics.morsels_executed < solo_morsels,
-        "sharing must reduce scan work: batch ran {} morsels vs {} independent",
-        batch.metrics.morsels_executed,
-        solo_morsels
-    );
 }
 
 fn orders_table(totals_scale: f64) -> fusion_exec::Table {
