@@ -31,28 +31,22 @@ pub struct OptimizerConfig {
     /// Rule names (see each rule's `Rule::name`) to skip — for per-rule
     /// ablation studies. Applies to both the fusion and cleanup phases.
     pub disabled_rules: Vec<String>,
-    /// Validate the plan after every rule application (cheap at our plan
-    /// sizes; invaluable when developing rules). Also runs the semantic
-    /// analyzer (`crate::analysis`) on each rule's output, rejecting
-    /// rewrites with `FUSION_ANALYSIS_*` violations.
-    pub validate: bool,
     /// Treat analyzer violations on the *final* optimized plan as an
     /// optimization failure (engine falls back to the unoptimized plan)
     /// instead of merely recording them. Defaults to the
     /// `FUSION_ANALYZE=strict` environment switch.
     pub strict_analysis: bool,
-    /// Cap on rule-phase iterations.
-    pub max_iterations: usize,
 }
+
+/// Cap on rule-phase iterations.
+const MAX_ITERATIONS: usize = 12;
 
 impl Default for OptimizerConfig {
     fn default() -> Self {
         OptimizerConfig {
             enable_fusion: true,
             disabled_rules: Vec::new(),
-            validate: true,
             strict_analysis: crate::analysis::strict_from_env(),
-            max_iterations: 12,
         }
     }
 }
@@ -277,25 +271,23 @@ impl Optimizer {
             "cleanup",
         );
         current = prune_columns(&current);
-        if self.config.validate {
-            if let Err(e) = current.validate() {
-                report.validation_error = Some(format!("{e} ({})", e.code()));
-            } else {
-                // Semantic sweep over the final plan. Per-rule rejection
-                // above already keeps bad rewrites out, so violations here
-                // mean a non-gated transformation (or the analyzer itself)
-                // is wrong; strict mode turns them into a hard failure so
-                // the engine falls back to the unoptimized plan.
-                let violations = crate::analysis::analyze_plan(&current);
-                if !violations.is_empty() {
-                    let rendered = crate::analysis::render_violations(&violations);
-                    report.rejected.push(RejectedRule {
-                        rule: "final-analysis".to_string(),
-                        error: rendered.clone(),
-                    });
-                    if self.config.strict_analysis {
-                        report.validation_error = Some(rendered);
-                    }
+        if let Err(e) = current.validate() {
+            report.validation_error = Some(format!("{e} ({})", e.code()));
+        } else {
+            // Semantic sweep over the final plan. Per-rule rejection
+            // above already keeps bad rewrites out, so violations here
+            // mean a non-gated transformation (or the analyzer itself)
+            // is wrong; strict mode turns them into a hard failure so
+            // the engine falls back to the unoptimized plan.
+            let violations = crate::analysis::analyze_plan(&current);
+            if !violations.is_empty() {
+                let rendered = crate::analysis::render_violations(&violations);
+                report.rejected.push(RejectedRule {
+                    rule: "final-analysis".to_string(),
+                    error: rendered.clone(),
+                });
+                if self.config.strict_analysis {
+                    report.validation_error = Some(rendered);
                 }
             }
         }
@@ -313,7 +305,7 @@ impl Optimizer {
         fusion_phase: bool,
         phase: &'static str,
     ) -> LogicalPlan {
-        for iteration in 0..self.config.max_iterations {
+        for iteration in 0..MAX_ITERATIONS {
             let mut changed = false;
             for rule in rules {
                 if self
@@ -326,35 +318,33 @@ impl Optimizer {
                 }
                 let (next, fired_at) = apply_everywhere_traced(*rule, &plan, &self.ctx);
                 if let Some(next) = next {
-                    if self.config.validate {
-                        // Structural validation first, then the semantic
-                        // analyzer: a rewrite must be both well-formed and
-                        // consistent with the fusion invariants it claims.
-                        let error = match next.validate() {
-                            Err(e) => Some(e.to_string()),
-                            Ok(()) => {
-                                let violations = crate::analysis::analyze_plan(&next);
-                                (!violations.is_empty())
-                                    .then(|| crate::analysis::render_violations(&violations))
-                            }
-                        };
-                        if let Some(error) = error {
-                            // Discard the rule's output: the pre-rule plan
-                            // is still valid, so the query survives a
-                            // buggy rewrite at the cost of a missed
-                            // optimization.
-                            report.rejected.push(RejectedRule {
-                                rule: rule.name().to_string(),
-                                error: error.clone(),
-                            });
-                            report.trace.attempts.push(RuleAttempt {
-                                phase,
-                                rule: rule.name().to_string(),
-                                nodes: fired_at,
-                                outcome: RuleOutcome::Rejected { error },
-                            });
-                            continue;
+                    // Structural validation first, then the semantic
+                    // analyzer: a rewrite must be both well-formed and
+                    // consistent with the fusion invariants it claims.
+                    let error = match next.validate() {
+                        Err(e) => Some(e.to_string()),
+                        Ok(()) => {
+                            let violations = crate::analysis::analyze_plan(&next);
+                            (!violations.is_empty())
+                                .then(|| crate::analysis::render_violations(&violations))
                         }
+                    };
+                    if let Some(error) = error {
+                        // Discard the rule's output: the pre-rule plan
+                        // is still valid, so the query survives a
+                        // buggy rewrite at the cost of a missed
+                        // optimization.
+                        report.rejected.push(RejectedRule {
+                            rule: rule.name().to_string(),
+                            error: error.clone(),
+                        });
+                        report.trace.attempts.push(RuleAttempt {
+                            phase,
+                            rule: rule.name().to_string(),
+                            nodes: fired_at,
+                            outcome: RuleOutcome::Rejected { error },
+                        });
+                        continue;
                     }
                     report.fired.push(rule.name().to_string());
                     report.trace.attempts.push(RuleAttempt {

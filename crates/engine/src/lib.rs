@@ -295,10 +295,6 @@ impl Session {
         self.pipelines = enabled;
     }
 
-    pub fn pipelines_enabled(&self) -> bool {
-        self.pipelines
-    }
-
     fn fresh_metrics(&self) -> Arc<ExecMetrics> {
         match self.memory_budget {
             Some(b) => ExecMetrics::with_budget(b),
@@ -328,10 +324,6 @@ impl Session {
 
     pub fn set_fusion_enabled(&mut self, enabled: bool) {
         self.config.enable_fusion = enabled;
-    }
-
-    pub fn fusion_enabled(&self) -> bool {
-        self.config.enable_fusion
     }
 
     pub fn register_table(&mut self, table: Table) {

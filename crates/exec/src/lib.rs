@@ -28,7 +28,6 @@ pub mod table;
 pub use context::{BudgetedReservation, CancelToken, ExecContext, IntoContext};
 pub use fault::{FaultPolicy, RetryPolicy, ReuseFaultRates, ReuseFaultSite};
 pub use metrics::{ExecMetrics, MetricsSnapshot};
-pub use ops::exchange::GatherExec;
 pub use ops::scan::{ColumnarMorsel, ScanExec, ScanFragment};
 pub use pipeline::FusedPipeline;
 pub use physical::{

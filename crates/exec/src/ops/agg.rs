@@ -15,7 +15,7 @@ use fusion_common::{ColumnId, FusionError, Result, Schema, Value};
 use fusion_expr::{AggFunc, AggregateExpr, Expr, HashedKey, WindowExpr};
 
 use crate::context::{BudgetedReservation, ExecContext, IntoContext};
-use crate::ops::exchange::collect_morsels;
+use crate::ops::exchange::Morsels;
 use crate::ops::scan::{ColumnarMorsel, ScanFragment};
 use crate::ops::{drain, row_bytes, BoxedOp, Operator, RowDrain, RowIndex};
 use crate::profile::OpSpan;
@@ -358,8 +358,8 @@ impl GroupState {
 ///   DISTINCT values only, [`merge`](GroupTable::merge)d in
 ///   partition-index order and rebuilt from the merged sets in
 ///   [`finish`](GroupTable::finish).
-pub(crate) struct GroupTable<'a> {
-    spec: &'a AggSpec,
+pub(crate) struct GroupTable {
+    spec: Arc<AggSpec>,
     /// Group key → the group's slot in `states`.
     slots: HashMap<HashedKey, usize>,
     states: Vec<GroupState>,
@@ -376,9 +376,9 @@ pub(crate) struct GroupTable<'a> {
     span: Option<Arc<OpSpan>>,
 }
 
-impl<'a> GroupTable<'a> {
+impl GroupTable {
     pub(crate) fn new(
-        spec: &'a AggSpec,
+        spec: &Arc<AggSpec>,
         ctx: &Arc<ExecContext>,
         span: &Option<Arc<OpSpan>>,
         inline_distinct: bool,
@@ -388,7 +388,7 @@ impl<'a> GroupTable<'a> {
             reservation.set_span(span.clone());
         }
         Ok(GroupTable {
-            spec,
+            spec: spec.clone(),
             slots: HashMap::new(),
             states: Vec::new(),
             inline_distinct,
@@ -406,7 +406,7 @@ impl<'a> GroupTable<'a> {
             Entry::Occupied(e) => *e.get(),
             Entry::Vacant(e) => {
                 *new_bytes += row_bytes(&e.key().key) + 64 * self.spec.aggregates.len() as i64;
-                self.states.push(GroupState::new(self.spec));
+                self.states.push(GroupState::new(&self.spec));
                 *e.insert(self.states.len() - 1)
             }
         }
@@ -425,7 +425,7 @@ impl<'a> GroupTable<'a> {
     /// scalar evaluator.
     pub(crate) fn accumulate_rows(&mut self, rows: &[Row]) -> Result<()> {
         let start = Instant::now();
-        let spec = self.spec;
+        let spec = self.spec.clone();
         let mut mask_values = vec![false; spec.masks.len()];
         let mut new_bytes = 0i64;
         for row in rows {
@@ -435,7 +435,7 @@ impl<'a> GroupTable<'a> {
             let key = HashedKey::new(spec.group_positions.iter().map(|&p| row[p].clone()).collect());
             let slot = self.slot(key, &mut new_bytes);
             self.states[slot].update(
-                spec,
+                &spec,
                 self.inline_distinct,
                 |slot| mask_values[slot],
                 |i| match &spec.aggregates[i].arg {
@@ -458,7 +458,7 @@ impl<'a> GroupTable<'a> {
     /// straight into its one group.
     pub(crate) fn accumulate_morsel(&mut self, morsel: &ColumnarMorsel) -> Result<()> {
         let start = Instant::now();
-        let spec = self.spec;
+        let spec = self.spec.clone();
         let metrics = self.ctx.metrics();
         let sel = &morsel.selection;
         let batch = morsel.batch(&spec.input_ids);
@@ -527,7 +527,7 @@ impl<'a> GroupTable<'a> {
     /// Merge a partition's partial table into this one. Callers merge in
     /// partition-index order, which keeps float sums bit-identical across
     /// runs at a given thread count.
-    pub(crate) fn merge(&mut self, other: GroupTable<'a>) {
+    pub(crate) fn merge(&mut self, other: GroupTable) {
         self.merged.push(other.reservation);
         self.merged.extend(other.merged);
         let mut states: Vec<Option<GroupState>> = other.states.into_iter().map(Some).collect();
@@ -552,7 +552,7 @@ impl<'a> GroupTable<'a> {
     pub(crate) fn finish(self) -> Vec<Row> {
         let spec = self.spec;
         if spec.group_positions.is_empty() && self.states.is_empty() {
-            return vec![GroupState::new(spec).accs.iter().map(Acc::finish).collect()];
+            return vec![GroupState::new(&spec).accs.iter().map(Acc::finish).collect()];
         }
         let mut groups: Vec<(HashedKey, usize)> = self.slots.into_iter().collect();
         groups.sort_by(|(a, _), (b, _)| a.key.cmp(&b.key));
@@ -603,30 +603,32 @@ impl Arg<'_> {
 }
 
 /// The per-partition fold shape: each worker scans whole partitions and
-/// folds each into its own deferred-DISTINCT [`GroupTable`]; the partials
-/// are merged in partition-index order, so the result is deterministic
-/// regardless of worker scheduling. `scan` returns `None` for a partition
-/// that contributes nothing (pruned, or no surviving rows).
+/// folds each into its own deferred-DISTINCT [`GroupTable`]; the driver
+/// merges the partials in partition-index order as they arrive, so the
+/// result is deterministic regardless of worker scheduling. `scan`
+/// returns `None` for a partition that contributes nothing (pruned, or
+/// no surviving rows).
 pub(crate) fn fold_partitions<M>(
-    spec: &AggSpec,
+    spec: &Arc<AggSpec>,
     ctx: &Arc<ExecContext>,
     span: &Option<Arc<OpSpan>>,
     partitions: usize,
     workers: usize,
-    scan: impl Fn(usize) -> Result<Option<M>> + Sync,
-    accumulate: impl Fn(&mut GroupTable, &M) -> Result<()> + Sync,
+    scan: impl Fn(usize) -> Result<Option<M>> + Send + Sync + 'static,
+    accumulate: impl Fn(&mut GroupTable, &M) -> Result<()> + Send + Sync + 'static,
 ) -> Result<Vec<Row>> {
-    let partials = collect_morsels(ctx, partitions, workers, |p| {
+    let mut table = GroupTable::new(spec, ctx, span, false)?;
+    let (spec, task_ctx, span) = (spec.clone(), ctx.clone(), span.clone());
+    let partials = Morsels::new(ctx, partitions, workers, move |p| {
         let Some(morsel) = scan(p)? else {
             return Ok(None);
         };
-        let mut table = GroupTable::new(spec, ctx, span, false)?;
-        accumulate(&mut table, &morsel)?;
-        Ok(Some(table))
-    })?;
-    let mut table = GroupTable::new(spec, ctx, span, false)?;
-    for (_, partial) in partials {
-        table.merge(partial);
+        let mut partial = GroupTable::new(&spec, &task_ctx, &span, false)?;
+        accumulate(&mut partial, &morsel)?;
+        Ok(Some(partial))
+    });
+    for partial in partials {
+        table.merge(partial?);
     }
     Ok(table.finish())
 }
@@ -655,7 +657,7 @@ impl AggInput {
 /// no aggregate functions is a DISTINCT.
 pub struct HashAggregateExec {
     input: Option<AggInput>,
-    spec: AggSpec,
+    spec: Arc<AggSpec>,
     schema: Schema,
     ctx: Arc<ExecContext>,
     output: Option<RowDrain>,
@@ -687,7 +689,7 @@ impl HashAggregateExec {
     ) -> Self {
         HashAggregateExec {
             input: Some(input),
-            spec,
+            spec: Arc::new(spec),
             schema,
             ctx,
             output: None,
@@ -715,7 +717,7 @@ impl HashAggregateExec {
                 &self.span,
                 fragment.num_partitions(),
                 workers,
-                |p| Ok(fragment.scan_partition(p)?.filter(|rows| !rows.is_empty())),
+                move |p| Ok(fragment.scan_partition(p)?.filter(|rows| !rows.is_empty())),
                 |table, rows| table.accumulate_rows(rows),
             ),
         }
@@ -1343,7 +1345,7 @@ mod group_table_tests {
         }
     }
 
-    fn table<'a>(spec: &'a AggSpec, inline_distinct: bool) -> GroupTable<'a> {
+    fn table(spec: &Arc<AggSpec>, inline_distinct: bool) -> GroupTable {
         let ctx = ExecContext::new(ExecMetrics::new());
         GroupTable::new(spec, &ctx, &None, inline_distinct).unwrap()
     }
@@ -1351,7 +1353,7 @@ mod group_table_tests {
     /// (a) row chunks, (b) one columnar morsel, (c) four per-partition
     /// tables — fed alternately as rows and as morsels — merged in index
     /// order.
-    fn three_ways(spec: &AggSpec, rows: &[Row]) -> [Result<Vec<Row>>; 3] {
+    fn three_ways(spec: &Arc<AggSpec>, rows: &[Row]) -> [Result<Vec<Row>>; 3] {
         let chunked = || {
             let mut t = table(spec, true);
             for chunk in rows.chunks(7) {
@@ -1401,7 +1403,7 @@ mod group_table_tests {
     fn chunks_morsel_and_merged_partitions_agree() {
         let rows = seeded_rows(300);
         for group_positions in [vec![0], vec![]] {
-            let spec = AggSpec::new(group_positions, aggregates(), &schema());
+            let spec = Arc::new(AggSpec::new(group_positions, aggregates(), &schema()));
             assert_eq!(spec.masks.len(), 2, "shared masks take one slot");
             assert!(spec.int_sums[2] && !spec.int_sums[8]);
             let [a, b, c] = three_ways(&spec, &rows).map(Result::unwrap);
@@ -1413,7 +1415,7 @@ mod group_table_tests {
 
     #[test]
     fn scalar_aggregate_with_no_surviving_rows_emits_one_row() {
-        let spec = AggSpec::new(vec![], aggregates(), &schema());
+        let spec = Arc::new(AggSpec::new(vec![], aggregates(), &schema()));
         let rows = seeded_rows(20);
         let expected = vec![vec![
             Value::Int64(0),
@@ -1435,7 +1437,7 @@ mod group_table_tests {
         t.accumulate_morsel(&morsel(&rows, vec![])).unwrap();
         assert_eq!(t.finish(), expected);
         // A grouped aggregate over nothing emits nothing.
-        let grouped = AggSpec::new(vec![0], aggregates(), &schema());
+        let grouped = Arc::new(AggSpec::new(vec![0], aggregates(), &schema()));
         for out in three_ways(&grouped, &[]) {
             assert!(out.unwrap().is_empty());
         }
@@ -1468,12 +1470,16 @@ mod group_table_tests {
             ),
             (vec![], vec![vec![Value::Int64(6), Value::Int64(4)]]),
         ] {
-            let rejecting = AggSpec::new(group_positions.clone(), masked.clone(), &schema());
+            let rejecting =
+                Arc::new(AggSpec::new(group_positions.clone(), masked.clone(), &schema()));
             let [a, b, c] = three_ways(&rejecting, &rows).map(Result::unwrap);
             assert_eq!([&a, &b, &c], [&expected; 3]);
 
-            let accepting =
-                AggSpec::new(group_positions, vec![AggregateExpr::sum(arg.clone())], &schema());
+            let accepting = Arc::new(AggSpec::new(
+                group_positions,
+                vec![AggregateExpr::sum(arg.clone())],
+                &schema(),
+            ));
             for out in three_ways(&accepting, &rows) {
                 assert!(matches!(out, Err(FusionError::Type(_))), "{out:?}");
             }
@@ -1513,7 +1519,7 @@ mod group_table_tests {
         };
         let rows = seeded_rows(500);
         for group_positions in [vec![0], vec![]] {
-            let spec = AggSpec::new(group_positions, aggregates.clone(), &schema());
+            let spec = Arc::new(AggSpec::new(group_positions, aggregates.clone(), &schema()));
             assert_eq!(spec.masks.len(), 4, "the first four aggregates share `low`");
             let [a, b, c] = three_ways(&spec, &rows).map(Result::unwrap);
             assert_eq!(bits(&a), bits(&b));

@@ -1,300 +1,273 @@
-//! Morsel-driven parallel execution.
+//! Morsel-driven execution: the one ordered source every partition loop
+//! streams through.
 //!
-//! The unit of parallel work (the *morsel*) is one table partition —
-//! the same granularity Athena uses for S3 objects. Workers claim
-//! morsels from a shared atomic counter (no work stealing: claiming is
-//! a single `fetch_add`), run the partition-granular task, and either
-//! stream results over a bounded channel ([`GatherExec`]) or accumulate
-//! them locally for a deterministic merge ([`collect_morsels`]).
+//! The unit of work (the *morsel*) is one table partition — the same
+//! granularity Athena uses for S3 objects. [`Morsels`] runs a
+//! per-partition task and yields its non-empty results in
+//! partition-index order. With one worker the task runs inline, one
+//! partition per pull. With more, the workers spawn on the first pull
+//! (a consumer that never pulls spawns nothing), claim partitions in
+//! index order from a shared counter (no work stealing), and park each
+//! result in a reorder buffer until the emit cursor reaches it. No
+//! partition is claimed 2 × workers or more past the emit cursor, which
+//! bounds the reorder buffer and the partitions a consumer that stops
+//! pulling (an early `LIMIT`) leaves read behind it.
 //!
-//! Two invariants hold everywhere in this module:
+//! Two invariants hold for every caller:
 //!
-//! * **Determinism** — results are merged in partition-index order, so a
+//! * **Determinism** — results leave in partition-index order, so a
 //!   parallel run is bit-identical to the sequential one regardless of
 //!   worker scheduling (including float aggregation order).
-//! * **Unified failure** — the first error aborts every worker (shared
-//!   abort flag plus channel teardown) and surfaces as a single typed
-//!   [`FusionError`]; workers are always joined before the error is
-//!   returned, so no thread outlives its query.
+//! * **Unified failure** — the first error, or a panicking task, aborts
+//!   every worker (no further claims) and surfaces once as a typed
+//!   [`FusionError`] when the emit cursor reaches it, as it would run
+//!   sequentially; workers are joined before the error is returned and
+//!   whenever the source is dropped, so no thread outlives its query.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver};
-use std::sync::Arc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use fusion_common::{FusionError, Result, Schema};
+use fusion_common::{FusionError, Result};
 
 use crate::context::ExecContext;
 use crate::metrics::ExecMetrics;
-use crate::ops::scan::ScanFragment;
-use crate::ops::{Operator, RowDrain};
-use crate::{Chunk, Row};
 
-/// Run one task per morsel on `workers` threads and return the non-empty
-/// results sorted by morsel index.
-///
-/// The task returns `Ok(None)` for morsels that produce nothing (e.g. a
-/// pruned partition). The first task error sets the shared abort flag —
-/// remaining workers stop claiming morsels — and is returned after every
-/// worker has been joined. Used for partitioned aggregate builds and
-/// the morsel-parallel prefix of a pipeline, where the caller needs *all*
-/// partials before it can merge.
-pub(crate) fn collect_morsels<T, F>(
-    ctx: &Arc<ExecContext>,
-    morsels: usize,
+/// How many partitions per worker may be claimed ahead of the emit
+/// cursor.
+const RUN_AHEAD: usize = 2;
+
+/// An ordered source of per-partition results: an iterator over the
+/// task's non-empty outputs in partition-index order. It ends after the
+/// first error.
+pub(crate) struct Morsels<T> {
+    shared: Arc<Shared<T>>,
     workers: usize,
-    task: F,
-) -> Result<Vec<(usize, T)>>
-where
-    T: Send,
-    F: Fn(usize) -> Result<Option<T>> + Sync,
-{
-    let metrics = ctx.metrics();
-    let started = Instant::now();
-    let queue = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    let worker_results: Vec<Result<Vec<(usize, T)>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| -> Result<Vec<(usize, T)>> {
-                    let mut local: Vec<(usize, T)> = Vec::new();
-                    loop {
-                        if abort.load(Ordering::Relaxed) {
-                            return Ok(local);
-                        }
-                        let m = queue.fetch_add(1, Ordering::Relaxed);
-                        if m >= morsels {
-                            return Ok(local);
-                        }
-                        let t0 = Instant::now();
-                        let out = task(m);
-                        metrics.add_morsel();
-                        metrics.add_parallel_cpu_nanos(t0.elapsed().as_nanos() as u64);
-                        match out {
-                            Ok(Some(v)) => local.push((m, v)),
-                            Ok(None) => {}
-                            Err(e) => {
-                                abort.store(true, Ordering::Relaxed);
-                                return Err(e);
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                // A worker that panicked (rather than returning an error)
-                // is a reachable failure after e.g. a poisoned lock in a
-                // task closure: surface it as a typed internal error
-                // instead of propagating the panic into the query thread.
-                h.join().unwrap_or_else(|_| {
-                    abort.store(true, Ordering::Relaxed);
-                    Err(FusionError::Internal(
-                        "morsel worker panicked; query aborted".into(),
-                    ))
-                })
-            })
-            .collect()
-    });
-    metrics.add_parallel_wall_nanos(started.elapsed().as_nanos() as u64);
-    let mut merged: Vec<(usize, T)> = Vec::new();
-    for r in worker_results {
-        merged.extend(r?);
-    }
-    merged.sort_by_key(|(i, _)| *i);
-    Ok(merged)
-}
-
-/// One message from a scan worker: the partition index and its surviving
-/// rows (empty for pruned / fully-filtered partitions — every partition
-/// is reported so the gatherer knows when the in-order emit can advance).
-type WorkerMsg = Result<(usize, Vec<Row>)>;
-
-/// Worker threads plus the shared abort flag; joining is tied to drop so
-/// no exit path can leak a thread.
-struct WorkerPool {
+    /// The next partition to run inline; `partitions` once the source
+    /// has ended.
+    next: usize,
+    /// The spawned workers and when they started, from the first
+    /// parallel pull until the source ends.
     handles: Vec<JoinHandle<()>>,
-    abort: Arc<AtomicBool>,
-    started: Instant,
-    metrics: Arc<ExecMetrics>,
+    started: Option<Instant>,
 }
 
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.abort.store(true, Ordering::Relaxed);
+impl<T: Send + 'static> Morsels<T> {
+    /// `task` runs once per partition and returns `Ok(None)` for one
+    /// that yields nothing (pruned, or nothing survived).
+    pub(crate) fn new(
+        ctx: &ExecContext,
+        partitions: usize,
+        workers: usize,
+        task: impl Fn(usize) -> Result<Option<T>> + Send + Sync + 'static,
+    ) -> Self {
+        let shared = Shared {
+            task: Box::new(task),
+            metrics: Arc::clone(ctx.metrics()),
+            partitions,
+            ahead: RUN_AHEAD * workers,
+            queue: Mutex::new(Queue {
+                claimed: 0,
+                emitted: 0,
+                ready: BTreeMap::new(),
+                abort: false,
+            }),
+            arrived: Condvar::new(),
+            advanced: Condvar::new(),
+        };
+        Morsels {
+            shared: Arc::new(shared),
+            workers,
+            next: 0,
+            handles: Vec::new(),
+            started: None,
+        }
+    }
+}
+
+impl<T> Morsels<T> {
+    /// Abort the spawned workers, join them, and meter the wall time
+    /// they ran.
+    fn stop(&mut self) {
+        let Some(started) = self.started.take() else {
+            return;
+        };
+        self.shared.lock().abort = true;
+        self.shared.advanced.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
-        self.metrics
-            .add_parallel_wall_nanos(self.started.elapsed().as_nanos() as u64);
+        let wall = started.elapsed().as_nanos() as u64;
+        self.shared.metrics.add_parallel_wall_nanos(wall);
     }
 }
 
-/// Field order matters: `rx` must drop before `pool`, so a worker blocked
-/// on a full channel sees the disconnect (its `send` fails), exits, and
-/// the join in `WorkerPool::drop` cannot hang.
-struct Running {
-    rx: Receiver<WorkerMsg>,
-    _pool: WorkerPool,
-}
+impl<T: Send + 'static> Iterator for Morsels<T> {
+    type Item = Result<T>;
 
-enum GatherState {
-    NotStarted,
-    Running(Running),
-    Finished,
-}
-
-/// Morsel-parallel scan: the exchange/gather operator pair collapsed
-/// into one pull operator.
-///
-/// Workers are spawned lazily on the first `next_chunk` call (a query
-/// whose consumer never pulls — e.g. behind an early LIMIT — spawns
-/// nothing), claim partitions from a shared counter, and push scanned
-/// rows through a bounded channel. The gatherer re-orders arrivals by
-/// partition index before emitting, so downstream operators observe
-/// exactly the sequential scan's row order.
-pub struct GatherExec {
-    fragment: Arc<ScanFragment>,
-    workers: usize,
-    state: GatherState,
-    /// Partitions that arrived ahead of the in-order emit cursor.
-    buffer: BTreeMap<usize, Vec<Row>>,
-    /// Next partition index to emit.
-    next_emit: usize,
-    /// Rows of the partition currently being emitted.
-    pending: RowDrain,
-}
-
-impl GatherExec {
-    pub fn new(fragment: Arc<ScanFragment>, workers: usize) -> Self {
-        GatherExec {
-            fragment,
-            workers: workers.max(1),
-            state: GatherState::NotStarted,
-            buffer: BTreeMap::new(),
-            next_emit: 0,
-            pending: RowDrain::default(),
+    fn next(&mut self) -> Option<Result<T>> {
+        let shared = &self.shared;
+        let out = if self.next >= shared.partitions {
+            None
+        } else if self.workers > 1 {
+            if self.started.is_none() {
+                self.started = Some(Instant::now());
+                self.handles = (1..self.workers)
+                    .map(|_| {
+                        let shared = shared.clone();
+                        std::thread::spawn(move || shared.work())
+                    })
+                    .collect();
+            }
+            shared.next()
+        } else {
+            (self.next..shared.partitions).find_map(|p| {
+                self.next = p + 1;
+                (shared.task)(p).transpose()
+            })
+        };
+        if !matches!(out, Some(Ok(_))) {
+            // The end, or the first error: stop, and join the workers.
+            self.next = self.shared.partitions;
+            self.stop();
         }
-    }
-
-    fn spawn_workers(&self) -> Running {
-        let queue = Arc::new(AtomicUsize::new(0));
-        let abort = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = sync_channel::<WorkerMsg>(self.workers * 2);
-        let metrics = Arc::clone(self.fragment.ctx().metrics());
-        let num_partitions = self.fragment.num_partitions();
-        let started = Instant::now();
-        let mut handles = Vec::with_capacity(self.workers);
-        for _ in 0..self.workers {
-            let fragment = Arc::clone(&self.fragment);
-            let queue = Arc::clone(&queue);
-            let abort = Arc::clone(&abort);
-            let metrics = Arc::clone(&metrics);
-            let tx = tx.clone();
-            handles.push(std::thread::spawn(move || loop {
-                if abort.load(Ordering::Relaxed) {
-                    return;
-                }
-                let p = queue.fetch_add(1, Ordering::Relaxed);
-                if p >= num_partitions {
-                    return;
-                }
-                let t0 = Instant::now();
-                let out = fragment.scan_partition(p);
-                metrics.add_morsel();
-                metrics.add_parallel_cpu_nanos(t0.elapsed().as_nanos() as u64);
-                let msg: WorkerMsg = match out {
-                    Ok(rows) => Ok((p, rows.unwrap_or_default())),
-                    Err(e) => Err(e),
-                };
-                let failed = msg.is_err();
-                // A send error means the gatherer went away (query
-                // cancelled or dropped): just exit.
-                if tx.send(msg).is_err() || failed {
-                    return;
-                }
-            }));
-        }
-        Running {
-            rx,
-            _pool: WorkerPool {
-                handles,
-                abort,
-                started,
-                metrics,
-            },
-        }
+        out
     }
 }
 
-impl Operator for GatherExec {
-    fn schema(&self) -> &Schema {
-        self.fragment.schema()
+/// Joining is tied to drop, so no exit path can leak a thread.
+impl<T> Drop for Morsels<T> {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
+/// The claim and emit cursors and the reorder buffer.
+struct Queue<T> {
+    /// The next partition to claim.
+    claimed: usize,
+    /// The emit cursor: the first partition whose result has not been
+    /// consumed.
+    emitted: usize,
+    /// Finished partitions at or past the cursor, by index.
+    ready: BTreeMap<usize, Result<Option<T>>>,
+    /// Set by the first failure and by `stop`: nothing is claimed after.
+    abort: bool,
+}
+
+/// What the driver — the thread pulling — and the spawned workers share.
+/// The driver is one of the workers: while the result at the cursor is
+/// not ready it runs partitions itself, so `workers` threads in all do
+/// the work and none idles beside them.
+struct Shared<T> {
+    task: Box<dyn Fn(usize) -> Result<Option<T>> + Send + Sync>,
+    metrics: Arc<ExecMetrics>,
+    partitions: usize,
+    /// How far past the emit cursor a partition may be claimed.
+    ahead: usize,
+    queue: Mutex<Queue<T>>,
+    /// The driver waits here for the result at the emit cursor.
+    arrived: Condvar,
+    /// Workers parked at the run-ahead bound wait here for the cursor to
+    /// move or the source to stop.
+    advanced: Condvar,
+}
+
+impl<T> Shared<T> {
+    fn lock(&self) -> MutexGuard<'_, Queue<T>> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn next_chunk(&mut self) -> Result<Option<Chunk>> {
+    /// The driver: the next non-empty result in partition order, or
+    /// `None` at the end. Every partition below a failed one was claimed
+    /// before it, so the first failure in partition order surfaces, as
+    /// it would run sequentially.
+    fn next(&self) -> Option<Result<T>> {
+        let mut queue = self.lock();
         loop {
-            // Emit the current partition's rows in CHUNK_SIZE slices.
-            if let Some(chunk) = self.pending.next_chunk() {
-                return Ok(Some(chunk));
-            }
-            match self.state {
-                GatherState::Finished => return Ok(None),
-                GatherState::NotStarted => {
-                    self.fragment.ctx().check()?;
-                    self.state = GatherState::Running(self.spawn_workers());
+            let at = queue.emitted;
+            if let Some(out) = queue.ready.remove(&at) {
+                queue.emitted += 1;
+                if queue.claimed >= at + self.ahead {
+                    // Workers may be parked at the bound the cursor held.
+                    self.advanced.notify_all();
                 }
-                GatherState::Running(_) => {}
+                match out.transpose() {
+                    Some(out) => return Some(out),
+                    None => continue,
+                }
             }
-            // Advance the in-order cursor through buffered partitions.
-            if let Some(rows) = self.buffer.remove(&self.next_emit) {
-                self.next_emit += 1;
-                self.pending = RowDrain::new(rows);
-                continue;
+            if at >= self.partitions {
+                return None;
             }
-            if self.next_emit >= self.fragment.num_partitions() {
-                // Tears down Running: rx drops first, then the pool joins.
-                self.state = GatherState::Finished;
-                return Ok(None);
-            }
-            let msg = match &mut self.state {
-                GatherState::Running(run) => run.rx.recv(),
-                _ => unreachable!("gather state checked above"),
+            queue = match self.claim(&mut queue) {
+                Some(p) => self.run(queue, p),
+                None => wait(&self.arrived, queue),
             };
-            match msg {
-                Ok(Ok((p, rows))) => {
-                    self.buffer.insert(p, rows);
-                }
-                Ok(Err(e)) => {
-                    self.state = GatherState::Finished;
-                    return Err(e);
-                }
-                Err(_) => {
-                    self.state = GatherState::Finished;
-                    return Err(FusionError::Execution(
-                        "parallel scan workers exited before delivering all partitions".into(),
-                    ));
-                }
-            }
         }
     }
+
+    /// A spawned worker: claim and run partitions until every one is
+    /// claimed or the source stops, parking at the run-ahead bound.
+    fn work(&self) {
+        let mut queue = self.lock();
+        loop {
+            queue = match self.claim(&mut queue) {
+                Some(p) => self.run(queue, p),
+                None if queue.abort || queue.claimed >= self.partitions => return,
+                None => wait(&self.advanced, queue),
+            };
+        }
+    }
+
+    /// Claim the next partition, unless it lies past the run-ahead bound,
+    /// every partition is claimed, or the source stopped.
+    fn claim(&self, queue: &mut Queue<T>) -> Option<usize> {
+        if queue.abort || queue.claimed >= self.partitions.min(queue.emitted + self.ahead) {
+            return None;
+        }
+        queue.claimed += 1;
+        Some(queue.claimed - 1)
+    }
+
+    /// Run partition `p`'s task with the lock released, then park the
+    /// result, waking the driver if it is the cursor's.
+    fn run<'a>(&'a self, queue: MutexGuard<'a, Queue<T>>, p: usize) -> MutexGuard<'a, Queue<T>> {
+        drop(queue);
+        let start = Instant::now();
+        // A task that panics (rather than returning an error) is a
+        // reachable failure, e.g. after a poisoned lock inside it:
+        // surface it typed instead of taking the query thread down.
+        let out = catch_unwind(AssertUnwindSafe(|| (self.task)(p))).unwrap_or_else(|_| {
+            Err(FusionError::Internal("morsel worker panicked; query aborted".into()))
+        });
+        self.metrics.add_morsel();
+        self.metrics.add_parallel_cpu_nanos(start.elapsed().as_nanos() as u64);
+        let mut queue = self.lock();
+        queue.abort |= out.is_err();
+        queue.ready.insert(p, out);
+        if p == queue.emitted {
+            self.arrived.notify_one();
+        }
+        queue
+    }
+}
+
+fn wait<'a, Q>(on: &Condvar, queue: MutexGuard<'a, Q>) -> MutexGuard<'a, Q> {
+    on.wait(queue).unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::context::ExecContext;
     use crate::fault::{FaultPolicy, RetryPolicy};
-    use crate::metrics::ExecMetrics;
-    use crate::ops::drain;
-    use crate::ops::scan::ScanExec;
+    use crate::ops::scan::{ScanExec, ScanFragment};
+    use crate::ops::{drain, Operator};
     use crate::table::{Table, TableBuilder, TableColumn};
-    use fusion_common::{ColumnId, DataType, Field, Value};
+    use fusion_common::{ColumnId, DataType, Field, Schema, Value};
     use fusion_expr::{col, lit};
     use std::time::Duration;
 
@@ -334,22 +307,25 @@ mod tests {
         Arc::new(ScanFragment::new(table(), vec![0, 1], schema(), filters, ctx))
     }
 
+    /// A parallel scan gathers its workers' partitions in index order.
     #[test]
     fn gather_matches_sequential_scan_order() {
         for workers in [1, 2, 4, 8] {
             let m = ExecMetrics::new();
             let ctx = ExecContext::builder(m.clone()).parallelism(workers).build();
             let frag = fragment(ctx, vec![]);
-            let mut gather = GatherExec::new(frag.clone(), workers);
-            let parallel = drain(&mut gather).unwrap();
+            let mut scan = ScanExec::from_fragment(frag.clone(), workers);
+            let parallel = drain(&mut scan).unwrap();
 
             let m2 = ExecMetrics::new();
             let seq_frag = fragment(ExecContext::builder(m2).build(), vec![]);
-            let mut seq = ScanExec::from_fragment(seq_frag);
+            let mut seq = ScanExec::from_fragment(seq_frag, 1);
             let sequential = drain(&mut seq).unwrap();
 
             assert_eq!(parallel, sequential, "workers={workers}");
-            assert_eq!(m.morsels_executed(), 10);
+            // Morsels are metered on workers only.
+            let parallel_morsels = if workers > 1 { 10 } else { 0 };
+            assert_eq!(m.morsels_executed(), parallel_morsels);
             assert_eq!(m.rows_scanned(), 100);
             assert_eq!(m.partitions_read(), 10);
         }
@@ -361,8 +337,8 @@ mod tests {
         let ctx = ExecContext::builder(m.clone()).parallelism(4).build();
         let filter = col(ColumnId(1)).gt_eq(lit(55i64));
         let frag = fragment(ctx, vec![filter]);
-        let mut gather = GatherExec::new(frag, 4);
-        let rows = drain(&mut gather).unwrap();
+        let mut scan = ScanExec::from_fragment(frag, 4);
+        let rows = drain(&mut scan).unwrap();
         assert_eq!(rows.len(), 45);
         assert_eq!(m.partitions_pruned(), 5);
         assert_eq!(m.partitions_read(), 5);
@@ -379,8 +355,8 @@ mod tests {
             .parallelism(4)
             .build();
         let frag = fragment(ctx, vec![]);
-        let mut gather = GatherExec::new(frag, 4);
-        match drain(&mut gather) {
+        let mut scan = ScanExec::from_fragment(frag, 4);
+        match drain(&mut scan) {
             Err(FusionError::DataCorruption(msg)) => assert!(msg.contains("partition 4")),
             other => panic!("expected DataCorruption, got {other:?}"),
         }
@@ -398,8 +374,8 @@ mod tests {
             .parallelism(4)
             .build();
         let frag = fragment(ctx, vec![]);
-        let mut gather = GatherExec::new(frag, 4);
-        match drain(&mut gather) {
+        let mut scan = ScanExec::from_fragment(frag, 4);
+        match drain(&mut scan) {
             Err(FusionError::DeadlineExceeded) => {}
             other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
@@ -409,45 +385,57 @@ mod tests {
     fn dropping_gather_mid_stream_joins_workers() {
         let ctx = ExecContext::builder(ExecMetrics::new()).parallelism(4).build();
         let frag = fragment(ctx, vec![]);
-        let mut gather = GatherExec::new(frag, 4);
-        // Pull one chunk, then drop with workers potentially blocked on
-        // the bounded channel: Drop must not hang or leak threads.
-        let first = gather.next_chunk().unwrap();
+        let mut scan = ScanExec::from_fragment(frag, 4);
+        // Pull one chunk, then drop with workers potentially parked at
+        // the run-ahead bound: Drop must not hang or leak threads.
+        let first = scan.next_chunk().unwrap();
         assert!(first.is_some());
-        drop(gather);
+        drop(scan);
     }
 
     #[test]
-    fn collect_morsels_merges_in_morsel_order() {
+    fn morsels_yield_in_partition_order() {
         let ctx = ExecContext::builder(ExecMetrics::new()).build();
-        let out = collect_morsels(&ctx, 16, 4, |m| {
-            if m % 3 == 0 {
-                Ok(None)
-            } else {
-                Ok(Some(m * 10))
-            }
-        })
-        .unwrap();
-        let idx: Vec<usize> = out.iter().map(|(i, _)| *i).collect();
-        let expect: Vec<usize> = (0..16).filter(|m| m % 3 != 0).collect();
-        assert_eq!(idx, expect);
-        assert!(out.iter().all(|(i, v)| *v == i * 10));
+        for workers in [1, 4] {
+            let out: Vec<usize> =
+                Morsels::new(&ctx, 16, workers, |m| Ok((m % 3 != 0).then_some(m * 10)))
+                    .collect::<Result<_>>()
+                    .unwrap();
+            let expect: Vec<usize> = (0..16).filter(|m| m % 3 != 0).map(|m| m * 10).collect();
+            assert_eq!(out, expect, "workers={workers}");
+        }
     }
 
     #[test]
-    fn collect_morsels_surfaces_first_error() {
+    fn morsels_surface_first_error() {
         let ctx = ExecContext::builder(ExecMetrics::new()).build();
-        let err = collect_morsels::<(), _>(&ctx, 32, 4, |m| {
-            if m == 7 {
-                Err(FusionError::Execution("morsel 7 failed".into()))
-            } else {
-                Ok(None)
+        for workers in [1, 4] {
+            let mut morsels = Morsels::<()>::new(&ctx, 32, workers, |m| {
+                if m == 7 {
+                    Err(FusionError::Execution("morsel 7 failed".into()))
+                } else {
+                    Ok(None)
+                }
+            });
+            match morsels.next() {
+                Some(Err(FusionError::Execution(msg))) => assert!(msg.contains("morsel 7")),
+                other => panic!("unexpected {other:?}"),
             }
-        })
-        .unwrap_err();
-        match err {
-            FusionError::Execution(msg) => assert!(msg.contains("morsel 7")),
-            other => panic!("unexpected error {other:?}"),
+            assert!(morsels.next().is_none(), "the source ends after its error");
+        }
+    }
+
+    /// A panicking task aborts the workers and surfaces typed.
+    #[test]
+    fn panicking_task_surfaces_typed() {
+        let ctx = ExecContext::builder(ExecMetrics::new()).build();
+        let morsels = Morsels::<usize>::new(&ctx, 8, 2, |m| {
+            assert_ne!(m, 3, "task failure under test");
+            Ok(Some(m))
+        });
+        match morsels.collect::<Result<Vec<_>>>() {
+            Err(FusionError::Internal(msg)) => assert!(msg.contains("panicked")),
+            other => panic!("expected Internal, got {other:?}"),
         }
     }
 }

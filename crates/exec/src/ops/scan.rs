@@ -8,10 +8,9 @@
 //!   scan_partition`]): pruning, fault injection, metering, the
 //!   vectorized predicate pass over the columnar arrays, and row
 //!   materialization. A partition is the morsel of the parallel executor.
-//! * [`ScanExec`] — the sequential pull operator: iterates the fragment's
-//!   partitions on the caller's thread. The morsel-parallel counterpart
-//!   is [`crate::ops::exchange::GatherExec`], which drives the same
-//!   fragment from a worker pool.
+//! * [`ScanExec`] — the pull operator: streams the fragment's partitions
+//!   in index order through [`Morsels`], on the caller's thread alone
+//!   with one worker, joined by spawned workers with more.
 //!
 //! A fragment also prunes by [`JoinKeyFilter`]s, the build keys of the
 //! joins above whose probe key is its partition column: a partition
@@ -25,6 +24,7 @@ use fusion_common::{ColumnId, FusionError, Result, Schema, Value};
 use fusion_expr::{BinaryOp, ColumnBatch, Expr};
 
 use crate::context::{ExecContext, IntoContext};
+use crate::ops::exchange::Morsels;
 use crate::ops::{Operator, RowDrain};
 use crate::profile::OpSpan;
 use crate::table::Table;
@@ -129,8 +129,8 @@ impl JoinKeyFilter {
     }
 }
 
-/// Immutable partition-granular scan: shared by the sequential
-/// [`ScanExec`] and every morsel-parallel operator.
+/// Immutable partition-granular scan: shared by [`ScanExec`] and every
+/// other partition loop, whichever worker runs it.
 pub struct ScanFragment {
     table: Arc<Table>,
     /// Base-table ordinals to read, parallel to `schema` fields.
@@ -347,49 +347,38 @@ fn split_vector_predicates(
     let mut residual = Vec::new();
     for f in filters {
         for c in fusion_expr::split_conjuncts(f) {
-            let mut vectorized = false;
-            if let Expr::Binary { op, left, right } = &c {
-                if op.is_comparison() {
-                    match (left.as_ref(), right.as_ref()) {
-                        (Expr::Column(id), Expr::Literal(v)) if !v.is_null() => {
-                            if let Some(pos) = schema.index_of(*id) {
-                                vector.push(VectorPredicate {
-                                    pos,
-                                    op: *op,
-                                    literal: v.clone(),
-                                });
-                                vectorized = true;
-                            }
-                        }
-                        (Expr::Literal(v), Expr::Column(id)) if !v.is_null() => {
-                            if let (Some(pos), Some(flipped)) =
-                                (schema.index_of(*id), op.commuted())
-                            {
-                                vector.push(VectorPredicate {
-                                    pos,
-                                    op: flipped,
-                                    literal: v.clone(),
-                                });
-                                vectorized = true;
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            if !vectorized {
-                residual.push(c);
+            let vectorized = column_vs_literal(&c)
+                .and_then(|(id, op, v)| Some((schema.index_of(id)?, op, v.clone())));
+            match vectorized {
+                Some((pos, op, literal)) => vector.push(VectorPredicate { pos, op, literal }),
+                None => residual.push(c),
             }
         }
     }
     (vector, residual)
 }
 
-/// Sequential scan operator: drives a [`ScanFragment`] partition by
-/// partition on the caller's thread.
+/// A `col <op> literal` comparison (either operand order, non-null
+/// literal), as `(col, op, literal)` with the column first.
+fn column_vs_literal(c: &Expr) -> Option<(ColumnId, BinaryOp, &Value)> {
+    let Expr::Binary { op, left, right } = c else {
+        return None;
+    };
+    if !op.is_comparison() {
+        return None;
+    }
+    match (left.as_ref(), right.as_ref()) {
+        (Expr::Column(id), Expr::Literal(v)) if !v.is_null() => Some((*id, *op, v)),
+        (Expr::Literal(v), Expr::Column(id)) if !v.is_null() => Some((*id, op.commuted()?, v)),
+        _ => None,
+    }
+}
+
+/// Scan operator: streams a [`ScanFragment`]'s surviving rows partition
+/// by partition, in partition-index order at every worker count.
 pub struct ScanExec {
     fragment: Arc<ScanFragment>,
-    next_partition: usize,
+    morsels: Morsels<Vec<Row>>,
     /// Materialized rows of the current partition not yet emitted.
     pending: RowDrain,
 }
@@ -402,19 +391,22 @@ impl ScanExec {
         filters: Vec<Expr>,
         ctx: impl IntoContext,
     ) -> Self {
-        ScanExec::from_fragment(Arc::new(ScanFragment::new(
-            table,
-            column_indices,
-            schema,
-            filters,
-            ctx,
-        )))
+        let fragment = ScanFragment::new(table, column_indices, schema, filters, ctx);
+        ScanExec::from_fragment(Arc::new(fragment), 1)
     }
 
-    pub fn from_fragment(fragment: Arc<ScanFragment>) -> Self {
+    /// Scan `fragment` with `workers` threads (1 = the caller's).
+    pub fn from_fragment(fragment: Arc<ScanFragment>, workers: usize) -> Self {
+        let source = Arc::clone(&fragment);
+        let morsels = Morsels::new(
+            &fragment.ctx,
+            fragment.num_partitions(),
+            workers,
+            move |p| Ok(source.scan_partition(p)?.filter(|rows| !rows.is_empty())),
+        );
         ScanExec {
             fragment,
-            next_partition: 0,
+            morsels,
             pending: RowDrain::default(),
         }
     }
@@ -431,13 +423,9 @@ impl Operator for ScanExec {
             if let Some(chunk) = self.pending.next_chunk() {
                 return Ok(Some(chunk));
             }
-            if self.next_partition >= self.fragment.num_partitions() {
-                return Ok(None);
-            }
-            let part_idx = self.next_partition;
-            self.next_partition += 1;
-            if let Some(rows) = self.fragment.scan_partition(part_idx)? {
-                self.pending = RowDrain::new(rows);
+            match self.morsels.next().transpose()? {
+                Some(rows) => self.pending = RowDrain::new(rows),
+                None => return Ok(None),
             }
         }
     }
@@ -465,20 +453,9 @@ fn extract_prune_predicates(
     let mut out = Vec::new();
     for f in filters {
         for c in fusion_expr::split_conjuncts(f) {
-            if let Expr::Binary { op, left, right } = &c {
-                if !op.is_comparison() {
-                    continue;
-                }
-                match (left.as_ref(), right.as_ref()) {
-                    (Expr::Column(id), Expr::Literal(v)) if *id == part_id && !v.is_null() => {
-                        out.push((*op, v.clone()));
-                    }
-                    (Expr::Literal(v), Expr::Column(id)) if *id == part_id && !v.is_null() => {
-                        if let Some(flipped) = op.commuted() {
-                            out.push((flipped, v.clone()));
-                        }
-                    }
-                    _ => {}
+            if let Some((id, op, v)) = column_vs_literal(&c) {
+                if id == part_id {
+                    out.push((op, v.clone()));
                 }
             }
         }
@@ -650,7 +627,7 @@ mod tests {
         let span = Arc::new(OpSpan::default());
         fragment.set_span(span.clone());
         fragment.join_filters = vec![filter];
-        let rows = drain(&mut ScanExec::from_fragment(Arc::new(fragment))).unwrap();
+        let rows = drain(&mut ScanExec::from_fragment(Arc::new(fragment), 1)).unwrap();
         assert_eq!(rows.len(), 10, "partition 9 is read whole");
         assert_eq!(m.faults_injected(), 0);
         assert_eq!((m.partitions_read(), m.partitions_pruned()), (1, 9));

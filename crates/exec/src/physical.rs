@@ -14,7 +14,6 @@ use crate::ops::basic::{
     ConstantTableExec, EnforceSingleRowExec, FilterExec, LimitExec, ProjectExec, UnionAllExec,
 };
 use crate::ops::distinct::MarkDistinctExec;
-use crate::ops::exchange::GatherExec;
 use crate::ops::join::{
     split_join_condition, CrossJoinExec, HashJoinExec, JoinSpec, NestedLoopJoinExec,
 };
@@ -119,35 +118,22 @@ pub(crate) fn compile_node(c: &mut Compiler, plan: &LogicalPlan) -> Result<(Boxe
     let (op_id, span) = c.claim();
     let ctx = c.ctx;
     let schema = plan.schema();
-    match plan {
+    let (op, children): (BoxedOp, Vec<ProfileNode>) = match plan {
         LogicalPlan::Scan(s) => {
             let (fragment, workers) = c.scan_fragment(s, span.clone())?;
-            let op: BoxedOp = if workers > 1 {
-                Box::new(GatherExec::new(fragment, workers))
-            } else {
-                Box::new(ScanExec::from_fragment(fragment))
-            };
-            Ok((
-                spanned(op, &span),
-                profile_node(op_id, plan, span, false, vec![]),
-            ))
+            let op = Box::new(ScanExec::from_fragment(fragment, workers));
+            (op, vec![])
         }
         LogicalPlan::Filter(f) => {
             let (input, child) = compile_node(c, &f.input)?;
             let op = Box::new(FilterExec::new(input, f.predicate.clone(), ctx.clone()));
-            Ok((
-                spanned(op, &span),
-                profile_node(op_id, plan, span, false, vec![child]),
-            ))
+            (op, vec![child])
         }
         LogicalPlan::Project(p) => {
             let (input, child) = compile_node(c, &p.input)?;
             let exprs = p.exprs.iter().map(|pe| pe.expr.clone()).collect();
             let op = Box::new(ProjectExec::new(input, exprs, schema, ctx.clone()));
-            Ok((
-                spanned(op, &span),
-                profile_node(op_id, plan, span, false, vec![child]),
-            ))
+            (op, vec![child])
         }
         LogicalPlan::Join(j) => {
             let spec = join_spec(j).map(|mut spec| {
@@ -172,10 +158,7 @@ pub(crate) fn compile_node(c: &mut Compiler, plan: &LogicalPlan) -> Result<(Boxe
                     ctx.clone(),
                 )),
             };
-            Ok((
-                spanned(op, &span),
-                profile_node(op_id, plan, span, false, vec![left_node, right_node]),
-            ))
+            (op, vec![left_node, right_node])
         }
         LogicalPlan::Aggregate(a) => {
             // Directly over a scan the aggregate owns the fragment: with
@@ -190,7 +173,7 @@ pub(crate) fn compile_node(c: &mut Compiler, plan: &LogicalPlan) -> Result<(Boxe
                     AggInput::Partitions(fragment, workers)
                 } else {
                     AggInput::Rows(spanned(
-                        Box::new(ScanExec::from_fragment(fragment)),
+                        Box::new(ScanExec::from_fragment(fragment, 1)),
                         &scan_span,
                     ))
                 };
@@ -209,19 +192,13 @@ pub(crate) fn compile_node(c: &mut Compiler, plan: &LogicalPlan) -> Result<(Boxe
                 schema,
                 ctx.clone(),
             ));
-            Ok((
-                spanned(op, &span),
-                profile_node(op_id, plan, span, false, vec![child]),
-            ))
+            (op, vec![child])
         }
         LogicalPlan::Window(w) => {
             let (input, child) = compile_node(c, &w.input)?;
             let exprs = w.exprs.iter().map(|x| x.window.clone()).collect();
             let op = Box::new(WindowExec::new(input, exprs, schema, ctx.clone()));
-            Ok((
-                spanned(op, &span),
-                profile_node(op_id, plan, span, false, vec![child]),
-            ))
+            (op, vec![child])
         }
         LogicalPlan::MarkDistinct(m) => {
             let (input, child) = compile_node(c, &m.input)?;
@@ -232,10 +209,7 @@ pub(crate) fn compile_node(c: &mut Compiler, plan: &LogicalPlan) -> Result<(Boxe
                 schema,
                 ctx.clone(),
             )?);
-            Ok((
-                spanned(op, &span),
-                profile_node(op_id, plan, span, false, vec![child]),
-            ))
+            (op, vec![child])
         }
         LogicalPlan::UnionAll(u) => {
             let mut inputs = Vec::with_capacity(u.inputs.len());
@@ -246,10 +220,7 @@ pub(crate) fn compile_node(c: &mut Compiler, plan: &LogicalPlan) -> Result<(Boxe
                 children.push(node);
             }
             let op = Box::new(UnionAllExec::new(inputs, schema, ctx.clone()));
-            Ok((
-                spanned(op, &span),
-                profile_node(op_id, plan, span, false, children),
-            ))
+            (op, children)
         }
         LogicalPlan::ConstantTable(c) => {
             let op = Box::new(ConstantTableExec::view(
@@ -257,36 +228,25 @@ pub(crate) fn compile_node(c: &mut Compiler, plan: &LogicalPlan) -> Result<(Boxe
                 c.columns().to_vec(),
                 schema,
             ));
-            Ok((
-                spanned(op, &span),
-                profile_node(op_id, plan, span, false, vec![]),
-            ))
+            (op, vec![])
         }
         LogicalPlan::EnforceSingleRow(e) => {
             let (input, child) = compile_node(c, &e.input)?;
             let op = Box::new(EnforceSingleRowExec::new(input, ctx.clone()));
-            Ok((
-                spanned(op, &span),
-                profile_node(op_id, plan, span, false, vec![child]),
-            ))
+            (op, vec![child])
         }
         LogicalPlan::Sort(s) => {
             let (input, child) = compile_node(c, &s.input)?;
             let op = Box::new(SortExec::new(input, s.keys.clone(), ctx.clone()));
-            Ok((
-                spanned(op, &span),
-                profile_node(op_id, plan, span, false, vec![child]),
-            ))
+            (op, vec![child])
         }
         LogicalPlan::Limit(l) => {
             let (input, child) = compile_node(c, &l.input)?;
             let op = Box::new(LimitExec::new(input, l.fetch, ctx.clone()));
-            Ok((
-                spanned(op, &span),
-                profile_node(op_id, plan, span, false, vec![child]),
-            ))
+            (op, vec![child])
         }
-    }
+    };
+    Ok((spanned(op, &span), profile_node(op_id, plan, span, false, children)))
 }
 
 /// The equi hash join `j` runs as, or `None` for a cross join and for a

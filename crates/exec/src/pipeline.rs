@@ -21,6 +21,14 @@
 //! Chains stop at every other node: sort, window, union, cross or
 //! nested-loop join, an aggregate below the top.
 //!
+//! A pipeline drives its partitions through [`Morsels`], the executor's
+//! one ordered source, in one of two ways (see [`FusedPipeline`]): the
+//! per-partition fold, or the ordered loop — the stateless prefix runs
+//! where each morsel is scanned (on the workers), the stateful suffix and
+//! the sink on the driver in partition-index order. The build sides and
+//! the aggregate are the only points that materialize; without an
+//! aggregate, rows leave morsel by morsel.
+//!
 //! Determinism contract (`FUSION_PIPELINES=0/1` must be bit-identical):
 //!
 //! * Expression evaluation uses the [`fusion_expr::ColumnBatch`] kernels, which
@@ -35,13 +43,13 @@
 //!   *only* when the aggregate sits directly over the scan with multiple
 //!   workers; any interior stage means a single table accumulated on the
 //!   driver in partition order with inline DISTINCT (where the pull
-//!   operators would aggregate above a gather). Float sums therefore
+//!   operators would aggregate above a streamed scan). Float sums therefore
 //!   fold in the same order as the pull path at every thread count.
 //! * `MarkDistinct` is stateful — its first-occurrence set spans the
 //!   whole input. The chain splits at the first such stage: everything
-//!   below it still scans morsel-parallel, the stateful suffix (and the
+//!   below it still runs on the workers, the stateful suffix (and the
 //!   aggregate) runs on the driver in partition-index order — the exact
-//!   row order the batch path's gather would feed `MarkDistinctExec`.
+//!   row order the batch path's scan feeds `MarkDistinctExec`.
 //! * Profile `op_id`s are claimed in the same pre-order walk as
 //!   `compile_node`, and every chain node's span reports the same row
 //!   counts the batch operators would — golden profiles do not change.
@@ -56,7 +64,7 @@ use fusion_plan::LogicalPlan;
 
 use crate::context::{BudgetedReservation, ExecContext};
 use crate::ops::agg::{fold_partitions, AggSpec, GroupTable};
-use crate::ops::exchange::collect_morsels;
+use crate::ops::exchange::Morsels;
 use crate::ops::join::{JoinSpec, JoinTable};
 use crate::ops::scan::{ColumnarMorsel, ScanFragment};
 use crate::ops::{drain, row_bytes, BoxedOp, Operator, RowDrain};
@@ -225,33 +233,36 @@ fn run_stage_list(
     Ok(elided)
 }
 
-/// Scan partition `p` and push it through the stateless prefix of the
-/// chain; `None` for a pruned partition. Safe on any worker: the prefix
-/// never holds cross-morsel state.
-fn scan_prefix(
-    fragment: &ScanFragment,
-    par_stages: &[Stage],
-    ctx: &ExecContext,
-    span: &Option<Arc<OpSpan>>,
-    p: usize,
-) -> Result<Option<(ColumnarMorsel, u64)>> {
-    let Some(mut m) = fragment.scan_partition_columnar(p)? else {
-        return Ok(None);
-    };
-    let elided = run_stage_list(par_stages, &mut [], &mut m, ctx, span)?;
-    Ok(Some((m, elided)))
+/// What the ordered loop's task hands the driver for one partition.
+enum Piece {
+    /// The stateless prefix's output and the batches it elided, for the
+    /// stateful suffix and the sink on the driver.
+    Morsel(ColumnarMorsel, u64),
+    /// The rows of a chain that leaves the driver nothing to run,
+    /// materialized where the morsel was scanned.
+    Rows(Vec<Row>),
 }
 
 /// A compiled `Scan → Filter*/Project*/MarkDistinct*/probe* (→ Aggregate)`
-/// chain, driven push-based over columnar morsels. Sequentially the
-/// pipeline streams one partition at a time; with more workers (or an
-/// aggregate sink) it materializes — morsel-parallel where the pull
-/// operators are parallel, partition-ordered on the driver where they
-/// are sequential — so output is bit-identical at every thread count.
+/// chain, driven push-based over columnar morsels in one of two ways:
+///
+/// * **the per-partition fold** — an aggregate directly over the scan
+///   with several workers: one partial table per partition, merged in
+///   partition-index order ([`fold_partitions`]);
+/// * **the ordered loop** — every other chain: [`Morsels`] runs the scan
+///   and the stateless prefix on the workers (the caller's thread among
+///   them), and the driver pushes each morsel, in partition-index order,
+///   through the stateful suffix into the sink. Without an aggregate the
+///   rows leave morsel by morsel, so a consumer that stops pulling stops
+///   the scan.
+///
+/// Both match the pull operators' row order and float fold order at
+/// every thread count.
 pub struct FusedPipeline {
     fragment: Arc<ScanFragment>,
     workers: usize,
-    /// Stages below the first stateful stage — run morsel-parallel.
+    /// Stages below the first stateful stage — run where the morsel is
+    /// scanned. They move into the task on the first pull.
     par_stages: Vec<Stage>,
     /// The first stateful (`MarkDistinct`) stage and everything above
     /// it — run on the driver in partition-index order.
@@ -259,19 +270,21 @@ pub struct FusedPipeline {
     mark_states: Vec<MarkState>,
     /// The aggregate terminating the chain, when present: surviving
     /// positions fold straight into a [`GroupTable`].
-    agg: Option<AggSpec>,
+    agg: Option<Arc<AggSpec>>,
     /// The build sides of the chain's probe stages, top-most join first,
     /// until the first pull drains them.
     builds: Vec<(BoxedOp, JoinSpec, Arc<OpSpan>)>,
     schema: Schema,
     ctx: Arc<ExecContext>,
-    /// Sequential streaming state: the next partition to scan and the
-    /// current partition's rows not yet emitted.
-    next_partition: usize,
-    pending: RowDrain,
-    /// Materialized output (aggregate or parallel mode).
-    output: Option<RowDrain>,
     span: Option<Arc<OpSpan>>,
+    /// Whether the first pull has built the joins and chosen the drive.
+    started: bool,
+    /// The ordered loop's source, until it is drained.
+    morsels: Option<Morsels<Piece>>,
+    /// The ordered loop's aggregate table, until its input is drained.
+    table: Option<GroupTable>,
+    /// Rows ready to leave: the current morsel's, or the aggregate's.
+    pending: RowDrain,
 }
 
 impl FusedPipeline {
@@ -300,101 +313,84 @@ impl FusedPipeline {
         Ok(())
     }
 
-    fn compute_all(&mut self) -> Result<Vec<Row>> {
-        let FusedPipeline {
-            fragment,
-            workers,
-            par_stages,
-            seq_stages,
-            mark_states,
-            agg,
-            ctx,
-            span,
-            ..
-        } = self;
-        let (fragment, ctx, span, workers) = (&**fragment, &*ctx, &*span, *workers);
-        let metrics = ctx.metrics();
+    /// The first pull: build the joins, then run the per-partition fold
+    /// or set up the ordered loop.
+    fn start(&mut self) -> Result<()> {
+        self.started = true;
+        self.build_joins()?;
+        let (fragment, ctx, span) = (self.fragment.clone(), self.ctx.clone(), self.span.clone());
         let partitions = fragment.num_partitions();
-        let prefix = |p| scan_prefix(fragment, par_stages, ctx, span, p);
+        let stages = std::mem::take(&mut self.par_stages);
+        if let Some(spec) = &self.agg {
+            // Aggregate directly over the scan: the per-partition fold.
+            // Only this shape aggregates in parallel — any interior stage
+            // puts the pull operators' aggregate above a streamed scan,
+            // folding on the driver, so the pipeline folds there too.
+            if self.workers > 1 && stages.is_empty() && self.seq_stages.is_empty() {
+                let metrics = ctx.metrics().clone();
+                let rows = fold_partitions(
+                    spec,
+                    &ctx,
+                    &span,
+                    partitions,
+                    self.workers,
+                    move |p| {
+                        let m = fragment.scan_partition_columnar(p)?;
+                        if let Some(m) = &m {
+                            let batches = m.selection.len().div_ceil(CHUNK_SIZE);
+                            metrics.add_batches_elided(batches as u64);
+                        }
+                        Ok(m.filter(|m| !m.selection.is_empty()))
+                    },
+                    |table, m| table.accumulate_morsel(m),
+                )?;
+                self.pending = RowDrain::new(rows);
+                return Ok(());
+            }
+            self.table = Some(GroupTable::new(spec, &ctx, &span, true)?);
+        }
+        let rows_on_workers = self.table.is_none() && self.seq_stages.is_empty();
+        let task_ctx = ctx.clone();
+        self.morsels = Some(Morsels::new(&ctx, partitions, self.workers, move |p| {
+            let Some(mut m) = fragment.scan_partition_columnar(p)? else {
+                return Ok(None);
+            };
+            let elided = run_stage_list(&stages, &mut [], &mut m, &task_ctx, &span)?;
+            if !rows_on_workers {
+                return Ok(Some(Piece::Morsel(m, elided)));
+            }
+            task_ctx.metrics().add_batches_elided(elided);
+            let rows = m.into_rows();
+            Ok((!rows.is_empty()).then_some(Piece::Rows(rows)))
+        }));
+        Ok(())
+    }
 
-        if workers > 1 && seq_stages.is_empty() {
-            match agg {
-                // Aggregate directly over the scan: the per-partition
-                // fold. Only this shape aggregates in parallel — any
-                // interior stage puts the pull operators' aggregate above
-                // a gather, so the pipeline folds on the driver too.
-                Some(spec) if par_stages.is_empty() => {
-                    return fold_partitions(
-                        spec,
-                        ctx,
-                        span,
-                        partitions,
-                        workers,
-                        |p| {
-                            let m = fragment.scan_partition_columnar(p)?;
-                            if let Some(m) = &m {
-                                metrics.add_batches_elided(
-                                    m.selection.len().div_ceil(CHUNK_SIZE) as u64,
-                                );
-                            }
-                            Ok(m.filter(|m| !m.selection.is_empty()))
-                        },
-                        |table, m| table.accumulate_morsel(m),
-                    );
-                }
-                // Stateless non-aggregate chain: rows gather inside the
-                // workers and concatenate in partition-index order.
-                None => {
-                    let results = collect_morsels(ctx, partitions, workers, |p| {
-                        let Some((m, elided)) = prefix(p)? else {
-                            return Ok(None);
-                        };
-                        metrics.add_batches_elided(elided);
-                        let rows = m.into_rows();
-                        Ok((!rows.is_empty()).then_some(rows))
-                    })?;
-                    return Ok(results.into_iter().flat_map(|(_, rows)| rows).collect());
-                }
-                Some(_) => {}
+    /// Run one morsel through the stateful suffix into the sink: the
+    /// aggregate table, or the rows about to leave.
+    fn push(&mut self, piece: Piece) -> Result<()> {
+        let (mut m, mut elided) = match piece {
+            Piece::Rows(rows) => {
+                self.pending = RowDrain::new(rows);
+                return Ok(());
+            }
+            Piece::Morsel(m, elided) => (m, elided),
+        };
+        self.ctx.check()?;
+        let ctx = &self.ctx;
+        elided += run_stage_list(&self.seq_stages, &mut self.mark_states, &mut m, ctx, &self.span)?;
+        match &mut self.table {
+            Some(table) => {
+                elided += m.selection.len().div_ceil(CHUNK_SIZE) as u64;
+                ctx.metrics().add_batches_elided(elided);
+                table.accumulate_morsel(&m)
+            }
+            None => {
+                ctx.metrics().add_batches_elided(elided);
+                self.pending = RowDrain::new(m.into_rows());
+                Ok(())
             }
         }
-
-        // The driver fold: every morsel leaves the stateless prefix —
-        // morsel-parallel with several workers, scanned one partition at
-        // a time with one, so nothing but the current morsel is resident —
-        // and then runs the stateful suffix and the sink on this thread in
-        // partition-index order, the row order a gather would produce.
-        let morsels: Box<dyn Iterator<Item = Result<(ColumnarMorsel, u64)>> + '_> = if workers > 1 {
-            let scanned = collect_morsels(ctx, partitions, workers, prefix)?;
-            Box::new(scanned.into_iter().map(|(_, m)| Ok(m)))
-        } else {
-            Box::new((0..partitions).filter_map(|p| prefix(p).transpose()))
-        };
-        let mut table = match agg {
-            Some(spec) => Some(GroupTable::new(spec, ctx, span, true)?),
-            None => None,
-        };
-        let mut rows = Vec::new();
-        for morsel in morsels {
-            let (mut m, mut elided) = morsel?;
-            ctx.check()?;
-            elided += run_stage_list(seq_stages, mark_states, &mut m, ctx, span)?;
-            match &mut table {
-                Some(table) => {
-                    elided += m.selection.len().div_ceil(CHUNK_SIZE) as u64;
-                    metrics.add_batches_elided(elided);
-                    table.accumulate_morsel(&m)?;
-                }
-                None => {
-                    metrics.add_batches_elided(elided);
-                    rows.extend(m.into_rows());
-                }
-            }
-        }
-        Ok(match table {
-            Some(table) => table.finish(),
-            None => rows,
-        })
     }
 }
 
@@ -409,40 +405,24 @@ impl Operator for FusedPipeline {
 
     fn next_chunk(&mut self) -> Result<Option<Chunk>> {
         self.ctx.check()?;
-        if !self.builds.is_empty() {
-            self.build_joins()?;
+        if !self.started {
+            self.start()?;
         }
-        if self.agg.is_some() || self.workers > 1 {
-            if self.output.is_none() {
-                self.output = Some(RowDrain::new(self.compute_all()?));
-            }
-            return Ok(self.output.as_mut().and_then(RowDrain::next_chunk));
-        }
-        // Sequential streaming: one partition at a time, emitted in
-        // CHUNK_SIZE chunks like the pull scan. Stateful stages carry
-        // their seen-sets across partitions, which arrive in order.
         loop {
             if let Some(chunk) = self.pending.next_chunk() {
                 return Ok(Some(chunk));
             }
-            if self.next_partition >= self.fragment.num_partitions() {
+            let Some(morsels) = &mut self.morsels else {
                 return Ok(None);
-            }
-            let p = self.next_partition;
-            self.next_partition += 1;
-            let FusedPipeline {
-                fragment,
-                par_stages,
-                seq_stages,
-                mark_states,
-                ctx,
-                span,
-                ..
-            } = &mut *self;
-            if let Some((mut m, mut elided)) = scan_prefix(fragment, par_stages, ctx, span, p)? {
-                elided += run_stage_list(seq_stages, mark_states, &mut m, ctx, span)?;
-                ctx.metrics().add_batches_elided(elided);
-                self.pending = RowDrain::new(m.into_rows());
+            };
+            match morsels.next().transpose()? {
+                Some(piece) => self.push(piece)?,
+                None => {
+                    self.morsels = None;
+                    if let Some(table) = self.table.take() {
+                        self.pending = RowDrain::new(table.finish());
+                    }
+                }
             }
         }
     }
@@ -656,14 +636,15 @@ pub(crate) fn try_compile(
         par_stages: stages,
         seq_stages,
         mark_states,
-        agg,
+        agg: agg.map(Arc::new),
         builds,
         schema: plan.schema(),
         ctx: ctx.clone(),
-        next_partition: 0,
-        pending: RowDrain::default(),
-        output: None,
         span: None,
+        started: false,
+        morsels: None,
+        table: None,
+        pending: RowDrain::default(),
     };
     Ok(Some((spanned(Box::new(op), &top_span), node)))
 }

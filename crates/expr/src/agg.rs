@@ -28,11 +28,6 @@ pub enum AggFunc {
 }
 
 impl AggFunc {
-    /// Whether this function takes an argument.
-    pub fn takes_arg(&self) -> bool {
-        !matches!(self, AggFunc::CountStar)
-    }
-
     /// Result type given the argument type.
     pub fn output_type(&self, arg: Option<DataType>) -> Result<DataType> {
         match self {

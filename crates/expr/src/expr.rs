@@ -41,17 +41,6 @@ impl BinaryOp {
         )
     }
 
-    pub fn is_arithmetic(&self) -> bool {
-        matches!(
-            self,
-            BinaryOp::Plus
-                | BinaryOp::Minus
-                | BinaryOp::Multiply
-                | BinaryOp::Divide
-                | BinaryOp::Modulo
-        )
-    }
-
     /// `a op b == b (commute(op)) a` — used by normalization.
     pub fn commuted(&self) -> Option<BinaryOp> {
         match self {

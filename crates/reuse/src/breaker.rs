@@ -38,6 +38,8 @@ pub struct FailureBreaker {
     states: HashMap<u64, State>,
 }
 
+/// The session's breaker: opens after 3 consecutive failures of one
+/// fingerprint, half-opens a probe group after 4 skipped batches.
 impl Default for FailureBreaker {
     fn default() -> Self {
         FailureBreaker::new(3, 4)

@@ -147,10 +147,6 @@ impl DepStamps {
     pub fn as_slice(&self) -> &[(String, u64)] {
         &self.0
     }
-
-    pub fn into_vec(self) -> Vec<(String, u64)> {
-        self.0
-    }
 }
 
 /// Merge one finished aggregate value with the same group's delta value,

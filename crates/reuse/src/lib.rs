@@ -46,12 +46,11 @@ pub use cache::{rows_checksum, CachedRows, DepStamps, MaintainShape, ReuseCache,
 pub use fingerprint::{
     canonical_form, fingerprint, match_subplans, CanonicalForm, Fingerprint, SubplanMatch,
 };
-pub use workload::{GroupReport, OptimizeFn, WorkloadConfig, WorkloadOutcome, WorkloadReport};
+pub use workload::{GroupReport, OptimizeFn, WorkloadOutcome, WorkloadReport};
 
 /// Combined configuration for workload reuse.
 #[derive(Debug, Clone, Default)]
 pub struct ReuseConfig {
-    pub workload: WorkloadConfig,
     pub cache: ReuseCacheConfig,
 }
 
@@ -67,10 +66,7 @@ pub struct ReuseManager {
 impl ReuseManager {
     pub fn new(cfg: ReuseConfig) -> Self {
         let cache = Mutex::new(ReuseCache::new(cfg.cache.clone()));
-        let breaker = Mutex::new(FailureBreaker::new(
-            cfg.workload.breaker_threshold,
-            cfg.workload.breaker_cool_after,
-        ));
+        let breaker = Mutex::new(FailureBreaker::default());
         ReuseManager {
             cfg,
             cache,
@@ -91,7 +87,6 @@ impl ReuseManager {
     ) -> WorkloadOutcome {
         match (self.cache.lock(), self.breaker.lock()) {
             (Ok(mut cache), Ok(mut breaker)) => workload::plan_workload(
-                &self.cfg.workload,
                 &mut cache,
                 &mut breaker,
                 plans,
@@ -114,22 +109,6 @@ impl ReuseManager {
     /// each inner vector is one entry's `(table, version)` pairs.
     pub fn cache_entry_deps(&self) -> Vec<Vec<(String, u64)>> {
         self.cache.lock().map(|c| c.entry_deps()).unwrap_or_default()
-    }
-
-    /// Whether the circuit breaker is currently open for a fingerprint
-    /// (diagnostics / tests).
-    pub fn breaker_open(&self, fp: Fingerprint) -> bool {
-        self.breaker.lock().map(|b| b.is_open(fp.0)).unwrap_or(false)
-    }
-
-    /// Corrupt a cached entry's rows in place without updating its
-    /// checksum (chaos/testing hook). Returns `false` when the entry does
-    /// not exist.
-    pub fn corrupt_cache_entry(&self, fp: Fingerprint) -> bool {
-        self.cache
-            .lock()
-            .map(|mut c| c.corrupt_entry(fp))
-            .unwrap_or(false)
     }
 
     /// Drop all cached results, observation counts, and breaker state.

@@ -73,34 +73,13 @@ use crate::breaker::FailureBreaker;
 use crate::cache::{CachedRows, DepStamps, ReuseCache};
 use crate::fingerprint::{canonical_form, position_map, CanonicalForm};
 
-/// Tuning knobs for the workload optimizer.
-#[derive(Debug, Clone)]
-pub struct WorkloadConfig {
-    /// Smallest subplan (in plan nodes) considered for sharing. The
-    /// default of 2 excludes bare table scans: sharing a full-table
-    /// materialization costs more memory than it saves work.
-    pub min_nodes: usize,
-    /// Ceiling on cross-query `fuse` attempts per batch.
-    pub max_fuse_attempts: usize,
-    /// Consecutive shared-execution failures of one fingerprint before
-    /// its circuit breaker opens and groups stop forming for it
-    /// (0 disables the breaker).
-    pub breaker_threshold: u32,
-    /// Batches an open breaker swallows before half-opening one probe
-    /// group.
-    pub breaker_cool_after: u32,
-}
+/// Smallest subplan (in plan nodes) considered for sharing. Two
+/// excludes bare table scans: sharing a full-table materialization costs
+/// more memory than it saves work.
+const MIN_NODES: usize = 2;
 
-impl Default for WorkloadConfig {
-    fn default() -> Self {
-        WorkloadConfig {
-            min_nodes: 2,
-            max_fuse_attempts: 64,
-            breaker_threshold: 3,
-            breaker_cool_after: 4,
-        }
-    }
-}
+/// Ceiling on cross-query `fuse` attempts per batch.
+const MAX_FUSE_ATTEMPTS: usize = 64;
 
 /// The outcome of workload planning for a batch.
 pub struct WorkloadOutcome {
@@ -243,7 +222,6 @@ pub type OptimizeFn<'a> = &'a dyn Fn(&LogicalPlan) -> LogicalPlan;
 /// validation or the semantic analyzer are reverted, never returned.
 #[allow(clippy::too_many_arguments)]
 pub fn plan_workload(
-    cfg: &WorkloadConfig,
     cache: &mut ReuseCache,
     breaker: &mut FailureBreaker,
     plans: &[LogicalPlan],
@@ -258,9 +236,9 @@ pub fn plan_workload(
         return out;
     }
 
-    let candidates = collect_candidates(plans, cfg.min_nodes);
+    let candidates = collect_candidates(plans);
     let versions = catalog.table_versions();
-    let groups = form_groups(cfg, cache, &candidates, plans.len(), gen);
+    let groups = form_groups(cache, &candidates, plans.len(), gen);
 
     for group in groups {
         execute_group(
@@ -284,15 +262,8 @@ pub fn plan_workload(
     // no scans, so candidate collection naturally skips them.
     let fault = ctx.fault_policy();
     for q in 0..out.plans.len() {
-        let (rewritten, notes, rejections) = apply_subsumption(
-            cfg,
-            cache,
-            &out.plans[q],
-            catalog,
-            &versions,
-            fault,
-            metrics,
-        );
+        let (rewritten, notes, rejections) =
+            apply_subsumption(cache, &out.plans[q], catalog, &versions, fault, metrics);
         out.plans[q] = rewritten;
         out.notes[q].extend(notes);
         out.notes[q].extend(rejections.iter().cloned());
@@ -327,7 +298,6 @@ fn refresh_note(hit: &CachedRows) -> String {
 /// reuse prover refused — the consumer stayed cold, and strict batches
 /// fail on them.
 fn apply_subsumption(
-    cfg: &WorkloadConfig,
     cache: &mut ReuseCache,
     plan: &LogicalPlan,
     catalog: &Catalog,
@@ -338,7 +308,7 @@ fn apply_subsumption(
     if cache.is_empty() {
         return (plan.clone(), Vec::new(), Vec::new());
     }
-    let candidates = collect_candidates(std::slice::from_ref(plan), cfg.min_nodes);
+    let candidates = collect_candidates(std::slice::from_ref(plan));
     let mut result = plan.clone();
     let mut notes = Vec::new();
     let mut rejections = Vec::new();
@@ -414,23 +384,17 @@ fn contains_scan(plan: &LogicalPlan) -> bool {
     }
 }
 
-fn collect_candidates(plans: &[LogicalPlan], min_nodes: usize) -> Vec<Candidate> {
+fn collect_candidates(plans: &[LogicalPlan]) -> Vec<Candidate> {
     let mut out = Vec::new();
     for (query, plan) in plans.iter().enumerate() {
         let mut path = Vec::new();
-        walk(plan, query, &mut path, min_nodes, &mut out);
+        walk(plan, query, &mut path, &mut out);
     }
     out
 }
 
-fn walk(
-    plan: &LogicalPlan,
-    query: usize,
-    path: &mut Vec<usize>,
-    min_nodes: usize,
-    out: &mut Vec<Candidate>,
-) {
-    if shareable_root(plan) && plan.node_count() >= min_nodes && contains_scan(plan) {
+fn walk(plan: &LogicalPlan, query: usize, path: &mut Vec<usize>, out: &mut Vec<Candidate>) {
+    if shareable_root(plan) && plan.node_count() >= MIN_NODES && contains_scan(plan) {
         out.push(Candidate {
             query,
             path: path.clone(),
@@ -440,7 +404,7 @@ fn walk(
     }
     for (i, child) in plan.children().into_iter().enumerate() {
         path.push(i);
-        walk(child, query, path, min_nodes, out);
+        walk(child, query, path, out);
         path.pop();
     }
 }
@@ -492,7 +456,6 @@ impl Taken {
 // ---------------------------------------------------------------------
 
 fn form_groups(
-    cfg: &WorkloadConfig,
     cache: &ReuseCache,
     candidates: &[Candidate],
     n_queries: usize,
@@ -619,7 +582,7 @@ fn form_groups(
             mapping: HashMap::new(),
         }];
         for &i in &distinct[1..] {
-            if attempts >= cfg.max_fuse_attempts {
+            if attempts >= MAX_FUSE_ATTEMPTS {
                 break;
             }
             attempts += 1;

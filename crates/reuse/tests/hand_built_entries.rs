@@ -16,7 +16,7 @@ use fusion_plan::{LogicalPlan, PlanBuilder};
 use fusion_reuse::workload::plan_workload;
 use fusion_reuse::{
     canonical_form, DepStamps, FailureBreaker, Fingerprint, ReuseCache, ReuseCacheConfig,
-    WorkloadConfig, WorkloadOutcome,
+    WorkloadOutcome,
 };
 
 
@@ -75,7 +75,6 @@ impl Bench {
     fn window(&mut self, bounds: &[i64]) -> (Vec<LogicalPlan>, WorkloadOutcome) {
         let plans: Vec<LogicalPlan> = bounds.iter().map(|&b| member(&self.gen, b)).collect();
         let out = plan_workload(
-            &WorkloadConfig::default(),
             &mut self.cache,
             &mut self.breaker,
             &plans,

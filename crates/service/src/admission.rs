@@ -13,8 +13,9 @@
 //! round-robin over tenants (one entry per tenant per round, bounded by
 //! the caller-supplied per-tenant quota), so a chatty tenant's backlog
 //! cannot crowd a quiet tenant out of a window; the tenant rotation
-//! advances between windows so no tenant is permanently first. Per-tenant
-//! queue depth is capped at admission with a typed
+//! advances between windows so no tenant is permanently first. The
+//! service caps each tenant's queue depth before it admits
+//! ([`crate::TenantConfig::max_queued`]), with a typed
 //! [`FusionError::AdmissionRejected`] (`FUSION_ADMISSION_REJECTED`)
 //! instead of unbounded queueing.
 
@@ -52,7 +53,7 @@ impl From<&str> for TenantId {
     }
 }
 
-/// Window-formation and admission-cap knobs.
+/// Window-formation knobs.
 #[derive(Debug, Clone)]
 pub struct AdmissionConfig {
     /// The most queries one window carries; the rest stay parked for the
@@ -63,9 +64,6 @@ pub struct AdmissionConfig {
     /// its settings and a gain-claiming change may not edit `benchmark/`;
     /// the next `benchmark` change removes both.
     pub max_window_wait: Duration,
-    /// Per-tenant cap on parked queries (`0` = unlimited). Crossing it
-    /// rejects the submission with `FUSION_ADMISSION_REJECTED`.
-    pub max_queued_per_tenant: usize,
 }
 
 impl Default for AdmissionConfig {
@@ -73,7 +71,6 @@ impl Default for AdmissionConfig {
         AdmissionConfig {
             max_window_queries: 8,
             max_window_wait: Duration::ZERO,
-            max_queued_per_tenant: 0,
         }
     }
 }
@@ -95,16 +92,6 @@ struct Inner<T> {
     lanes: VecDeque<(TenantId, VecDeque<Admitted<T>>)>,
     len: usize,
     closed: bool,
-}
-
-impl<T> Inner<T> {
-    fn lane_len(&self, tenant: &TenantId) -> usize {
-        self.lanes
-            .iter()
-            .find(|(t, _)| t == tenant)
-            .map(|(_, q)| q.len())
-            .unwrap_or(0)
-    }
 }
 
 /// The service's admission queue. `T` is the parked payload: a full job
@@ -132,21 +119,14 @@ impl<T> AdmissionQueue<T> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Park a payload for `tenant`. Fails typed when the queue is closed
-    /// or the tenant's queue-depth cap is exhausted.
+    /// Park a payload for `tenant`. Fails typed when the queue is closed;
+    /// per-tenant depth caps are the service's ([`crate::TenantConfig::max_queued`]).
     pub fn admit(&self, tenant: TenantId, payload: T) -> Result<(), FusionError> {
         let mut inner = self.lock();
         if inner.closed {
             return Err(FusionError::AdmissionRejected {
                 tenant: tenant.to_string(),
                 reason: "service is shutting down".into(),
-            });
-        }
-        let cap = self.config.max_queued_per_tenant;
-        if cap > 0 && inner.lane_len(&tenant) >= cap {
-            return Err(FusionError::AdmissionRejected {
-                tenant: tenant.to_string(),
-                reason: format!("tenant queue full ({cap} queries already parked)"),
             });
         }
         let entry = Admitted {
@@ -257,23 +237,6 @@ mod tests {
         assert_eq!(lane("a"), vec![1, 2, 3]);
         assert_eq!(lane("b"), vec![10, 20, 30]);
         assert_eq!(q.len(), 0);
-    }
-
-    #[test]
-    fn queue_cap_rejects_typed() {
-        let q = AdmissionQueue::new(AdmissionConfig {
-            max_queued_per_tenant: 2,
-            ..AdmissionConfig::default()
-        });
-        q.admit(TenantId::new("a"), 1).unwrap();
-        q.admit(TenantId::new("a"), 2).unwrap();
-        match q.admit(TenantId::new("a"), 3) {
-            Err(FusionError::AdmissionRejected { tenant, .. }) => assert_eq!(tenant, "a"),
-            other => panic!("expected AdmissionRejected, got {other:?}"),
-        }
-        // Another tenant still has room.
-        q.admit(TenantId::new("b"), 1).unwrap();
-        assert_eq!(q.len(), 3);
     }
 
     fn queue_with_window(max_window_queries: usize) -> AdmissionQueue<u32> {

@@ -56,8 +56,7 @@ use tenant::TenantState;
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Window formation (`max_window_queries`). Per-tenant queue caps
-    /// are governed by [`TenantConfig::max_queued`]; leave
-    /// [`AdmissionConfig::max_queued_per_tenant`] at 0 here.
+    /// are governed by [`TenantConfig::max_queued`].
     pub admission: AdmissionConfig,
     /// Governance applied to tenants without an explicit override.
     pub default_tenant: TenantConfig,

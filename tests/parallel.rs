@@ -322,6 +322,31 @@ fn early_limit_drops_workers_cleanly() {
         started.elapsed() < Duration::from_secs(10),
         "repeated early-drop queries must not leak or hang workers"
     );
+    // 64 one-row partitions: the workers stop within their run-ahead
+    // bound of the one partition the limit takes, on the bare scan and
+    // on a pipeline alike.
+    for workers in [2, 4] {
+        let mut s = session(workers);
+        let mut b = TableBuilder::new("wide", vec![col("k", DataType::Int64, false)])
+            .partition_by("k", 1)
+            .unwrap();
+        for k in 0..64 {
+            b.add_row(vec![Value::Int64(k)]).unwrap();
+        }
+        s.register_table(b.build());
+        for sql in [
+            "SELECT k FROM wide LIMIT 1",
+            "SELECT k + 1 AS k1 FROM wide WHERE k + 1 > 0 LIMIT 1",
+        ] {
+            let r = s.sql(sql).unwrap();
+            assert_eq!(r.rows.len(), 1);
+            let read = r.metrics.partitions_read;
+            assert!(
+                read <= 2 * workers as u64 + 1,
+                "{sql} at {workers} workers read {read}/64"
+            );
+        }
+    }
 }
 
 /// Parallelism above the partition count is clamped to one worker per
