@@ -1,5 +1,4 @@
-//! Shared harness utilities for the paper-figure regeneration binary and
-//! the Criterion benchmarks.
+//! Shared harness utilities for the paper-figure regeneration binary.
 
 use std::time::Duration;
 

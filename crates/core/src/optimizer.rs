@@ -489,7 +489,7 @@ mod tests {
         assert_eq!(base.sorted_rows(), opt.sorted_rows());
         assert!(!base.rows.is_empty());
         // The fused plan reads roughly half the bytes.
-        assert!(mo.bytes_scanned() < mb.bytes_scanned());
+        assert!(mo.snapshot().bytes_scanned < mb.snapshot().bytes_scanned);
     }
 
     /// A deliberately buggy rule: wraps the first scan it sees in a

@@ -375,10 +375,10 @@ mod tests {
         let opt = execute_plan(&pruned, &catalog, &m2).unwrap();
         assert_eq!(base.sorted_rows(), opt.sorted_rows());
         assert!(
-            m2.bytes_scanned() < m1.bytes_scanned(),
+            m2.snapshot().bytes_scanned < m1.snapshot().bytes_scanned,
             "pruned {} vs base {}",
-            m2.bytes_scanned(),
-            m1.bytes_scanned()
+            m2.snapshot().bytes_scanned,
+            m1.snapshot().bytes_scanned
         );
     }
 

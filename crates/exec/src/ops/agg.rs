@@ -638,7 +638,7 @@ pub(crate) enum AggInput {
     /// A child operator: one table accumulated in arrival order with
     /// inline DISTINCT.
     Rows(BoxedOp),
-    /// A table scan with more than one worker: the per-partition fold of
+    /// A table scan, at any worker count: the per-partition fold of
     /// [`fold_partitions`] over `(fragment, workers)`.
     Partitions(Arc<ScanFragment>, usize),
 }
@@ -1341,7 +1341,6 @@ mod group_table_tests {
                 .map(|c| Arc::new(rows.iter().map(|r| r[c].clone()).collect()))
                 .collect(),
             selection,
-            partition: 0,
         }
     }
 

@@ -189,6 +189,6 @@ mod tests {
             MarkDistinctExec::new(source(&[1, 2, 3]), &[ColumnId(1)], Expr::boolean(true), out_schema(), m.clone())
                 .unwrap();
         drain(&mut md).unwrap();
-        assert!(m.peak_state_bytes() > 0);
+        assert!(m.snapshot().peak_state_bytes > 0);
     }
 }

@@ -325,9 +325,9 @@ mod tests {
             assert_eq!(parallel, sequential, "workers={workers}");
             // Morsels are metered on workers only.
             let parallel_morsels = if workers > 1 { 10 } else { 0 };
-            assert_eq!(m.morsels_executed(), parallel_morsels);
-            assert_eq!(m.rows_scanned(), 100);
-            assert_eq!(m.partitions_read(), 10);
+            assert_eq!(m.snapshot().morsels_executed, parallel_morsels);
+            assert_eq!(m.snapshot().rows_scanned, 100);
+            assert_eq!(m.snapshot().partitions_read, 10);
         }
     }
 
@@ -340,11 +340,11 @@ mod tests {
         let mut scan = ScanExec::from_fragment(frag, 4);
         let rows = drain(&mut scan).unwrap();
         assert_eq!(rows.len(), 45);
-        assert_eq!(m.partitions_pruned(), 5);
-        assert_eq!(m.partitions_read(), 5);
+        assert_eq!(m.snapshot().partitions_pruned, 5);
+        assert_eq!(m.snapshot().partitions_read, 5);
         // sk >= 55 over partition [50,60) filters 5 of 10 rows
         // column-at-a-time; the other 4 partitions pass all rows.
-        assert_eq!(m.rows_filtered_vectorized(), 5);
+        assert_eq!(m.snapshot().rows_filtered_vectorized, 5);
     }
 
     #[test]

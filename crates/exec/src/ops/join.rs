@@ -786,7 +786,7 @@ mod tests {
             m.clone(),
         );
         drain(&mut j).unwrap();
-        assert!(m.peak_state_bytes() > 0);
+        assert!(m.snapshot().peak_state_bytes > 0);
         drop(j);
     }
 

@@ -52,8 +52,6 @@ pub struct ColumnarMorsel {
     /// Row indices into `columns` that survived pruning and filters,
     /// ascending.
     pub selection: Vec<usize>,
-    /// The partition this morsel was scanned from.
-    pub partition: usize,
 }
 
 impl ColumnarMorsel {
@@ -80,7 +78,6 @@ impl ColumnarMorsel {
         ColumnarMorsel {
             columns: columns.into_iter().map(Arc::new).collect(),
             selection: (0..n).collect(),
-            partition: 0,
         }
     }
 
@@ -318,7 +315,6 @@ impl ScanFragment {
                 .map(|&c| part.columns[c].clone())
                 .collect(),
             selection,
-            partition: part_idx,
         }))
     }
 }
@@ -513,9 +509,9 @@ mod tests {
         let mut scan = ScanExec::new(t, vec![0, 1], schema_for(&[1, 2]), vec![], m.clone());
         let rows = drain(&mut scan).unwrap();
         assert_eq!(rows.len(), 100);
-        assert_eq!(m.rows_scanned(), 100);
-        assert_eq!(m.partitions_read(), 10);
-        assert_eq!(m.partitions_pruned(), 0);
+        assert_eq!(m.snapshot().rows_scanned, 100);
+        assert_eq!(m.snapshot().partitions_read, 10);
+        assert_eq!(m.snapshot().partitions_pruned, 0);
     }
 
     #[test]
@@ -533,11 +529,11 @@ mod tests {
         );
         let rows = drain(&mut scan).unwrap();
         assert_eq!(rows.len(), 10);
-        assert_eq!(m.partitions_read(), 1);
-        assert_eq!(m.partitions_pruned(), 9);
+        assert_eq!(m.snapshot().partitions_read, 1);
+        assert_eq!(m.snapshot().partitions_pruned, 9);
         // Bytes metered = only that partition's two columns.
         let expected: u64 = t.partitions.last().unwrap().column_bytes.iter().sum();
-        assert_eq!(m.bytes_scanned(), expected);
+        assert_eq!(m.snapshot().bytes_scanned, expected);
     }
 
     #[test]
@@ -547,7 +543,7 @@ mod tests {
         let schema = Schema::new(vec![Field::new(ColumnId(1), "sk", DataType::Int64, false)]);
         let mut scan = ScanExec::new(t.clone(), vec![0], schema, vec![], m.clone());
         drain(&mut scan).unwrap();
-        assert_eq!(m.bytes_scanned(), 100 * 8);
+        assert_eq!(m.snapshot().bytes_scanned, 100 * 8);
     }
 
     #[test]
@@ -609,7 +605,7 @@ mod tests {
         let mut scan = ScanExec::new(t, vec![0, 1], schema_for(&[1, 2]), vec![filter], ctx);
         let rows = drain(&mut scan).unwrap();
         assert_eq!(rows.len(), 10);
-        assert_eq!(m.faults_injected(), 0);
+        assert_eq!(m.snapshot().faults_injected, 0);
     }
 
     /// The dynamic twin: a join's build keys (95, 97) exclude the
@@ -629,8 +625,8 @@ mod tests {
         fragment.join_filters = vec![filter];
         let rows = drain(&mut ScanExec::from_fragment(Arc::new(fragment), 1)).unwrap();
         assert_eq!(rows.len(), 10, "partition 9 is read whole");
-        assert_eq!(m.faults_injected(), 0);
-        assert_eq!((m.partitions_read(), m.partitions_pruned()), (1, 9));
+        assert_eq!(m.snapshot().faults_injected, 0);
+        assert_eq!((m.snapshot().partitions_read, m.snapshot().partitions_pruned), (1, 9));
         assert_eq!(span.join_pruned.load(std::sync::atomic::Ordering::Relaxed), 9);
     }
 

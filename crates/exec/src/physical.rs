@@ -161,25 +161,17 @@ pub(crate) fn compile_node(c: &mut Compiler, plan: &LogicalPlan) -> Result<(Boxe
             (op, vec![left_node, right_node])
         }
         LogicalPlan::Aggregate(a) => {
-            // Directly over a scan the aggregate owns the fragment: with
-            // more than one worker it folds per partition (the scan is
-            // inlined — no wrapping operator, its profile node reads the
-            // fragment-side counters); with one it pulls a plain scan.
+            // Directly over a scan the aggregate owns the fragment and
+            // folds per partition at every worker count, so its rows do
+            // not depend on the worker count (the scan is inlined — no
+            // wrapping operator, its profile node reads the
+            // fragment-side counters).
             let (input, child) = if let LogicalPlan::Scan(s) = &*a.input {
                 let (scan_id, scan_span) = c.claim();
                 let (fragment, workers) = c.scan_fragment(s, scan_span.clone())?;
-                let inlined = workers > 1;
-                let input = if inlined {
-                    AggInput::Partitions(fragment, workers)
-                } else {
-                    AggInput::Rows(spanned(
-                        Box::new(ScanExec::from_fragment(fragment, 1)),
-                        &scan_span,
-                    ))
-                };
                 (
-                    input,
-                    profile_node(scan_id, &a.input, scan_span, inlined, vec![]),
+                    AggInput::Partitions(fragment, workers),
+                    profile_node(scan_id, &a.input, scan_span, true, vec![]),
                 )
             } else {
                 let (input, child) = compile_node(c, &a.input)?;
@@ -552,7 +544,7 @@ mod tests {
         // (2 rows store1)^2 + (2 rows store2)^2 + 1 = 4+4+1
         assert_eq!(out.rows.len(), 9);
         // Streaming engine: the table's bytes are scanned twice.
-        assert_eq!(m.rows_scanned(), 10);
+        assert_eq!(m.snapshot().rows_scanned, 10);
     }
 
     #[test]

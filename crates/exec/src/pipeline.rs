@@ -38,13 +38,14 @@
 //!   join output is in probe order, then build order within a key, either
 //!   way.
 //! * The aggregate folds into the same `GroupTable` as the pull
-//!   operator and picks its fold shape by the same rule: one table per
-//!   partition, merged in partition-index order with deferred DISTINCT,
-//!   *only* when the aggregate sits directly over the scan with multiple
-//!   workers; any interior stage means a single table accumulated on the
-//!   driver in partition order with inline DISTINCT (where the pull
-//!   operators would aggregate above a streamed scan). Float sums therefore
-//!   fold in the same order as the pull path at every thread count.
+//!   operator and picks its fold shape by the same rule, which reads the
+//!   plan and never the worker count: one table per partition, merged in
+//!   partition-index order with deferred DISTINCT, *only* when the
+//!   aggregate sits directly over the scan; any interior stage means a
+//!   single table accumulated on the driver in partition order with
+//!   inline DISTINCT (where the pull operators would aggregate above a
+//!   streamed scan). Float sums therefore fold in the same order as the
+//!   pull path, and in the same order at every thread count.
 //! * `MarkDistinct` is stateful — its first-occurrence set spans the
 //!   whole input. The chain splits at the first such stage: everything
 //!   below it still runs on the workers, the stateful suffix (and the
@@ -322,11 +323,12 @@ impl FusedPipeline {
         let partitions = fragment.num_partitions();
         let stages = std::mem::take(&mut self.par_stages);
         if let Some(spec) = &self.agg {
-            // Aggregate directly over the scan: the per-partition fold.
-            // Only this shape aggregates in parallel — any interior stage
-            // puts the pull operators' aggregate above a streamed scan,
-            // folding on the driver, so the pipeline folds there too.
-            if self.workers > 1 && stages.is_empty() && self.seq_stages.is_empty() {
+            // Aggregate directly over the scan: the per-partition fold, at
+            // every worker count. Only this shape folds per partition — any
+            // interior stage puts the pull operators' aggregate above a
+            // streamed scan, folding on the driver, so the pipeline folds
+            // there too.
+            if stages.is_empty() && self.seq_stages.is_empty() {
                 let metrics = ctx.metrics().clone();
                 let rows = fold_partitions(
                     spec,
