@@ -20,6 +20,12 @@
 //!   join children and `UnionAll` inputs in canonical order, aggregate
 //!   group/agg lists sorted.
 //!
+//! [`Canon`] derives these forms for a whole window at once: one
+//! bottom-up pass encodes each node over its children's memoized forms,
+//! so the forms of a plan and of every subplan inside it cost what one
+//! encoding of the plan costs, and [`canonical_form`] is a one-shot
+//! `Canon`.
+//!
 //! Alongside the encoding, [`CanonicalForm`] carries one *slot* string
 //! per output position: the canonical identity of that column. Slots are
 //! the keystone of every splice certificate — a consumer position is
@@ -27,8 +33,11 @@
 //! equal, because a slot string *is* the rendered expression computing
 //! that position over the canonical base relations.
 
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::fmt;
+use std::marker::PhantomData;
+use std::rc::Rc;
 
 use fusion_common::ColumnId;
 use fusion_expr::{simplify, split_conjuncts, split_disjuncts, AggregateExpr, Expr, WindowExpr};
@@ -46,8 +55,9 @@ impl fmt::Display for Fingerprint {
 }
 
 /// The canonical form of a plan: its fingerprint, the full canonical
-/// serialization (collision-proof equality witness), and one canonical
-/// identity string per output column position.
+/// serialization (collision-proof equality witness), one canonical
+/// identity string per output column position, and the subtree's size
+/// and scan presence.
 #[derive(Debug, Clone)]
 pub struct CanonicalForm {
     pub fingerprint: Fingerprint,
@@ -59,16 +69,69 @@ pub struct CanonicalForm {
     /// The canonical serialization the fingerprint hashes. Comparing
     /// encodings directly rules out hash collisions.
     pub encoding: String,
+    /// Plan nodes in the subtree.
+    pub nodes: usize,
+    /// Whether the subtree reads a base table.
+    pub scans: bool,
 }
 
-/// Compute the canonical form of a plan.
-pub fn canonical_form(plan: &LogicalPlan) -> CanonicalForm {
-    let (encoding, slots) = encode(plan);
-    CanonicalForm {
-        fingerprint: Fingerprint(fnv64(&encoding)),
-        slots,
-        encoding,
+/// One window's canonicalizer: every subtree it is handed is encoded
+/// once, bottom-up, and remembered under the node itself, so the forms of
+/// a plan and of all its subplans together cost one encoding of the plan.
+///
+/// The memo is keyed by node address and filled only here, from the node:
+/// there is no way to insert a form, so whoever reads a form through a
+/// `Canon` reads the one derived from the plan it holds. `'a` is
+/// invariant, so every node handed to [`Canon::form`] stays borrowed —
+/// unmoved and unchanged — for as long as the memo can be used, and no
+/// address can come to name another node (a node never holds another
+/// inline: children sit in their own allocations).
+#[derive(Default)]
+pub struct Canon<'a> {
+    forms: RefCell<HashMap<*const LogicalPlan, Rc<CanonicalForm>>>,
+    /// Nodes encoded (memo misses), the work measure of a window.
+    encoded: Cell<usize>,
+    plans: PhantomData<Cell<&'a LogicalPlan>>,
+}
+
+impl<'a> Canon<'a> {
+    pub fn new() -> Self {
+        Self::default()
     }
+
+    /// The canonical form of `plan`, encoding only the nodes this memo
+    /// has not seen.
+    pub fn form(&self, plan: &'a LogicalPlan) -> Rc<CanonicalForm> {
+        let key: *const LogicalPlan = plan;
+        if let Some(form) = self.forms.borrow().get(&key) {
+            return Rc::clone(form);
+        }
+        let inputs: Vec<Rc<CanonicalForm>> =
+            plan.children().into_iter().map(|c| self.form(c)).collect();
+        let (encoding, slots) = encode(plan, &inputs);
+        let form = Rc::new(CanonicalForm {
+            fingerprint: Fingerprint(fnv64(&encoding)),
+            slots,
+            encoding,
+            nodes: 1 + inputs.iter().map(|i| i.nodes).sum::<usize>(),
+            scans: matches!(plan, LogicalPlan::Scan(_)) || inputs.iter().any(|i| i.scans),
+        });
+        self.forms.borrow_mut().insert(key, Rc::clone(&form));
+        self.encoded.set(self.encoded.get() + 1);
+        form
+    }
+
+    /// Nodes encoded so far. Each distinct node is encoded once, so this
+    /// never exceeds the nodes of the plans handed to [`Canon::form`].
+    pub fn nodes_encoded(&self) -> usize {
+        self.encoded.get()
+    }
+}
+
+/// Compute the canonical form of a plan (a one-shot [`Canon`]).
+pub fn canonical_form(plan: &LogicalPlan) -> CanonicalForm {
+    let form = Canon::new().form(plan);
+    Rc::try_unwrap(form).unwrap_or_else(|shared| (*shared).clone())
 }
 
 /// Compute just the fingerprint of a plan.
@@ -125,9 +188,15 @@ fn resolve_slot(r: &Resolve, id: ColumnId) -> String {
         .unwrap_or_else(|| format!("?{:?}", id))
 }
 
-/// Bottom-up canonical encoder. Returns the canonical serialization and
-/// the per-output-position slot strings.
-pub fn encode(plan: &LogicalPlan) -> (String, Vec<String>) {
+/// Encode one node over the forms of its children (`inputs`, in
+/// [`LogicalPlan::children`] order). Returns the canonical serialization
+/// and the per-output-position slot strings.
+fn encode(plan: &LogicalPlan, inputs: &[Rc<CanonicalForm>]) -> (String, Vec<String>) {
+    // The single input of a one-input operator, and its resolve map.
+    let unary = |input: &LogicalPlan| {
+        let form = &inputs[0];
+        (form, resolve_of(input, &form.slots))
+    };
     match plan {
         LogicalPlan::Scan(s) => {
             let table = s.table.to_ascii_lowercase();
@@ -153,16 +222,14 @@ pub fn encode(plan: &LogicalPlan) -> (String, Vec<String>) {
             )
         }
         LogicalPlan::Filter(f) => {
-            let (enc, slots) = encode(&f.input);
-            let r = resolve_of(&f.input, &slots);
+            let (input, r) = unary(&f.input);
             (
-                format!("Filter({};{})", render(&simplify(&f.predicate), &r), enc),
-                slots,
+                format!("Filter({};{})", render(&simplify(&f.predicate), &r), input.encoding),
+                input.slots.clone(),
             )
         }
         LogicalPlan::Project(p) => {
-            let (enc, islots) = encode(&p.input);
-            let r = resolve_of(&p.input, &islots);
+            let (input, r) = unary(&p.input);
             let slots: Vec<String> = p
                 .exprs
                 .iter()
@@ -170,12 +237,11 @@ pub fn encode(plan: &LogicalPlan) -> (String, Vec<String>) {
                 .collect();
             let mut sorted = slots.clone();
             sorted.sort();
-            (format!("Project([{}];{})", sorted.join(","), enc), slots)
+            (format!("Project([{}];{})", sorted.join(","), input.encoding), slots)
         }
-        LogicalPlan::Join(j) => encode_join(j),
+        LogicalPlan::Join(j) => encode_join(j, &inputs[0], &inputs[1]),
         LogicalPlan::Aggregate(a) => {
-            let (enc, islots) = encode(&a.input);
-            let r = resolve_of(&a.input, &islots);
+            let (input, r) = unary(&a.input);
             let group_slots: Vec<String> = a
                 .group_by
                 .iter()
@@ -191,7 +257,7 @@ pub fn encode(plan: &LogicalPlan) -> (String, Vec<String>) {
                 "Aggregate([{}];[{}];{})",
                 sg.join(","),
                 sa.join(","),
-                enc
+                input.encoding
             );
             // Grouping columns keep their input identity (and thus their
             // input slot); aggregate outputs are identified by their
@@ -203,8 +269,7 @@ pub fn encode(plan: &LogicalPlan) -> (String, Vec<String>) {
             (encoding, slots)
         }
         LogicalPlan::Window(w) => {
-            let (enc, islots) = encode(&w.input);
-            let r = resolve_of(&w.input, &islots);
+            let (input, r) = unary(&w.input);
             let wslots: Vec<String> = w
                 .exprs
                 .iter()
@@ -212,27 +277,27 @@ pub fn encode(plan: &LogicalPlan) -> (String, Vec<String>) {
                 .collect();
             let mut sw = wslots.clone();
             sw.sort();
-            let encoding = format!("Window([{}];{})", sw.join(","), enc);
-            let slots = islots
-                .into_iter()
+            let encoding = format!("Window([{}];{})", sw.join(","), input.encoding);
+            let slots = input
+                .slots
+                .iter()
+                .cloned()
                 .chain(wslots.into_iter().map(|s| format!("w.{s}")))
                 .collect();
             (encoding, slots)
         }
         LogicalPlan::MarkDistinct(m) => {
-            let (enc, islots) = encode(&m.input);
-            let r = resolve_of(&m.input, &islots);
+            let (input, r) = unary(&m.input);
             let mut cols: Vec<String> = m.columns.iter().map(|id| resolve_slot(&r, *id)).collect();
             cols.sort();
             let mask = render(&simplify(&m.mask), &r);
             let mark = format!("mark[{}]:{}", cols.join(","), mask);
-            let encoding = format!("MarkDistinct({};{})", mark, enc);
-            let slots = islots.into_iter().chain(std::iter::once(mark)).collect();
+            let encoding = format!("MarkDistinct({};{})", mark, input.encoding);
+            let slots = input.slots.iter().cloned().chain(std::iter::once(mark)).collect();
             (encoding, slots)
         }
         LogicalPlan::UnionAll(u) => {
-            let encoded: Vec<(String, Vec<String>)> = u.inputs.iter().map(encode).collect();
-            let mut encs: Vec<&str> = encoded.iter().map(|(e, _)| e.as_str()).collect();
+            let mut encs: Vec<&str> = inputs.iter().map(|i| i.encoding.as_str()).collect();
             encs.sort_unstable();
             let encoding = format!("UnionAll([{}])", encs.join(";"));
             // A union output position is fed by every input's same
@@ -242,9 +307,9 @@ pub fn encode(plan: &LogicalPlan) -> (String, Vec<String>) {
             // the encoding.
             let slots = (0..u.fields.len())
                 .map(|i| {
-                    let mut feeds: Vec<&str> = encoded
+                    let mut feeds: Vec<&str> = inputs
                         .iter()
-                        .filter_map(|(_, s)| s.get(i).map(String::as_str))
+                        .filter_map(|input| input.slots.get(i).map(String::as_str))
                         .collect();
                     feeds.sort_unstable();
                     format!("u[{}]", feeds.join(","))
@@ -270,13 +335,12 @@ pub fn encode(plan: &LogicalPlan) -> (String, Vec<String>) {
             };
             (format!("ConstantTable([{}];{})", slots.join(","), rows), slots)
         }
-        LogicalPlan::EnforceSingleRow(e) => {
-            let (enc, slots) = encode(&e.input);
-            (format!("EnforceSingleRow({})", enc), slots)
+        LogicalPlan::EnforceSingleRow(_) => {
+            let input = &inputs[0];
+            (format!("EnforceSingleRow({})", input.encoding), input.slots.clone())
         }
         LogicalPlan::Sort(s) => {
-            let (enc, slots) = encode(&s.input);
-            let r = resolve_of(&s.input, &slots);
+            let (input, r) = unary(&s.input);
             let keys: Vec<String> = s
                 .keys
                 .iter()
@@ -289,18 +353,21 @@ pub fn encode(plan: &LogicalPlan) -> (String, Vec<String>) {
                     )
                 })
                 .collect();
-            (format!("Sort([{}];{})", keys.join(","), enc), slots)
+            (format!("Sort([{}];{})", keys.join(","), input.encoding), input.slots.clone())
         }
         LogicalPlan::Limit(l) => {
-            let (enc, slots) = encode(&l.input);
-            (format!("Limit({};{})", l.fetch, enc), slots)
+            let input = &inputs[0];
+            (format!("Limit({};{})", l.fetch, input.encoding), input.slots.clone())
         }
     }
 }
 
-fn encode_join(j: &fusion_plan::Join) -> (String, Vec<String>) {
-    let (le, lslots) = encode(&j.left);
-    let (re, rslots) = encode(&j.right);
+fn encode_join(
+    j: &fusion_plan::Join,
+    left: &CanonicalForm,
+    right: &CanonicalForm,
+) -> (String, Vec<String>) {
+    let (le, re) = (&left.encoding, &right.encoding);
     // Inner and cross joins are commutative: encode children in canonical
     // (lexicographic) order so operand-swapped plans fingerprint equal.
     // Slots still follow the *actual* output order; the canonical `a.`/`b.`
@@ -308,18 +375,14 @@ fn encode_join(j: &fusion_plan::Join) -> (String, Vec<String>) {
     // distinct.
     let commutative = matches!(j.join_type, JoinType::Inner | JoinType::Cross);
     let left_is_a = !(commutative && re < le);
-    let (a_enc, b_enc) = if left_is_a {
-        (le.as_str(), re.as_str())
-    } else {
-        (re.as_str(), le.as_str())
-    };
+    let (a_enc, b_enc) = if left_is_a { (le, re) } else { (re, le) };
     let prefix = |slots: &[String], p: &str| -> Vec<String> {
         slots.iter().map(|s| format!("{p}.{s}")).collect()
     };
     let (left_slots, right_slots) = if left_is_a {
-        (prefix(&lslots, "a"), prefix(&rslots, "b"))
+        (prefix(&left.slots, "a"), prefix(&right.slots, "b"))
     } else {
-        (prefix(&lslots, "b"), prefix(&rslots, "a"))
+        (prefix(&left.slots, "b"), prefix(&right.slots, "a"))
     };
     let mut r = resolve_of(&j.left, &left_slots);
     r.extend(resolve_of(&j.right, &right_slots));

@@ -18,7 +18,7 @@ use fusion_plan::{
     AggAssign, Aggregate, Filter, LogicalPlan, Project, ProjExpr, Scan, UnionAll,
 };
 
-use super::canon::canonical_form;
+use super::canon::{canonical_form, Canon};
 use super::reuse::{
     certify_exact_splice, certify_fused_splice, certify_maintainability, certify_stamps,
     certify_subsumption, MaintainShape, ReuseCertificate,
@@ -681,7 +681,7 @@ fn exact_splice_mutants(report: &mut MutationReport) {
 
     report.record_pristine(
         "exact splice: pristine consumer against its own form accepted",
-        certify_exact_splice(&consumer, &form.encoding, &form.slots),
+        certify_exact_splice(&Canon::new(), &consumer, &form.encoding, &form.slots),
     );
 
     // Shared plan computed a different predicate (wrong literal).
@@ -696,7 +696,7 @@ fn exact_splice_mutants(report: &mut MutationReport) {
     };
     report.record_cert(
         "exact splice: shared plan filters x>6, consumer wants x>5",
-        certify_exact_splice(&consumer, &other.encoding, &other.slots),
+        certify_exact_splice(&Canon::new(), &consumer, &other.encoding, &other.slots),
     );
     // Shared plan over a different base table.
     let other_table = {
@@ -710,13 +710,13 @@ fn exact_splice_mutants(report: &mut MutationReport) {
     };
     report.record_cert(
         "exact splice: shared plan scans table u, consumer scans t",
-        certify_exact_splice(&consumer, &other_table.encoding, &other_table.slots),
+        certify_exact_splice(&Canon::new(), &consumer, &other_table.encoding, &other_table.slots),
     );
     // Shared rows dropped a column the consumer needs (slot list
     // truncated while the claimed encoding still matches).
     report.record_cert(
         "exact splice: shared slots dropped a consumer column",
-        certify_exact_splice(&consumer, &form.encoding, &form.slots[..form.slots.len() - 1]),
+        certify_exact_splice(&Canon::new(), &consumer, &form.encoding, &form.slots[..form.slots.len() - 1]),
     );
     // Shared rows carry a retyped column in place of the consumer's.
     let mut retyped = form.slots.clone();
@@ -725,7 +725,7 @@ fn exact_splice_mutants(report: &mut MutationReport) {
     }
     report.record_cert(
         "exact splice: shared slot retyped Boolean -> Utf8",
-        certify_exact_splice(&consumer, &form.encoding, &retyped),
+        certify_exact_splice(&Canon::new(), &consumer, &form.encoding, &retyped),
     );
 }
 
@@ -756,23 +756,24 @@ fn fused_splice_mutants(report: &mut MutationReport) {
 
     report.record_pristine(
         "fused splice: pristine mapping/compensation accepted",
-        certify_fused_splice(&p2, &good.plan, &slots, &good.mapping, &good.right),
+        certify_fused_splice(&Canon::new(), &p2, &good.plan, &slots, &good.mapping, &good.right),
     );
 
     // Swapped compensation: serve P2 through P1's residual.
     report.record_cert(
         "fused splice: compensations swapped (P2 served through L)",
-        certify_fused_splice(&p2, &good.plan, &slots, &good.mapping, &good.left),
+        certify_fused_splice(&Canon::new(), &p2, &good.plan, &slots, &good.mapping, &good.left),
     );
     // Widened compensation: TRUE keeps the other member's rows.
     report.record_cert(
         "fused splice: compensation widened to TRUE",
-        certify_fused_splice(&p2, &good.plan, &slots, &good.mapping, &Expr::boolean(true)),
+        certify_fused_splice(&Canon::new(), &p2, &good.plan, &slots, &good.mapping, &Expr::boolean(true)),
     );
     // Wrong literal in the compensation.
     report.record_cert(
         "fused splice: compensation literal 3 -> 4",
         certify_fused_splice(
+            &Canon::new(),
             &p2,
             &good.plan,
             &slots,
@@ -785,6 +786,7 @@ fn fused_splice_mutants(report: &mut MutationReport) {
     report.record_cert(
         "fused splice: compensation narrowed with an extra conjunct",
         certify_fused_splice(
+            &Canon::new(),
             &p2,
             &good.plan,
             &slots,
@@ -802,7 +804,7 @@ fn fused_splice_mutants(report: &mut MutationReport) {
         if m.len() < good.mapping.len() {
             report.record_cert(
                 format!("fused splice: drop mapping entry for {}#{}", f.name, f.id.0),
-                certify_fused_splice(&p2, &good.plan, &slots, &m, &good.right),
+                certify_fused_splice(&Canon::new(), &p2, &good.plan, &slots, &m, &good.right),
             );
         }
     }
@@ -811,7 +813,7 @@ fn fused_splice_mutants(report: &mut MutationReport) {
         m.insert(x2, ctx.gen.fresh());
         report.record_cert(
             "fused splice: remap consumer x onto unknown column",
-            certify_fused_splice(&p2, &good.plan, &slots, &m, &good.right),
+            certify_fused_splice(&Canon::new(), &p2, &good.plan, &slots, &m, &good.right),
         );
     }
     {
@@ -820,13 +822,14 @@ fn fused_splice_mutants(report: &mut MutationReport) {
         m.insert(x2, field_id(&s1, "y"));
         report.record_cert(
             "fused splice: remap consumer Int64 x onto Utf8 column",
-            certify_fused_splice(&p2, &good.plan, &slots, &m, &good.right),
+            certify_fused_splice(&Canon::new(), &p2, &good.plan, &slots, &m, &good.right),
         );
     }
     // Compensation hygiene.
     report.record_cert(
         "fused splice: compensation references unknown column",
         certify_fused_splice(
+            &Canon::new(),
             &p2,
             &good.plan,
             &slots,
@@ -836,7 +839,7 @@ fn fused_splice_mutants(report: &mut MutationReport) {
     );
     report.record_cert(
         "fused splice: compensation is not boolean",
-        certify_fused_splice(&p2, &good.plan, &slots, &good.mapping, &col(x1).add(lit(1i64))),
+        certify_fused_splice(&Canon::new(), &p2, &good.plan, &slots, &good.mapping, &col(x1).add(lit(1i64))),
     );
 
     // Two-conjunct consumer: dropping one conjunct from the compensation
@@ -862,11 +865,12 @@ fn fused_splice_mutants(report: &mut MutationReport) {
     let slots2 = canonical_form(&good2.plan).slots;
     report.record_pristine(
         "fused splice: pristine two-conjunct compensation accepted",
-        certify_fused_splice(&q2, &good2.plan, &slots2, &good2.mapping, &good2.right),
+        certify_fused_splice(&Canon::new(), &q2, &good2.plan, &slots2, &good2.mapping, &good2.right),
     );
     report.record_cert(
         "fused splice: compensation drops the z>0 conjunct",
         certify_fused_splice(
+            &Canon::new(),
             &q2,
             &good2.plan,
             &slots2,
@@ -926,7 +930,9 @@ fn member_permutation_mutants(report: &mut MutationReport) {
     };
     let (form_ab, form_ba) = (canonical_form(&ab.plan), canonical_form(&ba.plan));
     // Reader: member A of the fold (B,A), against whatever is stored.
-    let read = |stored: &[String]| certify_fused_splice(&a, &ba.plan, stored, &ba.mapping, &ba.right);
+    let read = |stored: &[String]| {
+        certify_fused_splice(&Canon::new(), &a, &ba.plan, stored, &ba.mapping, &ba.right)
+    };
 
     report.outcomes.push(MutationOutcome {
         description: "member permutation: both fold orders accepted under one cache key".into(),
@@ -1006,11 +1012,11 @@ fn stale_compensation_mutants(report: &mut MutationReport) {
     let slots12 = canonical_form(&f12.plan).slots;
     report.record_cert(
         "stale compensation: P2's mapping with the compensation of the fold (P1,P3)",
-        certify_fused_splice(&p2, &f12.plan, &slots12, &f12.mapping, &f13.right),
+        certify_fused_splice(&Canon::new(), &p2, &f12.plan, &slots12, &f12.mapping, &f13.right),
     );
     report.record_cert(
         "stale compensation: P2's mapping with its compensation from the fold (P2,P1)",
-        certify_fused_splice(&p2, &f12.plan, &slots12, &f12.mapping, &f21.left),
+        certify_fused_splice(&Canon::new(), &p2, &f12.plan, &slots12, &f12.mapping, &f21.left),
     );
 
     // Aggregate-rooted members (masks carry the predicates): a mapping
@@ -1022,11 +1028,11 @@ fn stale_compensation_mutants(report: &mut MutationReport) {
     let slots_ab = canonical_form(&ab.plan).slots;
     report.record_pristine(
         "stale compensation: pristine member B of the fold (A,B) accepted",
-        certify_fused_splice(&b, &ab.plan, &slots_ab, &ab.mapping, &ab.right),
+        certify_fused_splice(&Canon::new(), &b, &ab.plan, &slots_ab, &ab.mapping, &ab.right),
     );
     report.record_cert(
         "stale compensation: plan of the fold (A,B) with B's mapping from the fold (B,A)",
-        certify_fused_splice(&b, &ab.plan, &slots_ab, &ba.mapping, &ab.right),
+        certify_fused_splice(&Canon::new(), &b, &ab.plan, &slots_ab, &ba.mapping, &ab.right),
     );
     // A keeps its ids in the fold (A,B); sending them through B's targets
     // reads B's masked aggregates as A's. B's mask `x > 353` keeps A's
@@ -1041,7 +1047,7 @@ fn stale_compensation_mutants(report: &mut MutationReport) {
         .collect();
     report.record_cert(
         "crossed mapping: member A read through member B's masked aggregates",
-        certify_fused_splice(&a, &ab.plan, &slots_ab, &crossed, &ab.left),
+        certify_fused_splice(&Canon::new(), &a, &ab.plan, &slots_ab, &crossed, &ab.left),
     );
 }
 
@@ -1068,7 +1074,7 @@ fn subsumption_mutants(report: &mut MutationReport) {
     let consumer = mk_filter("t", true);
     report.record_pristine(
         "subsumption: pristine strict-subset serve accepted",
-        certify_subsumption(&cached, &consumer),
+        certify_subsumption(&Canon::new(), &cached, &consumer),
     );
     // Non-subset: the cached side filtered on a conjunct the consumer
     // does not carry.
@@ -1084,17 +1090,17 @@ fn subsumption_mutants(report: &mut MutationReport) {
     };
     report.record_cert(
         "subsumption: cached carries conjunct b the consumer lacks",
-        certify_subsumption(&cached_extra, &consumer),
+        certify_subsumption(&Canon::new(), &cached_extra, &consumer),
     );
     // Equal sets claimed as subsumption: that is an exact match.
     report.record_cert(
         "subsumption: equal conjunct sets claimed as strict subsumption",
-        certify_subsumption(&cached, &mk_filter("t", false)),
+        certify_subsumption(&Canon::new(), &cached, &mk_filter("t", false)),
     );
     // Different base tables.
     report.record_cert(
         "subsumption: cached scans u, consumer scans t",
-        certify_subsumption(&mk_filter("u", false), &consumer),
+        certify_subsumption(&Canon::new(), &mk_filter("u", false), &consumer),
     );
     // Projection narrowing that drops a column the consumer reads.
     let narrowed = {
@@ -1112,7 +1118,7 @@ fn subsumption_mutants(report: &mut MutationReport) {
     };
     report.record_cert(
         "subsumption: cached projection dropped columns the consumer needs",
-        certify_subsumption(&narrowed, &consumer),
+        certify_subsumption(&Canon::new(), &narrowed, &consumer),
     );
 
     // Computed-expression narrowing — the new coverage: cached is
@@ -1158,12 +1164,12 @@ fn subsumption_mutants(report: &mut MutationReport) {
     let (cached_mul, consumer_mul) = computed(false);
     report.record_pristine(
         "subsumption: pristine computed-projection (x*z) serve accepted",
-        certify_subsumption(&cached_mul, &consumer_mul),
+        certify_subsumption(&Canon::new(), &cached_mul, &consumer_mul),
     );
     let (cached_add, _) = computed(true);
     report.record_cert(
         "subsumption: cached computes x+z, consumer needs x*z",
-        certify_subsumption(&cached_add, &consumer_mul),
+        certify_subsumption(&Canon::new(), &cached_add, &consumer_mul),
     );
 }
 

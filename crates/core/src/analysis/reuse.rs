@@ -52,9 +52,7 @@ use fusion_common::{ColumnId, DataType};
 use fusion_expr::{AggFunc, Expr};
 use fusion_plan::LogicalPlan;
 
-use super::canon::{
-    self, canonical_form, position_map, rendered_conjuncts, resolve_of,
-};
+use super::canon::{position_map, rendered_conjuncts, resolve_of, Canon};
 use super::contract::{check_aggregate_side, check_direction, holds, types_compatible};
 use crate::fuse::ExprMemo;
 use super::lattice::props;
@@ -170,15 +168,17 @@ fn reject(code: AnalysisCode, msg: impl Into<String>) -> Vec<Violation> {
 /// Certify an *exact* splice: the consumer's subplan is claimed
 /// canonically identical to the shared plan whose rows (in the layout of
 /// `shared_slots`) will replace it. The claim is re-derived from the
-/// consumer plan itself — the caller's cached `CanonicalForm` is not
+/// consumer plan itself through `canon`, which derives every form from
+/// the node it is handed — the caller's cached `CanonicalForm` is not
 /// trusted — and discharged by encoding equality plus a total slot
 /// alignment covering every consumer output position.
-pub fn certify_exact_splice(
-    consumer: &LogicalPlan,
+pub fn certify_exact_splice<'p>(
+    canon: &Canon<'p>,
+    consumer: &'p LogicalPlan,
     shared_encoding: &str,
     shared_slots: &[String],
 ) -> Result<ReuseCertificate, Vec<Violation>> {
-    let form = canonical_form(consumer);
+    let form = canon.form(consumer);
     if form.encoding != shared_encoding {
         return Err(reject(
             AnalysisCode::ReuseSplice,
@@ -240,9 +240,10 @@ pub fn certify_exact_splice(
 ///    check (same function, argument, DISTINCT-ness; masks at least as
 ///    strict) against a synthetic `Fused` built from the claimed
 ///    mapping/compensation.
-pub fn certify_fused_splice(
-    consumer: &LogicalPlan,
-    shared: &LogicalPlan,
+pub fn certify_fused_splice<'p>(
+    canon: &Canon<'p>,
+    consumer: &'p LogicalPlan,
+    shared: &'p LogicalPlan,
     stored_slots: &[String],
     mapping: &HashMap<ColumnId, ColumnId>,
     comp: &Expr,
@@ -251,8 +252,9 @@ pub fn certify_fused_splice(
     let shared_schema = shared.schema();
 
     // 1. The stored rows hold the shared plan's columns, each exactly once.
-    let shared_slots = canonical_form(shared).slots;
-    let positions = position_map(&shared_slots, stored_slots)
+    let shared_slots = canon.form(shared);
+    let shared_slots = &shared_slots.slots;
+    let positions = position_map(shared_slots, stored_slots)
         .filter(|p| p.len() == stored_slots.len())
         .unwrap_or_else(|| {
             v.push(Violation::new(
@@ -405,10 +407,12 @@ pub fn certify_fused_splice(
 /// row-count- and order-preserving, so
 /// `σ_p(π_E(σ_q(I))) = σ_p(π_E(I))` whenever `q ⊆ p` — which covers
 /// projection-narrowed supersets with computed output expressions, not
-/// just column-only narrowing.
-pub fn certify_subsumption(
-    cached: &LogicalPlan,
-    consumer: &LogicalPlan,
+/// just column-only narrowing. Every form is derived through `canon` from
+/// the two plans.
+pub fn certify_subsumption<'p>(
+    canon: &Canon<'p>,
+    cached: &'p LogicalPlan,
+    consumer: &'p LogicalPlan,
 ) -> Result<ReuseCertificate, Vec<Violation>> {
     let mut v = Vec::new();
     let mut sup = cached;
@@ -432,14 +436,14 @@ pub fn certify_subsumption(
         ));
     };
 
-    let (q_enc, q_slots) = canon::encode(&fq.input);
+    let q_form = canon.form(&fq.input);
     // Descend the consumer's filter input through its own projections
     // until it canonically matches the cached filter's input. Trying the
     // un-peeled input first keeps the plain `σ_p(I)` vs `σ_q(I)` case
     // exact even when `I` itself contains projections.
     let mut x: &LogicalPlan = &fp.input;
     loop {
-        if canon::encode(x).0 == q_enc {
+        if canon.form(x).encoding == q_form.encoding {
             break;
         }
         match x {
@@ -457,9 +461,10 @@ pub fn certify_subsumption(
         }
     }
 
-    let (_, x_slots) = canon::encode(&fp.input);
-    let rp = resolve_of(&fp.input, &x_slots);
-    let rq = resolve_of(&fq.input, &q_slots);
+    let x_form = canon.form(&fp.input);
+    let x_slots = &x_form.slots;
+    let rp = resolve_of(&fp.input, x_slots);
+    let rq = resolve_of(&fq.input, &q_form.slots);
     let p_set = rendered_conjuncts(&fp.predicate, &rp);
     let q_set = rendered_conjuncts(&fq.predicate, &rq);
     for c in &q_set {
@@ -483,8 +488,7 @@ pub fn certify_subsumption(
     }
     // Serving alignment: every consumer input slot must be recoverable
     // from the cached plan's (possibly projection-narrowed) outputs.
-    let (_, cached_slots) = canon::encode(cached);
-    if position_map(&x_slots, &cached_slots).is_none() {
+    if position_map(x_slots, &canon.form(cached).slots).is_none() {
         v.push(Violation::new(
             AnalysisCode::ReuseSubsumption,
             "cached projection dropped columns the consumer's filter input \

@@ -601,7 +601,7 @@ impl Session {
             let ctx = self.exec_context(&metrics);
             let optimize = |p: &LogicalPlan| self.optimize(p).0;
             self.reuse.plan_batch(
-                &plans,
+                plans,
                 &self.catalog,
                 &ctx,
                 &self.gen,
@@ -757,7 +757,13 @@ fn push_trace_sections(text: &mut String, report: &OptimizerReport, metrics: Opt
     let certs = metrics.filter(|m| {
         m.reuse_certificates_issued + m.reuse_certificates_rejected > 0
     });
-    if !report.reuse.is_empty() || faults.is_some() || warm.is_some() || certs.is_some() {
+    let canon = metrics.filter(|m| m.canon_nodes_encoded > 0);
+    if !report.reuse.is_empty()
+        || faults.is_some()
+        || warm.is_some()
+        || certs.is_some()
+        || canon.is_some()
+    {
         text.push_str("-- workload reuse --\n");
         for note in &report.reuse {
             text.push_str(note);
@@ -767,6 +773,12 @@ fn push_trace_sections(text: &mut String, report: &OptimizerReport, metrics: Opt
             text.push_str(&format!(
                 "incremental reuse: reuse_cache_refreshes={} subsumption_hits={}\n",
                 m.reuse_cache_refreshes, m.subsumption_hits,
+            ));
+        }
+        if let Some(m) = canon {
+            text.push_str(&format!(
+                "fingerprinting: canon_nodes_encoded={}\n",
+                m.canon_nodes_encoded,
             ));
         }
         if let Some(m) = certs {

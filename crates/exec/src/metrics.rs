@@ -156,6 +156,11 @@ counters! {
     /// two or more consuming queries (cache hits do not count — nothing
     /// executed).
     shared_subplans_executed: sum => add_shared_subplan_executed();
+    /// Plan nodes the reuse layer canonicalized: one window's memo
+    /// encodes each node it reads a form of once, so this stays within
+    /// the nodes of the window's plans, group plans and the resident
+    /// entries it certified against.
+    canon_nodes_encoded: sum => add_canon_nodes_encoded(nodes);
     /// Queries that ran in a window: every slot of a `Session::run_batch`
     /// or service window, and every lone `Session::sql` (a window of one).
     queries_batched: sum => add_queries_batched(n);

@@ -88,7 +88,7 @@ struct Entry {
     /// in place by re-running the plan over only an append's delta
     /// partitions, and so subsumption lookups can match a consumer
     /// against resident supersets.
-    plan: LogicalPlan,
+    plan: Arc<LogicalPlan>,
     /// Canonical `(table, catalog version at execution time)` stamps for
     /// every base table the cached subplan read.
     deps: DepStamps,
@@ -256,12 +256,6 @@ impl ReuseCache {
         std::mem::take(&mut self.rejections)
     }
 
-    /// The stored plan of a resident entry, for re-certification by the
-    /// workload layer before a subsumption serve.
-    pub fn entry_plan(&self, fp: Fingerprint) -> Option<&LogicalPlan> {
-        self.entries.get(&fp.0).map(|e| &e.plan)
-    }
-
     /// Record one observation of a fingerprint and return the cumulative
     /// count. Callers must only observe a *successfully served* consumer
     /// — after the shared execution completed and the consumer's spliced
@@ -334,37 +328,43 @@ impl ReuseCache {
         })
     }
 
-    /// Serve a consumer from a resident entry whose subplan strictly
-    /// subsumes it (the entry's rows are a superset recoverable through
-    /// the consumer's own filter). Candidates are tried in ascending
-    /// fingerprint order for determinism; each goes through the full
+    /// Serve a consumer from the first of `fps` still resident, in the
+    /// order given: the entries whose subplans the caller's subsumption
+    /// certificate found strictly subsuming the consumer (their rows are
+    /// a superset recoverable through the consumer's own filter),
+    /// ascending for determinism. Each goes through the full
     /// [`lookup`](Self::lookup) validation (staleness/refresh, checksum),
     /// so a stale-but-refreshable superset is refreshed before serving.
     /// Returns the hit together with the serving entry's fingerprint.
     pub fn lookup_subsuming(
         &mut self,
-        consumer: &LogicalPlan,
+        fps: impl IntoIterator<Item = Fingerprint>,
         catalog: &Catalog,
         versions: &HashMap<String, u64>,
         metrics: &ExecMetrics,
     ) -> Option<(CachedRows, Fingerprint)> {
-        let mut fps: Vec<u64> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| crate::fingerprint::subsumes(&e.plan, consumer))
-            .map(|(k, _)| *k)
-            .collect();
-        fps.sort_unstable();
-        for f in fps {
-            let Some(encoding) = self.entries.get(&f).map(|e| e.encoding.clone()) else {
+        for fp in fps {
+            let Some(encoding) = self.entries.get(&fp.0).map(|e| e.encoding.clone()) else {
                 continue; // evicted by an earlier candidate's refresh
             };
-            if let Some(hit) = self.lookup(Fingerprint(f), &encoding, catalog, versions, metrics)
-            {
-                return Some((hit, Fingerprint(f)));
+            if let Some(hit) = self.lookup(fp, &encoding, catalog, versions, metrics) {
+                return Some((hit, fp));
             }
         }
         None
+    }
+
+    /// Every resident entry's fingerprint and plan, in ascending
+    /// fingerprint order: what a window certifies subsumption serves
+    /// against. The plans are shared with the entries, not copied.
+    pub fn resident_plans(&self) -> Vec<(Fingerprint, Arc<LogicalPlan>)> {
+        let mut resident: Vec<(Fingerprint, Arc<LogicalPlan>)> = self
+            .entries
+            .iter()
+            .map(|(fp, e)| (Fingerprint(*fp), Arc::clone(&e.plan)))
+            .collect();
+        resident.sort_unstable_by_key(|(fp, _)| *fp);
+        resident
     }
 
     /// Refresh a stale entry in place: execute its plan over only the
@@ -612,7 +612,7 @@ impl ReuseCache {
                 encoding: encoding.to_string(),
                 rows,
                 slots,
-                plan: plan.clone(),
+                plan: Arc::new(plan.clone()),
                 deps,
                 checksum,
                 last_used: self.clock,

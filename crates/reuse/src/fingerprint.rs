@@ -9,21 +9,22 @@
 //! * [`Fingerprint`] / [`CanonicalForm`] — a stable 64-bit hash of the
 //!   canonical serialization plus per-position slot strings, alias-,
 //!   instance- and (where semantics allow) order-insensitive;
+//! * [`Canon`] — the per-window memo that derives each subtree's form
+//!   once, which the workload layer and the prover read every form from;
 //! * [`match_subplans`] — classify two subplans from exact equivalence
-//!   through subsumption down to a `Fuse` result or `⊥`;
-//! * [`subsumes`] — whether a cached plan's rows strictly contain a
-//!   consumer's. This is certificate-backed: it holds exactly when
-//!   [`fusion_core::analysis::certify_subsumption`] issues a certificate,
-//!   so the cache can never claim a subsumption the prover would refuse
-//!   to serve.
+//!   through subsumption down to a `Fuse` result or `⊥`.
+//!
+//! Whether a cached plan's rows strictly contain a consumer's is the
+//! prover's call alone: the workload layer serves a subsumption exactly
+//! when [`fusion_core::analysis::certify_subsumption`] issues a
+//! certificate.
 
-use fusion_core::analysis::certify_subsumption;
-use fusion_core::analysis::canon::{self, rendered_conjuncts, resolve_of};
+use fusion_core::analysis::canon::{rendered_conjuncts, resolve_of};
 use fusion_core::{fuse, FuseContext, Fused};
 use fusion_plan::LogicalPlan;
 
 pub use fusion_core::analysis::canon::{
-    canonical_form, fingerprint, position_map, CanonicalForm, Fingerprint,
+    canonical_form, fingerprint, position_map, Canon, CanonicalForm, Fingerprint,
 };
 
 /// How two subplans relate, from exact equivalence down to `⊥`.
@@ -49,12 +50,11 @@ pub enum SubplanMatch {
 /// equality first, then a conjunct-set subsumption check for filter roots
 /// over canonically-equal inputs, then fall back to [`fuse`].
 pub fn match_subplans(p1: &LogicalPlan, p2: &LogicalPlan, ctx: &FuseContext) -> SubplanMatch {
-    let c1 = canonical_form(p1);
-    let c2 = canonical_form(p2);
-    if c1.encoding == c2.encoding {
+    let canon = Canon::new();
+    if canon.form(p1).encoding == canon.form(p2).encoding {
         return SubplanMatch::Equivalent;
     }
-    if let Some(m) = filter_subsumption(p1, p2) {
+    if let Some(m) = filter_subsumption(&canon, p1, p2) {
         return m;
     }
     match fuse(p1, p2, ctx) {
@@ -63,32 +63,23 @@ pub fn match_subplans(p1: &LogicalPlan, p2: &LogicalPlan, ctx: &FuseContext) -> 
     }
 }
 
-/// Whether `superset`'s result strictly contains every row of `subset`'s,
-/// recoverable by re-applying `subset`'s own predicate — backed by the
-/// reuse-soundness prover, which peels projection narrowing (computed
-/// output expressions included) off both sides, requires strict conjunct
-/// containment over the same canonical base, and checks that every
-/// consumer column is recoverable from the cached layout. See
-/// `fusion_core::analysis::reuse::certify_subsumption` for the proof
-/// obligations; callers that need the rejection reasons (for EXPLAIN)
-/// call the certifier directly.
-pub fn subsumes(superset: &LogicalPlan, subset: &LogicalPlan) -> bool {
-    certify_subsumption(superset, subset).is_ok()
-}
-
 /// Subsumption fast path: both plans filter the same canonical input, and
-/// one side's conjunct set strictly contains the other's.
-fn filter_subsumption(p1: &LogicalPlan, p2: &LogicalPlan) -> Option<SubplanMatch> {
+/// one side's conjunct set strictly contains the other's. The inputs'
+/// forms are memo hits: `canon` encoded both roots already.
+fn filter_subsumption<'p>(
+    canon: &Canon<'p>,
+    p1: &'p LogicalPlan,
+    p2: &'p LogicalPlan,
+) -> Option<SubplanMatch> {
     let (LogicalPlan::Filter(f1), LogicalPlan::Filter(f2)) = (p1, p2) else {
         return None;
     };
-    let (enc1, slots1) = canon::encode(&f1.input);
-    let (enc2, slots2) = canon::encode(&f2.input);
-    if enc1 != enc2 {
+    let (in1, in2) = (canon.form(&f1.input), canon.form(&f2.input));
+    if in1.encoding != in2.encoding {
         return None;
     }
-    let r1 = resolve_of(&f1.input, &slots1);
-    let r2 = resolve_of(&f2.input, &slots2);
+    let r1 = resolve_of(&f1.input, &in1.slots);
+    let r2 = resolve_of(&f2.input, &in2.slots);
     let c1 = rendered_conjuncts(&f1.predicate, &r1);
     let c2 = rendered_conjuncts(&f2.predicate, &r2);
     let contains = |sup: &[String], sub: &[String]| sub.iter().all(|c| sup.contains(c));
@@ -107,6 +98,11 @@ fn filter_subsumption(p1: &LogicalPlan, p2: &LogicalPlan) -> Option<SubplanMatch
 mod tests {
     use super::*;
     use fusion_common::{ColumnId, DataType, IdGen};
+    use fusion_core::analysis::certify_subsumption;
+
+    fn subsumes(superset: &LogicalPlan, subset: &LogicalPlan) -> bool {
+        certify_subsumption(&Canon::new(), superset, subset).is_ok()
+    }
     use fusion_expr::{col, lit};
     use fusion_plan::builder::ColumnDef;
     use fusion_plan::{JoinType, PlanBuilder};

@@ -35,6 +35,7 @@ pub mod cache;
 pub mod fingerprint;
 pub mod workload;
 
+use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 
 use fusion_common::IdGen;
@@ -44,7 +45,7 @@ use fusion_plan::LogicalPlan;
 pub use breaker::FailureBreaker;
 pub use cache::{rows_checksum, CachedRows, DepStamps, MaintainShape, ReuseCache, ReuseCacheConfig};
 pub use fingerprint::{
-    canonical_form, fingerprint, match_subplans, CanonicalForm, Fingerprint, SubplanMatch,
+    canonical_form, fingerprint, match_subplans, Canon, CanonicalForm, Fingerprint, SubplanMatch,
 };
 pub use workload::{GroupReport, OptimizeFn, WorkloadOutcome, WorkloadReport};
 
@@ -75,16 +76,18 @@ impl ReuseManager {
     }
 
     /// Plan a batch of queries for shared execution. See
-    /// [`workload::plan_workload`].
-    pub fn plan_batch(
+    /// [`workload::plan_workload`], which takes the plans by value: a
+    /// borrowed batch is copied once, an owned one not at all.
+    pub fn plan_batch<'b>(
         &self,
-        plans: &[LogicalPlan],
+        plans: impl Into<Cow<'b, [LogicalPlan]>>,
         catalog: &Catalog,
         ctx: &Arc<ExecContext>,
         gen: &IdGen,
         metrics: &ExecMetrics,
         optimize: Option<workload::OptimizeFn<'_>>,
     ) -> WorkloadOutcome {
+        let plans = plans.into().into_owned();
         match (self.cache.lock(), self.breaker.lock()) {
             (Ok(mut cache), Ok(mut breaker)) => workload::plan_workload(
                 &mut cache,
@@ -96,7 +99,7 @@ impl ReuseManager {
                 metrics,
                 optimize,
             ),
-            _ => WorkloadOutcome::unshared(plans.to_vec()),
+            _ => WorkloadOutcome::unshared(plans),
         }
     }
 

@@ -54,7 +54,9 @@
 //! cache admission/lookup/contents so the batch chaos harness can drive
 //! every one of these paths.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use fusion_common::{rows_checksum, ColumnId, Field, IdGen};
@@ -71,7 +73,7 @@ use fusion_plan::{ConstantTable, Filter, LogicalPlan, Project, ProjExpr};
 
 use crate::breaker::FailureBreaker;
 use crate::cache::{CachedRows, DepStamps, ReuseCache};
-use crate::fingerprint::{canonical_form, position_map, CanonicalForm};
+use crate::fingerprint::{position_map, Canon, CanonicalForm, Fingerprint};
 
 /// Smallest subplan (in plan nodes) considered for sharing. Two
 /// excludes bare table scans: sharing a full-table materialization costs
@@ -179,24 +181,75 @@ pub struct GroupReport {
     pub subplan_nodes: usize,
 }
 
-/// One occurrence of a shareable subplan inside a query.
-struct Candidate {
+/// One occurrence of a shareable subplan inside a query: the subtree
+/// itself, borrowed from the window's plans, and its form, read from the
+/// window's [`Canon`].
+struct Candidate<'p> {
     query: usize,
     /// Child-index path from the query root to the subplan root.
     path: Vec<usize>,
-    plan: LogicalPlan,
-    form: CanonicalForm,
+    plan: &'p LogicalPlan,
+    form: Rc<CanonicalForm>,
 }
 
 /// A reuse group ready for execution: a shared plan plus its consumers.
-struct Group {
-    plan: LogicalPlan,
-    form: CanonicalForm,
+struct Group<'p> {
+    /// An exact group's first member, or the plan `fuse` folded the
+    /// members of a fused group into.
+    plan: Cow<'p, LogicalPlan>,
     /// Built by folding `fuse` (members read it through their
     /// compensation and mapping) rather than by exact match (members
     /// *are* the plan, canonically).
     fused: bool,
     members: Vec<GroupMember>,
+}
+
+/// A window's rewrites in progress.
+struct Rewrites {
+    /// Each query's plan once a splice rewrote it; `None` while it is
+    /// still the plan handed in.
+    plans: Vec<Option<LogicalPlan>>,
+    /// The regions of each query a splice replaced.
+    spliced: Taken,
+    notes: Vec<Vec<String>>,
+    rejections: Vec<String>,
+    report: WorkloadReport,
+}
+
+impl Rewrites {
+    fn new(n_queries: usize) -> Self {
+        Rewrites {
+            plans: vec![None; n_queries],
+            spliced: Taken::new(n_queries),
+            notes: vec![Vec::new(); n_queries],
+            rejections: Vec::new(),
+            report: WorkloadReport::default(),
+        }
+    }
+
+    /// Query `q`'s plan as rewritten so far.
+    fn current<'s>(&'s self, originals: &'s [LogicalPlan], q: usize) -> &'s LogicalPlan {
+        self.plans[q].as_ref().unwrap_or(&originals[q])
+    }
+
+    /// `rewritten` is `c`'s query with `c`'s region spliced.
+    fn replace(&mut self, c: &Candidate<'_>, rewritten: LogicalPlan) {
+        self.plans[c.query] = Some(rewritten);
+        self.spliced.claim(c);
+    }
+
+    fn finish(self, originals: Vec<LogicalPlan>) -> WorkloadOutcome {
+        WorkloadOutcome {
+            plans: originals
+                .into_iter()
+                .zip(self.plans)
+                .map(|(original, rewritten)| rewritten.unwrap_or(original))
+                .collect(),
+            notes: self.notes,
+            rejections: self.rejections,
+            report: self.report,
+        }
+    }
 }
 
 struct GroupMember {
@@ -220,30 +273,40 @@ pub type OptimizeFn<'a> = &'a dyn Fn(&LogicalPlan) -> LogicalPlan;
 /// (or serve it from `cache`), and rewrite consumers. Shared executions
 /// and cache traffic are counted on `metrics`; rewritten plans that fail
 /// validation or the semantic analyzer are reverted, never returned.
+///
+/// Every canonical form the window reads — of its candidates, its group
+/// plans, the resident entries it certifies subsumption against, and the
+/// prover's — comes from one [`Canon`], so each node is encoded once per
+/// window; the count lands on `metrics` as `canon_nodes_encoded`.
 #[allow(clippy::too_many_arguments)]
 pub fn plan_workload(
     cache: &mut ReuseCache,
     breaker: &mut FailureBreaker,
-    plans: &[LogicalPlan],
+    plans: Vec<LogicalPlan>,
     catalog: &Catalog,
     ctx: &Arc<ExecContext>,
     gen: &IdGen,
     metrics: &ExecMetrics,
     optimize: Option<OptimizeFn<'_>>,
 ) -> WorkloadOutcome {
-    let mut out = WorkloadOutcome::unshared(plans.to_vec());
     if plans.len() < 2 && cache.is_empty() {
-        return out;
+        return WorkloadOutcome::unshared(plans);
     }
-
-    let candidates = collect_candidates(plans);
+    let mut rw = Rewrites::new(plans.len());
+    let canon = Canon::new();
+    let candidates = collect_candidates(&canon, &plans);
+    let order = largest_first(&candidates);
     let versions = catalog.table_versions();
-    let groups = form_groups(cache, &candidates, plans.len(), gen);
+    let groups = form_groups(cache, &candidates, &order, plans.len(), gen);
+    let forms: Vec<Rc<CanonicalForm>> = groups.iter().map(|g| canon.form(&g.plan)).collect();
 
-    for group in groups {
+    for (group, form) in groups.iter().zip(&forms) {
         execute_group(
             group,
+            form,
+            &canon,
             &candidates,
+            &plans,
             cache,
             breaker,
             catalog,
@@ -252,24 +315,41 @@ pub fn plan_workload(
             metrics,
             &versions,
             optimize,
-            &mut out,
+            &mut rw,
         );
     }
 
     // Subsumption pass: a consumer no exact or fused group served may
     // still be answerable from a cached *superset* — its own filter over
-    // the cached rows recovers the exact result. Spliced regions contain
-    // no scans, so candidate collection naturally skips them.
+    // the cached rows recovers the exact result. Candidates inside or
+    // around a spliced region are skipped: the region's leaf reads no
+    // scan, and no cached plan holds one.
+    let resident = cache.resident_plans();
     let fault = ctx.fault_policy();
-    for q in 0..out.plans.len() {
-        let (rewritten, notes, rejections) =
-            apply_subsumption(cache, &out.plans[q], catalog, &versions, fault, metrics);
-        out.plans[q] = rewritten;
-        out.notes[q].extend(notes);
-        out.notes[q].extend(rejections.iter().cloned());
-        out.rejections.extend(rejections);
+    for q in 0..plans.len() {
+        if cache.is_empty() {
+            continue;
+        }
+        let (notes, rejections) = apply_subsumption(
+            q,
+            &canon,
+            &candidates,
+            &order,
+            &resident,
+            &plans,
+            &mut rw,
+            cache,
+            catalog,
+            &versions,
+            fault,
+            metrics,
+        );
+        rw.notes[q].extend(notes);
+        rw.notes[q].extend(rejections.iter().cloned());
+        rw.rejections.extend(rejections);
     }
-    out
+    metrics.add_canon_nodes_encoded(canon.nodes_encoded() as u64);
+    rw.finish(plans)
 }
 
 /// Whether the fault policy fires at `site` for `key` (counted).
@@ -289,33 +369,34 @@ fn refresh_note(hit: &CachedRows) -> String {
     }
 }
 
-/// Rewrite `plan` against cached entries that strictly *subsume* one of
-/// its Filter-rooted subplans: the consumer's own predicate over the
-/// cached superset rows recovers its exact result (σ_p over σ_q rows
-/// with q ⊆ p). Every splice is re-validated and analyzer-gated with
-/// revert-on-violation, like all other splices. Returns
-/// `(plan, notes, rejections)`: rejections are subsumption claims the
+/// Rewrite query `q` against `resident` cache entries that strictly
+/// *subsume* one of its Filter-rooted candidates: the consumer's own
+/// predicate over the cached superset rows recovers its exact result (σ_p
+/// over σ_q rows with q ⊆ p). Every splice is re-validated and
+/// analyzer-gated with revert-on-violation, like all other splices.
+/// Returns `(notes, rejections)`: rejections are subsumption claims the
 /// reuse prover refused — the consumer stayed cold, and strict batches
 /// fail on them.
-fn apply_subsumption(
+#[allow(clippy::too_many_arguments)]
+fn apply_subsumption<'p>(
+    q: usize,
+    canon: &Canon<'p>,
+    candidates: &[Candidate<'p>],
+    order: &[usize],
+    resident: &'p [(Fingerprint, Arc<LogicalPlan>)],
+    originals: &[LogicalPlan],
+    rw: &mut Rewrites,
     cache: &mut ReuseCache,
-    plan: &LogicalPlan,
     catalog: &Catalog,
     versions: &HashMap<String, u64>,
     fault: &FaultPolicy,
     metrics: &ExecMetrics,
-) -> (LogicalPlan, Vec<String>, Vec<String>) {
-    if cache.is_empty() {
-        return (plan.clone(), Vec::new(), Vec::new());
-    }
-    let candidates = collect_candidates(std::slice::from_ref(plan));
-    let mut result = plan.clone();
+) -> (Vec<String>, Vec<String>) {
     let mut notes = Vec::new();
     let mut rejections = Vec::new();
-    let mut taken = Taken::new(1);
-    for i in largest_first(&candidates) {
+    for &i in order {
         let c = &candidates[i];
-        if !matches!(c.plan, LogicalPlan::Filter(_)) || taken.overlaps(c) {
+        if c.query != q || !matches!(c.plan, LogicalPlan::Filter(_)) || rw.spliced.overlaps(c) {
             continue;
         }
         // Same CacheLookup fault point as exact lookups: a forced miss
@@ -324,18 +405,22 @@ fn apply_subsumption(
         if injected(fault, ReuseFaultSite::CacheLookup, &key, metrics) {
             continue;
         }
-        let looked = cache.lookup_subsuming(&c.plan, catalog, versions, metrics);
+        let subsuming = resident
+            .iter()
+            .filter(|(_, cached)| certify_subsumption(canon, cached, c.plan).is_ok())
+            .map(|(fp, _)| *fp);
+        let looked = cache.lookup_subsuming(subsuming, catalog, versions, metrics);
         notes.extend(cache.drain_rejections());
         let Some((hit, fp)) = looked else {
             continue;
         };
         // The proof is re-derived against the cached entry's *plan* (not
-        // its match metadata); an entry that vanished between lookup and
-        // certification leaves the consumer cold.
-        let Some(cached) = cache.entry_plan(fp) else {
+        // its match metadata).
+        let Some((_, cached)) = resident.iter().find(|(f, _)| *f == fp) else {
             continue;
         };
-        match serve(&result, c, Claim::Subsumed { cached }, &hit, metrics) {
+        let query = rw.current(originals, q);
+        match serve(query, c, Claim::Subsumed { cached }, &hit, canon, metrics) {
             Ok(rewritten) => {
                 metrics.add_subsumption_hit();
                 notes.push(format!(
@@ -344,8 +429,7 @@ fn apply_subsumption(
                     hit.rows.len(),
                     refresh_note(&hit),
                 ));
-                result = rewritten;
-                taken.claim(c);
+                rw.replace(c, rewritten);
             }
             Err(refusal) if refusal.uncertified => rejections.push(format!(
                 "subsumption serve {fp} {}; running cold",
@@ -354,7 +438,7 @@ fn apply_subsumption(
             Err(_) => {}
         }
     }
-    (result, notes, rejections)
+    (notes, rejections)
 }
 
 // ---------------------------------------------------------------------
@@ -377,34 +461,36 @@ fn shareable_root(plan: &LogicalPlan) -> bool {
     )
 }
 
-fn contains_scan(plan: &LogicalPlan) -> bool {
-    match plan {
-        LogicalPlan::Scan(_) => true,
-        _ => plan.children().into_iter().any(contains_scan),
-    }
-}
-
-fn collect_candidates(plans: &[LogicalPlan]) -> Vec<Candidate> {
+fn collect_candidates<'p>(canon: &Canon<'p>, plans: &'p [LogicalPlan]) -> Vec<Candidate<'p>> {
     let mut out = Vec::new();
     for (query, plan) in plans.iter().enumerate() {
         let mut path = Vec::new();
-        walk(plan, query, &mut path, &mut out);
+        walk(canon, plan, query, &mut path, &mut out);
     }
     out
 }
 
-fn walk(plan: &LogicalPlan, query: usize, path: &mut Vec<usize>, out: &mut Vec<Candidate>) {
-    if shareable_root(plan) && plan.node_count() >= MIN_NODES && contains_scan(plan) {
+/// Visit `plan` top-down. Its first [`Canon::form`] call encodes the whole
+/// query bottom-up; every later one is a memo hit.
+fn walk<'p>(
+    canon: &Canon<'p>,
+    plan: &'p LogicalPlan,
+    query: usize,
+    path: &mut Vec<usize>,
+    out: &mut Vec<Candidate<'p>>,
+) {
+    let form = canon.form(plan);
+    if shareable_root(plan) && form.nodes >= MIN_NODES && form.scans {
         out.push(Candidate {
             query,
             path: path.clone(),
-            plan: plan.clone(),
-            form: canonical_form(plan),
+            plan,
+            form,
         });
     }
     for (i, child) in plan.children().into_iter().enumerate() {
         path.push(i);
-        walk(child, query, path, out);
+        walk(canon, child, query, path, out);
         path.pop();
     }
 }
@@ -418,11 +504,11 @@ fn paths_overlap(a: &[usize], b: &[usize]) -> bool {
 
 /// The greedy order every pass visits candidates in: largest subplan
 /// first, ties by query, then by path.
-fn largest_first(candidates: &[Candidate]) -> Vec<usize> {
+fn largest_first(candidates: &[Candidate<'_>]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..candidates.len()).collect();
     order.sort_by(|&x, &y| {
         let (x, y) = (&candidates[x], &candidates[y]);
-        (y.plan.node_count().cmp(&x.plan.node_count()))
+        (y.form.nodes.cmp(&x.form.nodes))
             .then_with(|| x.query.cmp(&y.query))
             .then_with(|| x.path.cmp(&y.path))
     });
@@ -438,15 +524,15 @@ impl Taken {
         Taken(vec![Vec::new(); n_queries])
     }
 
-    fn overlaps(&self, c: &Candidate) -> bool {
+    fn overlaps(&self, c: &Candidate<'_>) -> bool {
         self.0[c.query].iter().any(|p| paths_overlap(p, &c.path))
     }
 
-    fn claim(&mut self, c: &Candidate) {
+    fn claim(&mut self, c: &Candidate<'_>) {
         self.0[c.query].push(c.path.clone());
     }
 
-    fn release(&mut self, c: &Candidate) {
+    fn release(&mut self, c: &Candidate<'_>) {
         self.0[c.query].retain(|p| p != &c.path);
     }
 }
@@ -455,15 +541,15 @@ impl Taken {
 // Group formation
 // ---------------------------------------------------------------------
 
-fn form_groups(
+/// Greedy over `order` (largest subplans first): exact groups by
+/// encoding, then fused groups by folding `fuse` across queries.
+fn form_groups<'p>(
     cache: &ReuseCache,
-    candidates: &[Candidate],
+    candidates: &[Candidate<'p>],
+    order: &[usize],
     n_queries: usize,
     gen: &IdGen,
-) -> Vec<Group> {
-    // Greedy: prefer sharing the largest subplans.
-    let order = largest_first(candidates);
-
+) -> Vec<Group<'p>> {
     // Which encodings qualify for exact sharing: seen in >= 2 distinct
     // queries, or resident in the cache (the lookup then serves,
     // refreshes or evicts it).
@@ -479,7 +565,7 @@ fn form_groups(
     let mut exact: HashMap<&str, Vec<usize>> = HashMap::new();
     let mut exact_order: Vec<&str> = Vec::new();
 
-    for &i in &order {
+    for &i in order {
         let c = &candidates[i];
         let enc = c.form.encoding.as_str();
         let spans = query_span.get(enc).map(|q| q.len()).unwrap_or(0);
@@ -514,10 +600,8 @@ fn form_groups(
             }
             continue;
         }
-        let rep = &candidates[members[0]];
         groups.push(Group {
-            plan: rep.plan.clone(),
-            form: rep.form.clone(),
+            plan: Cow::Borrowed(candidates[members[0]].plan),
             fused: false,
             members: members
                 .into_iter()
@@ -531,17 +615,21 @@ fn form_groups(
     }
 
     // Fusion pass over the remaining candidates: bucket by shape (root
-    // operator + scanned table set), fold `fuse` across distinct queries.
+    // operator + scanned table set), fold `fuse` across distinct queries
+    // (so a window of one has nothing to fuse).
+    if n_queries < 2 {
+        return groups;
+    }
     let fuse_ctx = FuseContext::new(gen.clone());
     let mut attempts = 0usize;
-    let shape_of = |c: &Candidate| {
+    let shape_of = |c: &Candidate<'_>| {
         let mut tables = c.plan.scanned_tables();
         tables.dedup();
         format!("{}|{}", c.plan.op_name(), tables.join(","))
     };
     let mut buckets: HashMap<String, Vec<usize>> = HashMap::new();
     let mut bucket_order: Vec<String> = Vec::new();
-    for &i in &order {
+    for &i in order {
         let c = &candidates[i];
         if taken.overlaps(c) {
             continue;
@@ -575,7 +663,7 @@ fn form_groups(
             continue;
         }
         let base = distinct[0];
-        let mut plan = candidates[base].plan.clone();
+        let mut plan = Cow::Borrowed(candidates[base].plan);
         let mut members = vec![GroupMember {
             cand: base,
             comp: Expr::boolean(true),
@@ -586,7 +674,7 @@ fn form_groups(
                 break;
             }
             attempts += 1;
-            let Some(f) = fuse(&plan, &candidates[i].plan, &fuse_ctx) else {
+            let Some(f) = fuse(&plan, candidates[i].plan, &fuse_ctx) else {
                 continue;
             };
             // Folding: P's columns survive under their ids, so prior
@@ -599,7 +687,7 @@ fn form_groups(
                 comp: simplify_filter(&f.right),
                 mapping: f.mapping.clone(),
             });
-            plan = f.plan;
+            plan = Cow::Owned(f.plan);
         }
         if members.len() < 2 {
             continue;
@@ -607,10 +695,8 @@ fn form_groups(
         for m in &members {
             taken.claim(&candidates[m.cand]);
         }
-        let form = canonical_form(&plan);
         groups.push(Group {
             plan,
-            form,
             fused: true,
             members,
         });
@@ -636,26 +722,31 @@ fn layout_preserved(optimized: &LogicalPlan, original: &LogicalPlan) -> bool {
             .all(|(x, y)| x.data_type == y.data_type)
 }
 
+/// Serve, or execute and share, one group of `form` (the group plan's
+/// form, from `canon`), splicing every member it can into `rw`.
 #[allow(clippy::too_many_arguments)]
-fn execute_group(
-    group: Group,
-    candidates: &[Candidate],
+fn execute_group<'p>(
+    group: &'p Group<'p>,
+    form: &'p CanonicalForm,
+    canon: &Canon<'p>,
+    candidates: &[Candidate<'p>],
+    originals: &[LogicalPlan],
     cache: &mut ReuseCache,
     breaker: &mut FailureBreaker,
     catalog: &Catalog,
     ctx: &Arc<ExecContext>,
-    gen: &IdGen,
+    gen: &'p IdGen,
     metrics: &ExecMetrics,
     versions: &HashMap<String, u64>,
     optimize: Option<OptimizeFn<'_>>,
-    out: &mut WorkloadOutcome,
+    rw: &mut Rewrites,
 ) {
     // The shared plan must satisfy both the structural validator and the
     // semantic analyzer before we spend anything executing it.
     if group.plan.validate().is_err() {
         return;
     }
-    let fp = group.form.fingerprint;
+    let fp = form.fingerprint;
     let fp_key = fp.to_string();
     let mut queries: Vec<usize> = group
         .members
@@ -665,16 +756,16 @@ fn execute_group(
     queries.sort_unstable();
     queries.dedup();
     // A note about the group as a whole, on every query it serves.
-    let note_all = |out: &mut WorkloadOutcome, note: String| {
+    let note_all = |rw: &mut Rewrites, note: String| {
         for &q in &queries {
-            out.notes[q].push(note.clone());
+            rw.notes[q].push(note.clone());
         }
     };
 
     let violations = analyze_plan(&group.plan);
     if !violations.is_empty() {
         let n = violations.len();
-        note_all(out, format!("reuse group {fp} rejected by analyzer ({n} violations)"));
+        note_all(rw, format!("reuse group {fp} rejected by analyzer ({n} violations)"));
         return;
     }
 
@@ -682,7 +773,7 @@ fn execute_group(
     // stops forming groups; consumers simply run their originals.
     if !breaker.allows(fp.0) {
         note_all(
-            out,
+            rw,
             format!(
                 "reuse group {fp}: circuit breaker open after repeated shared failures; \
                  running unshared"
@@ -697,22 +788,22 @@ fn execute_group(
     let hit = if injected(fault, ReuseFaultSite::CacheLookup, &fp_key, metrics) {
         None
     } else {
-        cache.lookup(fp, &group.form.encoding, catalog, versions, metrics)
+        cache.lookup(fp, &form.encoding, catalog, versions, metrics)
     };
     // Maintainability fallbacks recorded during the lookup (e.g. a
     // float-SUM entry that could not be refreshed in place) are typed
     // notes for every consumer, never strict failures.
     for note in cache.drain_rejections() {
-        note_all(out, note);
+        note_all(rw, note);
     }
     // A resident entry whose columns cannot be matched, slot for slot,
     // to the group plan's is not this plan's result, whatever its key
     // says: a miss. Drop it, run cold and re-admit.
     let hit = match hit {
-        Some(h) if !same_columns(&group.form.slots, &h.slots) => {
+        Some(h) if !same_columns(&form.slots, &h.slots) => {
             cache.evict(fp, metrics);
             note_all(
-                out,
+                rw,
                 format!(
                     "reuse group {fp}: cached entry's columns do not match the shared plan's; \
                      evicted, executing cold"
@@ -737,7 +828,7 @@ fn execute_group(
                         && o.validate().is_ok()
                         && analyze_plan(o).is_empty()
                 })
-                .unwrap_or_else(|| group.plan.clone());
+                .unwrap_or_else(|| group.plan.clone().into_owned());
             let executed = match execute_shared(&exec_plan, catalog, ctx, metrics, &fp_key) {
                 Ok(output) => output,
                 Err(e) => {
@@ -755,7 +846,7 @@ fn execute_group(
                     }
                     group.members.iter().for_each(|_| metrics.add_consumer_detached());
                     note_all(
-                        out,
+                        rw,
                         format!(
                             "shared subplan {fp} failed ({e}); consumer detached, \
                              re-executing unshared"
@@ -769,7 +860,7 @@ fn execute_group(
             CachedRows {
                 checksum: rows_checksum(&executed.rows),
                 rows: Arc::new(executed.rows),
-                slots: group.form.slots.clone(),
+                slots: form.slots.clone(),
                 refreshed_delta_rows: None,
             }
         }
@@ -782,7 +873,7 @@ fn execute_group(
         // the group keeps sharing.
         if injected(fault, ReuseFaultSite::Splice, &format!("{fp_key}/{i}"), metrics) {
             metrics.add_consumer_detached();
-            out.notes[c.query].push(format!(
+            rw.notes[c.query].push(format!(
                 "reuse group {fp}: injected splice fault; consumer detached, running unshared"
             ));
             continue;
@@ -792,17 +883,17 @@ fn execute_group(
         let claim = if group.fused {
             Claim::Fused {
                 shared: &group.plan,
-                slots: &group.form.slots,
+                slots: &form.slots,
                 mapping: &m.mapping,
                 comp: &m.comp,
                 gen,
             }
         } else {
             Claim::Exact {
-                encoding: &group.form.encoding,
+                encoding: &form.encoding,
             }
         };
-        match serve(&out.plans[c.query], c, claim, &shared, metrics) {
+        match serve(rw.current(originals, c.query), c, claim, &shared, canon, metrics) {
             Ok(rewritten) => {
                 if cache_hit {
                     metrics.add_reuse_cache_hit();
@@ -810,17 +901,17 @@ fn execute_group(
                 // Admission pressure (`admit_min_uses`) counts only consumers
                 // that were actually served a validated splice.
                 cache.observe(fp);
-                out.notes[c.query].push(format!(
+                rw.notes[c.query].push(format!(
                     "{} {}: {} node subplan shared across queries {:?} ({} rows, certified{}{})",
                     if group.fused { "fused" } else { "shared" },
                     fp,
-                    c.plan.node_count(),
+                    c.form.nodes,
                     queries,
                     shared.rows.len(),
                     if cache_hit { ", cached" } else { "" },
                     refresh_note(&shared),
                 ));
-                out.plans[c.query] = rewritten;
+                rw.replace(c, rewritten);
                 spliced += 1;
             }
             Err(refusal) => {
@@ -829,9 +920,9 @@ fn execute_group(
                     "reuse group {fp}: splice {}; consumer detached, running unshared",
                     refusal.why
                 );
-                out.notes[c.query].push(msg.clone());
+                rw.notes[c.query].push(msg.clone());
                 if refusal.uncertified {
-                    out.rejections.push(msg);
+                    rw.rejections.push(msg);
                 }
             }
         }
@@ -852,9 +943,9 @@ fn execute_group(
                 metrics.add_reuse_certificate_issued();
                 cache.admit(
                     fp,
-                    &group.form.encoding,
+                    &form.encoding,
                     Arc::clone(&shared.rows),
-                    group.form.slots.clone(),
+                    form.slots.clone(),
                     &group.plan,
                     deps,
                     metrics,
@@ -870,13 +961,13 @@ fn execute_group(
                      result not cached",
                     render_violations(&v)
                 );
-                note_all(out, msg.clone());
-                out.rejections.push(msg);
+                note_all(rw, msg.clone());
+                rw.rejections.push(msg);
             }
         }
     }
 
-    out.report.groups.push(GroupReport {
+    rw.report.groups.push(GroupReport {
         fingerprint: fp.to_string(),
         queries,
         spliced,
@@ -884,7 +975,7 @@ fn execute_group(
         cache_hit,
         executed: !cache_hit,
         rows: shared.rows.len(),
-        subplan_nodes: group.plan.node_count(),
+        subplan_nodes: form.nodes,
     });
 }
 
@@ -933,25 +1024,25 @@ fn same_columns(a: &[String], b: &[String]) -> bool {
 
 /// What a consumer claims about a shared result, for the prover to
 /// certify and [`splice`] to build.
-enum Claim<'a> {
+enum Claim<'p> {
     /// The consumer is canonically the plan that produced the rows: the
     /// leaf carries the consumer's own columns, no `C`, no `M`.
-    Exact { encoding: &'a str },
+    Exact { encoding: &'p str },
     /// The consumer is `σ_p(I)` and the rows are the cached plan's
     /// `σ_q(I)`, q's conjuncts a strict subset of p's: the leaf carries
     /// `I`'s columns and `C` is all of p — σ_p(σ_q(I)) = σ_p(I), so no
     /// predicate surgery, and row order matches a cold run.
-    Subsumed { cached: &'a LogicalPlan },
+    Subsumed { cached: &'p LogicalPlan },
     /// The consumer is one member of the fused plan `shared` (whose
     /// columns are `slots`): the leaf carries those under fresh ids (one
     /// schema is spliced into several queries, and ids stay unique per
     /// plan), `C` is `comp` and `M` is `mapping`.
     Fused {
-        shared: &'a LogicalPlan,
-        slots: &'a [String],
-        mapping: &'a HashMap<ColumnId, ColumnId>,
-        comp: &'a Expr,
-        gen: &'a IdGen,
+        shared: &'p LogicalPlan,
+        slots: &'p [String],
+        mapping: &'p HashMap<ColumnId, ColumnId>,
+        comp: &'p Expr,
+        gen: &'p IdGen,
     },
 }
 
@@ -964,23 +1055,28 @@ struct Refusal {
 
 /// Serve the consumer `c` of `query` from `stored`: certify the claim,
 /// splice, check the rewritten query. On a refusal `query` stays as it is.
-fn serve(
+/// The prover and the splice read every form from `canon`, derived from
+/// `c.plan` itself; `c.form` is never consulted.
+fn serve<'p>(
     query: &LogicalPlan,
-    c: &Candidate,
-    claim: Claim<'_>,
+    c: &Candidate<'p>,
+    claim: Claim<'p>,
     stored: &CachedRows,
+    canon: &Canon<'p>,
     metrics: &ExecMetrics,
 ) -> Result<LogicalPlan, Refusal> {
     // Re-proven from the plans themselves before any shared row is served.
     let certificate = match &claim {
-        Claim::Exact { encoding } => certify_exact_splice(&c.plan, encoding, &stored.slots),
-        Claim::Subsumed { cached } => certify_subsumption(cached, &c.plan),
+        Claim::Exact { encoding } => {
+            certify_exact_splice(canon, c.plan, encoding, &stored.slots)
+        }
+        Claim::Subsumed { cached } => certify_subsumption(canon, cached, c.plan),
         Claim::Fused {
             shared,
             mapping,
             comp,
             ..
-        } => certify_fused_splice(&c.plan, shared, &stored.slots, mapping, comp),
+        } => certify_fused_splice(canon, c.plan, shared, &stored.slots, mapping, comp),
     };
     let refuse = |uncertified, why| Refusal { uncertified, why };
     if let Err(v) = certificate {
@@ -989,7 +1085,7 @@ fn serve(
         return Err(refuse(true, why));
     }
     metrics.add_reuse_certificate_issued();
-    let replacement = splice(c, &claim, stored)
+    let replacement = splice(c, &claim, stored, canon)
         .map_err(|e| refuse(false, format!("could not be aligned ({e})")))?;
     let rewritten = replace_at(query, &c.path, replacement);
     if rewritten.validate().is_ok() && analyze_plan(&rewritten).is_empty() {
@@ -1003,17 +1099,25 @@ fn serve(
 /// of `P`: a leaf that reads the stored rows in place, each of its
 /// columns bound to the stored position with the same canonical slot,
 /// under the claim's `C` and `M` where it has them.
-fn splice(c: &Candidate, claim: &Claim<'_>, stored: &CachedRows) -> Result<LogicalPlan, String> {
-    let input_form;
+fn splice<'p>(
+    c: &Candidate<'p>,
+    claim: &Claim<'p>,
+    stored: &CachedRows,
+    canon: &Canon<'p>,
+) -> Result<LogicalPlan, String> {
+    let derived;
     let (fields, slots, filter, project): (Vec<Field>, &[String], _, _) = match claim {
-        Claim::Exact { .. } => (c.plan.schema().fields().to_vec(), &c.form.slots, None, None),
+        Claim::Exact { .. } => {
+            derived = canon.form(c.plan);
+            (c.plan.schema().fields().to_vec(), &derived.slots, None, None)
+        }
         Claim::Subsumed { .. } => {
-            let LogicalPlan::Filter(f) = &c.plan else {
+            let LogicalPlan::Filter(f) = c.plan else {
                 return Err("a subsumed consumer must be filter-rooted".into());
             };
-            input_form = canonical_form(&f.input);
+            derived = canon.form(&f.input);
             let fields = f.input.schema().fields().to_vec();
-            (fields, &input_form.slots, Some(f.predicate.clone()), None)
+            (fields, &derived.slots, Some(f.predicate.clone()), None)
         }
         Claim::Fused {
             shared,
@@ -1093,6 +1197,138 @@ fn replace_at(plan: &LogicalPlan, path: &[usize], replacement: LogicalPlan) -> L
 #[allow(clippy::unwrap_used, clippy::panic)]
 mod tests {
     use super::*;
+    use fusion_common::{DataType, Value};
+    use fusion_exec::table::TableColumn;
+    use fusion_exec::TableBuilder;
+    use fusion_expr::lit;
+    use fusion_plan::builder::ColumnDef;
+    use fusion_plan::PlanBuilder;
+
+    /// `t(k, v)`: `v` = 0..12, `k` = `v % 3`.
+    fn catalog() -> Catalog {
+        let column = |name: &str| TableColumn {
+            name: name.into(),
+            data_type: DataType::Int64,
+            nullable: false,
+        };
+        let mut t = TableBuilder::new("t", vec![column("k"), column("v")]);
+        for v in 0..12i64 {
+            t.add_row(vec![Value::Int64(v % 3), Value::Int64(v)]).unwrap();
+        }
+        let mut catalog = Catalog::new();
+        catalog.register(t.build());
+        catalog
+    }
+
+    /// `SELECT k, v FROM t WHERE v > bound`.
+    fn filtered(gen: &IdGen, bound: i64) -> LogicalPlan {
+        let cols = [
+            ColumnDef::new("k", DataType::Int64, false),
+            ColumnDef::new("v", DataType::Int64, false),
+        ];
+        let scan = PlanBuilder::scan(gen, "t", &cols);
+        let v = scan.col_expr("v").unwrap();
+        scan.filter(v.gt(lit(bound))).build()
+    }
+
+    fn rows(plan: &LogicalPlan, catalog: &Catalog) -> Vec<fusion_exec::Row> {
+        let ctx = ExecContext::new(ExecMetrics::new());
+        execute_plan_profiled(plan, catalog, &ctx).unwrap().0.rows
+    }
+
+    /// A candidate whose attached form is another subtree's, its plan
+    /// untouched, claims what a group built on that form would: its
+    /// encoding and its stored slots. The prover derives the consumer's
+    /// form from the plan, so the serve is a certificate rejection and
+    /// the query keeps its own plan.
+    #[test]
+    fn forged_candidate_form_is_refused() {
+        let gen = IdGen::new();
+        let (consumer, other) = (filtered(&gen, 5), filtered(&gen, 6));
+        let canon = Canon::new();
+        let forged = canon.form(&other);
+        let c = Candidate {
+            query: 0,
+            path: Vec::new(),
+            plan: &consumer,
+            form: Rc::clone(&forged),
+        };
+        let stored = CachedRows {
+            rows: Arc::new(rows(&other, &catalog())),
+            checksum: 0,
+            slots: forged.slots.clone(),
+            refreshed_delta_rows: None,
+        };
+        let metrics = ExecMetrics::new();
+        let claim = Claim::Exact {
+            encoding: &forged.encoding,
+        };
+        let Err(refusal) = serve(&consumer, &c, claim, &stored, &canon, &metrics) else {
+            panic!("a forged form was served");
+        };
+        assert!(refusal.uncertified, "{}", refusal.why);
+        assert!(refusal.why.contains("FUSION_ANALYSIS_REUSE_SPLICE"), "{}", refusal.why);
+        let m = metrics.snapshot();
+        assert_eq!((m.reuse_certificates_issued, m.reuse_certificates_rejected), (0, 1));
+    }
+
+    /// A candidate carrying its own form with two slots swapped claims a
+    /// layout the stored rows do not have. A permuted layout is a legal
+    /// one (rows are read by slot), so the prover's answer is the
+    /// alignment it derives from the plan: position for position against
+    /// rows stored in the plan's own order, never the forged swap.
+    #[test]
+    fn swapped_candidate_slots_do_not_reach_the_prover() {
+        let gen = IdGen::new();
+        let consumer = filtered(&gen, 5);
+        let canon = Canon::new();
+        let own = canon.form(&consumer);
+        let mut swapped = (*own).clone();
+        swapped.slots.swap(0, 1);
+        let certificate =
+            certify_exact_splice(&canon, &consumer, &swapped.encoding, &own.slots).unwrap();
+        assert_eq!(
+            certificate,
+            fusion_core::analysis::ReuseCertificate::ExactSplice {
+                positions: vec![0, 1]
+            }
+        );
+    }
+
+    /// The splice aligns the stored rows by the form it derives from the
+    /// consumer's plan too: a swapped form on the candidate changes
+    /// nothing about the rows it is served.
+    #[test]
+    fn splice_reads_the_derived_form() {
+        let gen = IdGen::new();
+        let catalog = catalog();
+        let consumer = filtered(&gen, 5);
+        let canon = Canon::new();
+        let own = canon.form(&consumer);
+        let mut swapped = (*own).clone();
+        swapped.slots.swap(0, 1);
+        let c = Candidate {
+            query: 0,
+            path: Vec::new(),
+            plan: &consumer,
+            form: Rc::new(swapped),
+        };
+        let cold = rows(&consumer, &catalog);
+        let stored = CachedRows {
+            checksum: rows_checksum(&cold),
+            rows: Arc::new(cold.clone()),
+            slots: own.slots.clone(),
+            refreshed_delta_rows: None,
+        };
+        let claim = Claim::Exact {
+            encoding: &own.encoding,
+        };
+        let metrics = ExecMetrics::new();
+        let Ok(served) = serve(&consumer, &c, claim, &stored, &canon, &metrics) else {
+            panic!("an exact consumer was refused");
+        };
+        assert_eq!(rows(&served, &catalog), cold);
+    }
 
     #[test]
     fn paths_overlap_is_prefix_relation() {

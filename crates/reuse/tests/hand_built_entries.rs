@@ -77,7 +77,7 @@ impl Bench {
         let out = plan_workload(
             &mut self.cache,
             &mut self.breaker,
-            &plans,
+            plans.clone(),
             &self.catalog,
             &ExecContext::new(Arc::clone(&self.metrics)),
             &self.gen,
@@ -103,7 +103,7 @@ impl Bench {
     ) {
         let fp = &out.report.groups[0].fingerprint;
         let fp = Fingerprint(u64::from_str_radix(&fp[2..], 16).unwrap());
-        let plan = self.cache.entry_plan(fp).unwrap().clone();
+        let (_, plan) = self.cache.resident_plans().into_iter().find(|(f, _)| *f == fp).unwrap();
         let form = canonical_form(&plan);
         let versions = self.catalog.table_versions();
         let hit = self

@@ -200,4 +200,8 @@ fn explain_analyze_renders_prover_counters() {
         text.contains("certificates_issued="),
         "prover counters should render:\n{text}"
     );
+    assert!(
+        text.contains("canon_nodes_encoded="),
+        "the window's canonicalization work should render:\n{text}"
+    );
 }

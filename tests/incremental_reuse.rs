@@ -200,7 +200,7 @@ fn subsumption_hit_serves_consumer_from_cached_superset() {
         "consumer is strictly subsumed by the cached superset: {:?}",
         hit.report.reuse
     );
-    let mut cold = cold_session(BASE_ROWS, true, 1);
+    let cold = cold_session(BASE_ROWS, true, 1);
     let cold = cold.sql(sub).unwrap();
     assert_eq!(hit.rows, cold.rows, "compensating filter must recover exact rows");
 }
@@ -277,7 +277,7 @@ fn rolling_appends_bit_identical_across_modes() {
                 assert!(batch.all_succeeded());
                 refreshes += batch.metrics.reuse_cache_refreshes;
                 hits += batch.metrics.reuse_cache_hits;
-                let mut cold = cold_session(total, fusion, workers);
+                let cold = cold_session(total, fusion, workers);
                 for (q, sql) in queries.iter().enumerate() {
                     let ind = cold.sql(sql).unwrap();
                     let got = batch.query(q).unwrap();

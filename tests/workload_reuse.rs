@@ -15,7 +15,7 @@ use fusion_engine::Session;
 use fusion_plan::LogicalPlan;
 use fusion_exec::table::TableColumn;
 use fusion_exec::TableBuilder;
-use fusion_tpcds::{all_queries, generate_catalog, TpcdsConfig};
+use fusion_tpcds::{all_queries, generate_catalog, pipeline_queries, TpcdsConfig};
 
 /// Smaller than the correctness suite's 0.12: each test here builds
 /// several catalogs (solo + batch session per worker count).
@@ -457,5 +457,46 @@ fn spliced_consumers_and_the_cache_share_one_allocation() {
         for leaf in shared_leaves(&pruned) {
             assert!(Arc::ptr_eq(shared, &leaf), "clone and prune_columns keep it");
         }
+    }
+}
+
+/// Canonicalization is linear per window: the window's memo encodes each
+/// node it reads a form of once, so `canon_nodes_encoded` never exceeds
+/// the nodes of what the window canonicalizes — the plans handed in, the
+/// group plans built, and the resident plans certified against (here at
+/// most the pair window's group plans: the cache is cleared per query).
+/// Every corpus query runs as an identical pair, then alone as a warm hit.
+#[test]
+fn every_window_encodes_each_node_at_most_once() {
+    let mut s = Session::new();
+    for table in generate_catalog(&TpcdsConfig::with_scale(0.02)).into_tables() {
+        s.register_table(table);
+    }
+    s.set_parallelism(1);
+    let group_nodes = |b: &fusion_engine::BatchResult| -> u64 {
+        b.report.groups.iter().map(|g| g.subplan_nodes as u64).sum()
+    };
+    for q in all_queries().into_iter().chain(pipeline_queries()) {
+        s.clear_reuse_cache();
+        let nodes = s.plan_sql(&q.sql).unwrap().node_count() as u64;
+        let pair = s.run_batch(&[&q.sql, &q.sql]).unwrap();
+        assert!(pair.all_succeeded(), "{}", q.id);
+        let pair_groups = group_nodes(&pair);
+        let encoded = pair.metrics.canon_nodes_encoded;
+        assert!(
+            encoded <= 2 * nodes + 2 * pair_groups,
+            "{} pair: {encoded} nodes encoded, window holds {} + {pair_groups} group nodes",
+            q.id,
+            2 * nodes
+        );
+        let lone = s.run_batch(&[&q.sql]).unwrap();
+        assert!(lone.all_succeeded(), "{}", q.id);
+        let encoded = lone.metrics.canon_nodes_encoded;
+        let bound = nodes + group_nodes(&lone) + pair_groups;
+        assert!(
+            encoded <= bound,
+            "{} warm hit: {encoded} nodes encoded, bound {bound} ({nodes} in the plan)",
+            q.id
+        );
     }
 }
