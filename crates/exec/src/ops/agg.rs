@@ -5,6 +5,10 @@
 //! mask expression (§III.E), so a single GroupBy can aggregate different
 //! subsets of its input — the property query fusion relies on to merge
 //! two GroupBys into one.
+//!
+//! There is one hash-aggregate core, [`GroupTable`]: every GroupBy folds
+//! through it, and so does every window expression, keyed on its
+//! `PARTITION BY` columns.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -46,6 +50,22 @@ impl Acc {
             AggFunc::Avg => Acc::Avg { sum: 0.0, n: 0 },
             AggFunc::Min => Acc::Min(None),
             AggFunc::Max => Acc::Max(None),
+        }
+    }
+
+    /// The accumulator whose [`finish`](Acc::finish) is `v`, for merging
+    /// finished results: `COUNT` from an Int64, `SUM` from an Int64 or
+    /// NULL, `MIN`/`MAX` from any value. `None` for anything a finished
+    /// value does not determine (`AVG`, float sums).
+    pub fn from_finished(func: AggFunc, v: &Value) -> Option<Acc> {
+        match (func, v) {
+            (AggFunc::CountStar | AggFunc::Count, Value::Int64(n)) => Some(Acc::Count(*n)),
+            (AggFunc::Sum, Value::Int64(_) | Value::Null) | (AggFunc::Min | AggFunc::Max, _) => {
+                let mut acc = Acc::new(func, true);
+                acc.update(Some(v));
+                Some(acc)
+            }
+            _ => None,
         }
     }
 
@@ -136,7 +156,7 @@ impl Acc {
     /// Fold another accumulator of the same shape into this one — the
     /// merge step of partitioned (morsel-parallel) aggregation. Callers
     /// merge partials in partition-index order, which keeps float sums
-    /// bit-identical across runs at a given thread count.
+    /// bit-identical across runs at every thread count.
     pub fn merge(&mut self, other: &Acc) {
         match (self, other) {
             (Acc::Count(a), Acc::Count(b)) => *a += b,
@@ -330,6 +350,26 @@ impl GroupState {
         self.accs[i].update(v);
     }
 
+    /// Append the group's finished aggregates to `out`. Deferred-DISTINCT
+    /// accumulators are rebuilt from their merged seen-sets in sorted
+    /// order.
+    fn finish(&self, spec: &AggSpec, inline_distinct: bool, out: &mut Vec<Value>) {
+        for (i, acc) in self.accs.iter().enumerate() {
+            out.push(match &self.distinct_seen[i] {
+                Some(seen) if !inline_distinct => {
+                    let mut acc = Acc::new(spec.aggregates[i].func, spec.int_sums[i]);
+                    let mut vals: Vec<&Value> = seen.iter().collect();
+                    vals.sort();
+                    for v in vals {
+                        acc.update(Some(v));
+                    }
+                    acc.finish()
+                }
+                _ => acc.finish(),
+            });
+        }
+    }
+
     /// Merge a partial from another partition into this one. Distinct
     /// aggregates union their seen-sets only — their accumulators are
     /// rebuilt from the union at finish time, so a value appearing in
@@ -424,6 +464,12 @@ impl GroupTable {
     /// Fold a batch of rows, evaluating masks and arguments with the
     /// scalar evaluator.
     pub(crate) fn accumulate_rows(&mut self, rows: &[Row]) -> Result<()> {
+        self.accumulate_rows_into(rows, &mut Vec::new())
+    }
+
+    /// [`Self::accumulate_rows`], pushing each row's group slot onto
+    /// `slots` in row order.
+    fn accumulate_rows_into(&mut self, rows: &[Row], slots: &mut Vec<usize>) -> Result<()> {
         let start = Instant::now();
         let spec = self.spec.clone();
         let mut mask_values = vec![false; spec.masks.len()];
@@ -434,6 +480,7 @@ impl GroupTable {
             }
             let key = HashedKey::new(spec.group_positions.iter().map(|&p| row[p].clone()).collect());
             let slot = self.slot(key, &mut new_bytes);
+            slots.push(slot);
             self.states[slot].update(
                 &spec,
                 self.inline_distinct,
@@ -526,7 +573,7 @@ impl GroupTable {
 
     /// Merge a partition's partial table into this one. Callers merge in
     /// partition-index order, which keeps float sums bit-identical across
-    /// runs at a given thread count.
+    /// runs at every thread count.
     pub(crate) fn merge(&mut self, other: GroupTable) {
         self.merged.push(other.reservation);
         self.merged.extend(other.merged);
@@ -547,8 +594,7 @@ impl GroupTable {
 
     /// Produce the output rows, sorted by key for a deterministic order. A
     /// GroupBy with no grouping columns emits exactly one row even over
-    /// empty input; deferred-DISTINCT accumulators are rebuilt from their
-    /// merged seen-sets in sorted order.
+    /// empty input.
     pub(crate) fn finish(self) -> Vec<Row> {
         let spec = self.spec;
         if spec.group_positions.is_empty() && self.states.is_empty() {
@@ -559,25 +605,21 @@ impl GroupTable {
         groups
             .into_iter()
             .map(|(key, slot)| {
-                let state = &self.states[slot];
                 let mut row = key.key;
-                for (i, acc) in state.accs.iter().enumerate() {
-                    row.push(match &state.distinct_seen[i] {
-                        Some(seen) if !self.inline_distinct => {
-                            let mut acc = Acc::new(spec.aggregates[i].func, spec.int_sums[i]);
-                            let mut vals: Vec<&Value> = seen.iter().collect();
-                            vals.sort();
-                            for v in vals {
-                                acc.update(Some(v));
-                            }
-                            acc.finish()
-                        }
-                        _ => acc.finish(),
-                    });
-                }
+                self.states[slot].finish(&spec, self.inline_distinct, &mut row);
                 row
             })
             .collect()
+    }
+
+    /// Every group's finished aggregates in slot order: aggregate `i` of
+    /// slot `s` is at `s * aggregates + i`.
+    fn finish_slots(&self) -> Vec<Value> {
+        let mut values = Vec::with_capacity(self.states.len() * self.spec.aggregates.len());
+        for state in &self.states {
+            state.finish(&self.spec, self.inline_distinct, &mut values);
+        }
+        values
     }
 }
 
@@ -743,10 +785,13 @@ impl Operator for HashAggregateExec {
 
 /// Partition-wide window aggregates: compute `AGG(x)` per partition of
 /// `PARTITION BY` keys and append the partition's aggregate to every row.
+/// Each window expression folds the buffered input through its own
+/// [`GroupTable`] keyed on its partition columns — the aggregate's core,
+/// so masks, `SUM`-over-Int64 shapes, CPU and state are the aggregate's
+/// too — and hands each row its group's value by the slot it folded into.
 pub struct WindowExec {
     input: Option<BoxedOp>,
     exprs: Vec<WindowExpr>,
-    input_index: RowIndex,
     schema: Schema,
     ctx: Arc<ExecContext>,
     output: Option<RowDrain>,
@@ -760,11 +805,9 @@ impl WindowExec {
         schema: Schema,
         ctx: impl IntoContext,
     ) -> Self {
-        let input_index = RowIndex::new(input.schema());
         WindowExec {
             input: Some(input),
             exprs,
-            input_index,
             schema,
             ctx: ctx.into_ctx(),
             output: None,
@@ -778,7 +821,7 @@ impl WindowExec {
             .input
             .take()
             .expect("window input consumed exactly once: compute runs behind output.is_none()");
-        let rows = drain(input.as_mut())?;
+        let mut rows = drain(input.as_mut())?;
         let bytes: i64 = rows.iter().map(|r| row_bytes(r)).sum();
         let mut reservation = BudgetedReservation::try_new(self.ctx.clone(), bytes)?;
         if let Some(span) = &self.span {
@@ -786,52 +829,30 @@ impl WindowExec {
         }
         let _reservation = reservation;
 
-        // Per window expr: partition key -> accumulator.
-        let mut states: Vec<HashMap<Vec<Value>, Acc>> =
-            self.exprs.iter().map(|_| HashMap::new()).collect();
-        let mut keys_per_row: Vec<Vec<Vec<Value>>> = Vec::with_capacity(rows.len());
-        for row in &rows {
-            let mut row_keys = Vec::with_capacity(self.exprs.len());
-            for (i, w) in self.exprs.iter().enumerate() {
-                let key: Vec<Value> = w
-                    .partition_by
-                    .iter()
-                    .map(|c| {
-                        self.input_index
-                            .position(*c)
-                            .map(|p| row[p].clone())
-                    })
-                    .collect::<Result<_>>()?;
-                let acc = states[i]
-                    .entry(key.clone())
-                    .or_insert_with(|| Acc::new(w.func, false));
-                let accepted =
-                    w.unmasked() || self.input_index.eval_pred(&w.mask, row)?;
-                if accepted {
-                    let arg_value = match &w.arg {
-                        Some(e) => Some(self.input_index.eval(e, row)?),
-                        None => None,
-                    };
-                    acc.update(arg_value.as_ref());
-                }
-                row_keys.push(key);
+        let input_index = RowIndex::new(input.schema());
+        let mut slots = Vec::with_capacity(rows.len());
+        for w in &self.exprs {
+            let positions = w
+                .partition_by
+                .iter()
+                .map(|c| input_index.position(*c))
+                .collect::<Result<_>>()?;
+            let agg = AggregateExpr {
+                func: w.func,
+                arg: w.arg.clone(),
+                distinct: false,
+                mask: w.mask.clone(),
+            };
+            let spec = Arc::new(AggSpec::new(positions, vec![agg], input.schema()));
+            let mut table = GroupTable::new(&spec, &self.ctx, &self.span, true)?;
+            slots.clear();
+            table.accumulate_rows_into(&rows, &mut slots)?;
+            let values = table.finish_slots();
+            for (row, &slot) in rows.iter_mut().zip(&slots) {
+                row.push(values[slot].clone());
             }
-            keys_per_row.push(row_keys);
         }
-
-        let mut out = Vec::with_capacity(rows.len());
-        for (row, row_keys) in rows.into_iter().zip(keys_per_row) {
-            let mut new_row = row;
-            for (i, key) in row_keys.iter().enumerate() {
-                let v = states[i]
-                    .get(key)
-                    .map(|a| a.finish())
-                    .ok_or_else(|| FusionError::Internal("window partition missing".into()))?;
-                new_row.push(v);
-            }
-            out.push(new_row);
-        }
-        Ok(out)
+        Ok(rows)
     }
 }
 

@@ -1,5 +1,5 @@
-//! Join operators: hash join for equi-conditions, nested-loop fallback,
-//! cross join.
+//! Join operators: hash join for equi-conditions, and a nested-loop join
+//! for the rest — cross joins included.
 //!
 //! Every equi hash join builds one [`JoinTable`] and probes it one
 //! columnar morsel at a time with [`JoinTable::probe`]. Two drivers feed
@@ -347,7 +347,7 @@ impl JoinTable {
                 m.columns = self.gather(m, &out_probe, &out_build);
                 m.selection = (0..out_probe.len()).collect();
             }
-            JoinType::Cross => unreachable!("cross joins compile to CrossJoinExec"),
+            JoinType::Cross => unreachable!("cross joins compile to NestedLoopJoinExec"),
         }
         Ok(())
     }
@@ -545,45 +545,6 @@ impl Operator for NestedLoopJoinExec {
     }
 }
 
-/// Cross join: cartesian product (right side materialized).
-pub struct CrossJoinExec {
-    inner: NestedLoopJoinExec,
-}
-
-impl CrossJoinExec {
-    pub fn new(
-        left: BoxedOp,
-        right: BoxedOp,
-        schema: Schema,
-        ctx: impl IntoContext,
-    ) -> Self {
-        CrossJoinExec {
-            inner: NestedLoopJoinExec::new(
-                left,
-                right,
-                JoinType::Inner,
-                Expr::boolean(true),
-                schema,
-                ctx,
-            ),
-        }
-    }
-}
-
-impl Operator for CrossJoinExec {
-    fn schema(&self) -> &Schema {
-        self.inner.schema()
-    }
-
-    fn attach_span(&mut self, span: Arc<OpSpan>) {
-        self.inner.attach_span(span);
-    }
-
-    fn next_chunk(&mut self) -> Result<Option<Chunk>> {
-        self.inner.next_chunk()
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -765,7 +726,14 @@ mod tests {
         let l = side(&[1], vec![vec![1], vec![2]]);
         let r = side(&[2], vec![vec![10], vec![20]]);
         let schema = l.schema().join(r.schema());
-        let mut j = CrossJoinExec::new(l, r, schema, ExecMetrics::new());
+        let mut j = NestedLoopJoinExec::new(
+            l,
+            r,
+            JoinType::Cross,
+            Expr::boolean(true),
+            schema,
+            ExecMetrics::new(),
+        );
         let rows = drain(&mut j).unwrap();
         assert_eq!(rows.len(), 4);
     }

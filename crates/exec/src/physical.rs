@@ -14,9 +14,7 @@ use crate::ops::basic::{
     ConstantTableExec, EnforceSingleRowExec, FilterExec, LimitExec, ProjectExec, UnionAllExec,
 };
 use crate::ops::distinct::MarkDistinctExec;
-use crate::ops::join::{
-    split_join_condition, CrossJoinExec, HashJoinExec, JoinSpec, NestedLoopJoinExec,
-};
+use crate::ops::join::{split_join_condition, HashJoinExec, JoinSpec, NestedLoopJoinExec};
 use crate::ops::scan::{JoinKeyFilter, ScanExec, ScanFragment};
 use crate::ops::sort::SortExec;
 use crate::ops::{drain, BoxedOp};
@@ -143,9 +141,14 @@ pub(crate) fn compile_node(c: &mut Compiler, plan: &LogicalPlan) -> Result<(Boxe
             let (left, left_node) = compile_node(c, &j.left)?;
             let (right, right_node) = compile_node(c, &j.right)?;
             let op: BoxedOp = match (j.join_type, spec) {
-                (JoinType::Cross, _) => {
-                    Box::new(CrossJoinExec::new(left, right, schema, ctx.clone()))
-                }
+                (JoinType::Cross, _) => Box::new(NestedLoopJoinExec::new(
+                    left,
+                    right,
+                    JoinType::Cross,
+                    Expr::boolean(true),
+                    schema,
+                    ctx.clone(),
+                )),
                 (_, Some(spec)) => {
                     Box::new(HashJoinExec::new(left, right, spec, schema, ctx.clone()))
                 }

@@ -33,6 +33,7 @@ use std::sync::Arc;
 
 use fusion_common::Value;
 use fusion_core::analysis::{certify_maintainability, render_violations, ReuseCertificate};
+use fusion_exec::ops::agg::Acc;
 use fusion_exec::{
     execute_plan_profiled, BudgetedReservation, Catalog, ExecContext, ExecMetrics, Row,
 };
@@ -149,37 +150,13 @@ impl DepStamps {
     }
 }
 
-/// Merge one finished aggregate value with the same group's delta value,
-/// mirroring [`Acc::merge`] semantics from the executor so a refreshed
-/// row is bit-identical to a cold recompute. Returns `None` on any shape
-/// surprise (the caller falls back to evict-and-recompute).
-fn merge_agg_value(func: AggFunc, a: &Value, b: &Value) -> Option<Value> {
-    match func {
-        AggFunc::Count | AggFunc::CountStar => match (a, b) {
-            (Value::Int64(x), Value::Int64(y)) => Some(Value::Int64(x.wrapping_add(*y))),
-            _ => None,
-        },
-        AggFunc::Sum => match (a, b) {
-            (Value::Null, other) | (other, Value::Null) => Some(other.clone()),
-            (Value::Int64(x), Value::Int64(y)) => Some(Value::Int64(x.wrapping_add(*y))),
-            _ => None,
-        },
-        AggFunc::Min => match (a, b) {
-            (Value::Null, other) | (other, Value::Null) => Some(other.clone()),
-            _ => Some(if b < a { b.clone() } else { a.clone() }),
-        },
-        AggFunc::Max => match (a, b) {
-            (Value::Null, other) | (other, Value::Null) => Some(other.clone()),
-            _ => Some(if b > a { b.clone() } else { a.clone() }),
-        },
-        AggFunc::Avg => None,
-    }
-}
-
 /// Group-wise merge of cached aggregate rows with a delta partial:
-/// existing groups combine value-by-value, new groups append, and the
-/// result is re-sorted by group key — the executor's deterministic
-/// output order — so the merged rows match a cold recompute exactly.
+/// existing groups combine value-by-value through the executor's own
+/// [`Acc::merge`], new groups append, and the result is re-sorted by
+/// group key — the executor's deterministic output order — so the merged
+/// rows match a cold recompute exactly. `None` on any value a finished
+/// accumulator cannot be rebuilt from (the caller falls back to
+/// evict-and-recompute).
 fn merge_aggregate_rows(
     cached: &[Row],
     delta: Vec<Row>,
@@ -205,7 +182,9 @@ fn merge_aggregate_rows(
             std::collections::btree_map::Entry::Occupied(mut e) => {
                 let merged = e.get_mut();
                 for &(pos, func) in agg_positions {
-                    merged[pos] = merge_agg_value(func, &merged[pos], &row[pos])?;
+                    let mut acc = Acc::from_finished(func, &merged[pos])?;
+                    acc.merge(&Acc::from_finished(func, &row[pos])?);
+                    merged[pos] = acc.finish();
                 }
             }
             std::collections::btree_map::Entry::Vacant(e) => {

@@ -246,6 +246,44 @@ fn window_partition_aggregate() {
     assert_eq!(rows[0][2], Value::Float64(62.5));
 }
 
+/// A window `SUM` over Int64 sums in integers, exactly as the same
+/// `GROUP BY` does: 2^53 + 1 is not a float, so a float sum would round
+/// it. `Value`'s `==` equates `Int64(n)` with `Float64(n as f64)`, so the
+/// variant is checked, not just the value.
+#[test]
+fn window_integer_sum_is_exact() {
+    const BIG: i64 = 9_007_199_254_740_993;
+    for fusion in [true, false] {
+        let mut s = Session::new();
+        s.set_fusion_enabled(fusion);
+        let mut b = TableBuilder::new(
+            "t",
+            vec![
+                col("k", DataType::Int64, false),
+                col("v", DataType::Int64, false),
+            ],
+        );
+        for v in [BIG, 0] {
+            b.add_row(vec![Value::Int64(1), Value::Int64(v)]).unwrap();
+        }
+        s.register_table(b.build());
+        let window = s
+            .sql("SELECT k, SUM(v) OVER (PARTITION BY k) AS w FROM t")
+            .unwrap();
+        let grouped = s.sql("SELECT k, SUM(v) AS w FROM t GROUP BY k").unwrap();
+        let sums = window
+            .rows
+            .iter()
+            .chain(&grouped.rows)
+            .map(|r| r[1].clone())
+            .collect::<Vec<_>>();
+        assert_eq!(sums.len(), 3, "fusion {fusion}");
+        for v in sums {
+            assert!(matches!(v, Value::Int64(BIG)), "fusion {fusion}: {v:?}");
+        }
+    }
+}
+
 #[test]
 fn order_by_desc_and_limit() {
     let rows = {

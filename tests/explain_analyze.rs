@@ -171,6 +171,28 @@ fn explain_analyze_text_annotates_every_operator() {
     }
 }
 
+/// The first operator, in pre-order, whose label contains `label`.
+fn find<'a>(p: &'a fusion_exec::OpProfile, label: &str) -> Option<&'a fusion_exec::OpProfile> {
+    if p.label.contains(label) {
+        return Some(p);
+    }
+    p.children.iter().find_map(|c| find(c, label))
+}
+
+/// The window of the GroupByJoinToWindow shape folds through the
+/// aggregate's hash table, and meters its CPU as the aggregate does.
+#[test]
+fn window_meters_cpu() {
+    let (name, sql) = CASES[2];
+    assert_eq!(name, "correlated_subquery");
+    let r = session(true)
+        .sql(&format!("EXPLAIN ANALYZE {sql}"))
+        .unwrap();
+    let profile = r.profile.as_ref().expect("EXPLAIN ANALYZE executes");
+    let window = find(&profile.root, "Window:").expect("the subquery becomes a window");
+    assert!(window.cpu_nanos > 0, "{}", profile.render());
+}
+
 /// A hash join's CPU time is its own hashing and probing, not its build
 /// child's: over an aggregate of 60 000 rows into three groups, the
 /// join's `cpu_ms` stays below that child's `wall_ms`.
@@ -195,12 +217,6 @@ fn join_cpu_excludes_its_build_child() {
     )
     .unwrap();
     let profile = s.last_profile().unwrap();
-    fn find<'a>(p: &'a fusion_exec::OpProfile, label: &str) -> Option<&'a fusion_exec::OpProfile> {
-        if p.label.contains(label) {
-            return Some(p);
-        }
-        p.children.iter().find_map(|c| find(c, label))
-    }
     let join = find(&profile.root, "Join:").unwrap();
     let build = &join.children[1];
     assert!(build.label.starts_with("Aggregate"), "{}", profile.render());

@@ -46,6 +46,9 @@ fn tcol(name: &str, data_type: DataType, nullable: bool) -> TableColumn {
     }
 }
 
+/// One `orders` row: `(id, cust, region, amount)`.
+type OrderRow = (i64, Option<i64>, Option<&'static str>, Option<f64>);
+
 /// The `tests/parallel.rs` micro-dataset: orders in six single-row
 /// partitions so the morsel-parallel pipeline path engages at
 /// parallelism > 1.
@@ -64,7 +67,7 @@ fn orders_session(parallelism: usize, pipelines: bool) -> Session {
     )
     .partition_by("id", 1)
     .unwrap();
-    let rows: Vec<(i64, Option<i64>, Option<&str>, Option<f64>)> = vec![
+    let rows: Vec<OrderRow> = vec![
         (1, Some(10), Some("north"), Some(50.0)),
         (2, Some(10), Some("south"), Some(75.0)),
         (3, Some(20), Some("north"), Some(20.0)),
